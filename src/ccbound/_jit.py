@@ -1,32 +1,13 @@
-"""Optional numba acceleration for the numeric kernels.
+"""Build flags reported next to benchmark results.
 
-Every kernel in :mod:`ccbound.kernels` is plain numpy code that runs
-unmodified with or without numba.  When numba is importable the kernels are
-compiled with ``@njit``; setting the environment variable ``CCBOUND_NO_JIT=1``
-forces the uncompiled fallback path even when numba is installed (useful for
-debugging and for the benchmark in ``benchmarks/bench_kernels.py``).
+The kernels in :mod:`ccbound.kernels` are plain numpy and are never
+compiled.  This module survives only because ``layerbench/worker.py``
+stamps both flags on every benchmark run; numba is looked up, never
+imported.
 """
 
-import os
+import importlib.util
 
+HAVE_NUMBA = importlib.util.find_spec("numba") is not None
 
-def _jit_disabled_by_env() -> bool:
-    return os.environ.get("CCBOUND_NO_JIT", "").strip().lower() in {"1", "true", "yes", "on"}
-
-
-try:
-    import numba
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    numba = None
-    HAVE_NUMBA = False
-
-JIT_ENABLED = HAVE_NUMBA and not _jit_disabled_by_env()
-
-
-def maybe_jit(func):
-    """Compile ``func`` with numba.njit when enabled, else return it as-is."""
-    if JIT_ENABLED:
-        return numba.njit(func, cache=True)
-    return func
+JIT_ENABLED = False

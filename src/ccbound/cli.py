@@ -43,7 +43,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 0
+        raise ValueError(f"CCBOUND_SEED must be an integer, got {raw!r}") from None
 
 
 def _resolve_theta(parser: argparse.ArgumentParser, args) -> float:

@@ -96,8 +96,8 @@ class Correlation:
             raise CorrelationError(
                 f"table shape {arr.shape} does not match scenario {scenario.table_shape}"
             )
-        if np.any(arr < 0.0):
-            raise CorrelationError(f"negative probability entry: min = {arr.min()!r}")
+        if not np.all(arr >= 0.0):
+            raise CorrelationError(f"negative or NaN probability entry: min = {arr.min()!r}")
         sums = arr.sum(axis=(0, 1))
         if np.any(np.abs(sums - 1.0) > ATOL):
             raise CorrelationError(

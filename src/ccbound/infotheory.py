@@ -35,8 +35,8 @@ class JointDistribution:
         arr = np.array(p, dtype=float)
         if arr.ndim != 3:
             raise DistributionError(f"expected a rank-3 tensor, got shape {arr.shape}")
-        if np.any(arr < 0.0):
-            raise DistributionError(f"negative probability entry: min = {arr.min()!r}")
+        if not np.all(arr >= 0.0):
+            raise DistributionError(f"negative or NaN probability entry: min = {arr.min()!r}")
         total = float(arr.sum())
         if abs(total - 1.0) > ATOL:
             raise DistributionError(f"probabilities sum to {total!r}, expected 1 within {ATOL}")
@@ -93,7 +93,7 @@ class StochasticMap:
             raise DistributionError(
                 f"output alphabet {arr.shape[1]} exceeds input alphabet {arr.shape[0]}"
             )
-        if np.any(arr < 0.0) or np.any(arr > 1.0 + ATOL):
+        if not np.all((arr >= 0.0) & (arr <= 1.0 + ATOL)):
             raise DistributionError("map entries must lie in [0, 1]")
         row_sums = arr.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > ATOL):
@@ -130,7 +130,7 @@ def mutual_information(p_ab) -> float:
     arr = np.array(p_ab, dtype=float)
     if arr.ndim != 2:
         raise DistributionError(f"expected a bipartite table, got shape {arr.shape}")
-    if np.any(arr < 0.0) or abs(float(arr.sum()) - 1.0) > ATOL:
+    if not np.all(arr >= 0.0) or abs(float(arr.sum()) - 1.0) > ATOL:
         raise DistributionError("not a normalized bipartite distribution")
     return float(kernels.mutual_information_bits(arr))
 

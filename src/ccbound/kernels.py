@@ -1,26 +1,25 @@
-"""Hot numeric kernels: dense simplex pivoting and entropy sums.
+"""Hot numeric kernels: dense simplex pivoting and one batched entropy sum.
 
-Each kernel exists twice: ``py_<name>`` is the plain numpy/python
-implementation, and ``<name>`` is the same function compiled with numba
-when JIT is enabled (see :mod:`ccbound._jit`).  The kernels are
-self-contained (no cross-calls) so each compiles independently.
-
-Probabilities below 1e-15 are pruned from all entropy sums to avoid log
-underflow; logarithms are base 2 throughout.
+All information kernels are compositions of
+:func:`conditional_mutual_information_bits`, which evaluates I(A:B|F) for
+any number of leading batch axes.  Probabilities below 1e-15 are pruned
+from the sum to avoid log underflow; logarithms are base 2 throughout.
 """
 
 import numpy as np
 
-from ._jit import maybe_jit
-
 PROB_FLOOR = 1e-15
+
+# one-hot maps evaluated per batch by the deterministic sweep; bounds the
+# sweep's temporary arrays to a few hundred kB whatever |F|^|E| is
+SWEEP_BATCH = 256
 
 SIMPLEX_OPTIMAL = 0
 SIMPLEX_ITERATION_LIMIT = 1
 SIMPLEX_UNBOUNDED = 2
 
 
-def py_simplex_maximize(A, b, c, tol, maxiter):
+def simplex_maximize(A, b, c, tol, maxiter):
     """Maximize c.x subject to A x <= b, x >= 0, assuming b >= 0.
 
     Tableau simplex starting from the slack basis (feasible because b >= 0).
@@ -91,157 +90,64 @@ def py_simplex_maximize(A, b, c, tol, maxiter):
     return SIMPLEX_ITERATION_LIMIT, 0.0, np.zeros(n)
 
 
-def py_mutual_information_bits(p_ab):
-    """I(A:B) in bits of a normalized joint table p_ab[a, b]."""
-    na, nb = p_ab.shape
-    pa = np.zeros(na)
-    pb = np.zeros(nb)
-    for a in range(na):
-        for b in range(nb):
-            pa[a] += p_ab[a, b]
-            pb[b] += p_ab[a, b]
-    total = 0.0
-    for a in range(na):
-        for b in range(nb):
-            pab = p_ab[a, b]
-            if pab > PROB_FLOOR:
-                total += pab * np.log2(pab / (pa[a] * pb[b]))
-    return total
-
-
-def py_conditional_mutual_information_bits(p_abf):
-    """I(A:B|F) in bits of a normalized joint table p_abf[a, b, f].
+def conditional_mutual_information_bits(p_abf):
+    """I(A:B|F) in bits of normalized joint tables p_abf[..., a, b, f].
 
     Computed as sum_f of the unnormalized per-branch contribution
     sum_ab p(a,b,f) log2[ p(a,b,f) p(f) / (p(a,f) p(b,f)) ], which equals
     p(f) * I(A:B|F=f) without forming the conditional distribution.
+    Leading axes are batch axes: the result has shape p_abf.shape[:-3]
+    (a float for a single table).
     """
-    na, nb, nf = p_abf.shape
-    total = 0.0
-    pa = np.zeros(na)
-    pb = np.zeros(nb)
-    for f in range(nf):
-        pf = 0.0
-        for a in range(na):
-            pa[a] = 0.0
-        for b in range(nb):
-            pb[b] = 0.0
-        for a in range(na):
-            for b in range(nb):
-                w = p_abf[a, b, f]
-                pa[a] += w
-                pb[b] += w
-                pf += w
-        if pf <= PROB_FLOOR:
-            continue
-        for a in range(na):
-            for b in range(nb):
-                w = p_abf[a, b, f]
-                if w > PROB_FLOOR:
-                    total += w * np.log2(w * pf / (pa[a] * pb[b]))
-    return total
+    p = np.asarray(p_abf, dtype=float)
+    *batch, na, nb, nf = p.shape
+    pa = p.sum(axis=-2, keepdims=True)
+    pb = p.sum(axis=-3, keepdims=True)
+    # p(f) sums the (a, b) entries in row-major order
+    pf = p.reshape(*batch, na * nb, 1, nf).sum(axis=-3, keepdims=True)
+    # p(f) >= p(a,b,f) for nonnegative tables, so the per-entry floor also
+    # prunes every branch with p(f) <= PROB_FLOOR
+    keep = p > PROB_FLOOR
+    ratio = np.divide(p * pf, pa * pb, out=np.ones_like(p), where=keep)
+    terms = np.where(keep, p * np.log2(ratio), 0.0)
+    # left-to-right sum in (f, a, b) order: the value does not depend on the
+    # batch shape, so a batched sweep and single calls agree bit for bit
+    ordered = np.moveaxis(terms, -1, -3).reshape(*batch, nf * na * nb)
+    total = np.cumsum(ordered, axis=-1)[..., -1]
+    return total if batch else float(total)
 
 
-def py_cmi_after_map_bits(p_abe, rows):
-    """I(A:B|F) after pushing e through the row-stochastic map rows[e, f]."""
-    na, nb, ne = p_abe.shape
-    nf = rows.shape[1]
-    p_abf = np.zeros((na, nb, nf))
-    for e in range(ne):
-        for f in range(nf):
-            w = rows[e, f]
-            if w != 0.0:
-                for a in range(na):
-                    for b in range(nb):
-                        p_abf[a, b, f] += w * p_abe[a, b, e]
-    total = 0.0
-    pa = np.zeros(na)
-    pb = np.zeros(nb)
-    for f in range(nf):
-        pf = 0.0
-        for a in range(na):
-            pa[a] = 0.0
-        for b in range(nb):
-            pb[b] = 0.0
-        for a in range(na):
-            for b in range(nb):
-                w = p_abf[a, b, f]
-                pa[a] += w
-                pb[b] += w
-                pf += w
-        if pf <= PROB_FLOOR:
-            continue
-        for a in range(na):
-            for b in range(nb):
-                w = p_abf[a, b, f]
-                if w > PROB_FLOOR:
-                    total += w * np.log2(w * pf / (pa[a] * pb[b]))
-    return total
+def mutual_information_bits(p_ab):
+    """I(A:B) in bits of a normalized joint table p_ab[a, b]."""
+    return conditional_mutual_information_bits(np.asarray(p_ab, dtype=float)[..., None])
 
 
-def py_sweep_deterministic_maps(p_abe, n_f):
+def cmi_after_map_bits(p_abe, rows):
+    """I(A:B|F) after pushing e through the row-stochastic maps rows[..., e, f]."""
+    # einsum sums over e in order, like infotheory.apply_map; np.matmul goes
+    # through BLAS, whose fused multiply-adds move the last bit and with it
+    # the minimizer's Nelder-Mead path
+    return conditional_mutual_information_bits(np.einsum("abe,...ef->...abf", p_abe, rows))
+
+
+def sweep_deterministic_maps(p_abe, n_f):
     """Minimum of I(A:B|F) over all deterministic maps e -> f.
 
-    Enumerates the n_f**n_e assignments with an odometer counter and
-    returns (best value, best assignment).
+    Enumerates the n_f**n_e assignments in odometer order (e = 0 changes
+    fastest), SWEEP_BATCH maps at a time, and returns (best value, best
+    assignment); ties keep the first assignment in that order.
     """
-    na, nb, ne = p_abe.shape
-    assign = np.zeros(ne, np.int64)
-    best_assign = np.zeros(ne, np.int64)
+    n_e = p_abe.shape[2]
+    n_maps = n_f**n_e
+    place = n_f ** np.arange(n_e)
     best = np.inf
-    p_abf = np.zeros((na, nb, n_f))
-    pa = np.zeros(na)
-    pb = np.zeros(nb)
-    done = False
-    while not done:
-        for a in range(na):
-            for b in range(nb):
-                for f in range(n_f):
-                    p_abf[a, b, f] = 0.0
-        for e in range(ne):
-            f = assign[e]
-            for a in range(na):
-                for b in range(nb):
-                    p_abf[a, b, f] += p_abe[a, b, e]
-        total = 0.0
-        for f in range(n_f):
-            pf = 0.0
-            for a in range(na):
-                pa[a] = 0.0
-            for b in range(nb):
-                pb[b] = 0.0
-            for a in range(na):
-                for b in range(nb):
-                    w = p_abf[a, b, f]
-                    pa[a] += w
-                    pb[b] += w
-                    pf += w
-            if pf <= PROB_FLOOR:
-                continue
-            for a in range(na):
-                for b in range(nb):
-                    w = p_abf[a, b, f]
-                    if w > PROB_FLOOR:
-                        total += w * np.log2(w * pf / (pa[a] * pb[b]))
-        if total < best:
-            best = total
-            for e in range(ne):
-                best_assign[e] = assign[e]
-        # odometer increment
-        pos = 0
-        while pos < ne:
-            assign[pos] += 1
-            if assign[pos] < n_f:
-                break
-            assign[pos] = 0
-            pos += 1
-        if pos == ne:
-            done = True
-    return best, best_assign
-
-
-simplex_maximize = maybe_jit(py_simplex_maximize)
-mutual_information_bits = maybe_jit(py_mutual_information_bits)
-conditional_mutual_information_bits = maybe_jit(py_conditional_mutual_information_bits)
-cmi_after_map_bits = maybe_jit(py_cmi_after_map_bits)
-sweep_deterministic_maps = maybe_jit(py_sweep_deterministic_maps)
+    best_index = 0
+    for start in range(0, n_maps, SWEEP_BATCH):
+        index = np.arange(start, min(start + SWEEP_BATCH, n_maps))
+        maps = np.eye(n_f)[index[:, None] // place % n_f]
+        values = cmi_after_map_bits(p_abe, maps)
+        k = int(np.argmin(values))
+        if values[k] < best:
+            best = float(values[k])
+            best_index = start + k
+    return best, best_index // place % n_f

@@ -232,6 +232,25 @@ def test_intrinsic_malformed(capsys, tmp_path):
     assert err.startswith("error:")
 
 
+def test_intrinsic_nan_distribution_is_error(capsys, tmp_path):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"alphabets": [2, 2, 2], "p": np.full((2, 2, 2), math.nan).tolist()}))
+    code, out, err = run(capsys, ["intrinsic", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_intrinsic_rejects_non_integer_seed_env(capsys, tmp_path, monkeypatch):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(JointDistribution(np.full((2, 2, 2), 0.125)).to_json_dict()))
+    monkeypatch.setenv("CCBOUND_SEED", "abc")
+    code, out, err = run(capsys, ["intrinsic", str(path), "--restarts", "0"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and "CCBOUND_SEED" in err
+
+
 # -------------------------------------------------------------- localweight
 
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from ccbound.correlations import Correlation, CorrelationError, Scenario
 from ccbound.infotheory import (
     DistributionError,
     JointDistribution,
@@ -49,6 +50,39 @@ def test_stochastic_map_validation():
         StochasticMap(np.full((2, 3), 1 / 3))  # |F| > |E|
     ident = StochasticMap.identity(4)
     assert np.array_equal(ident.rows, np.eye(4))
+
+
+def _correlation_with(bad):
+    table = np.full((2, 2, 1, 1), 0.25)
+    table[0, 0, 0, 0] = bad
+    return Correlation(Scenario(1, 1, 2, 2), table)
+
+
+def _joint_with(bad):
+    p = np.full((2, 2, 2), 0.125)
+    p[0, 0, 0] = bad
+    return JointDistribution(p)
+
+
+def _map_with(bad):
+    rows = np.eye(2)
+    rows[0, 0] = bad
+    return StochasticMap(rows)
+
+
+def _mutual_information_with(bad):
+    p = np.full((2, 2), 0.25)
+    p[0, 0] = bad
+    return mutual_information(p)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "build", [_correlation_with, _joint_with, _map_with, _mutual_information_with]
+)
+def test_non_finite_entries_rejected(build, bad):
+    with pytest.raises((CorrelationError, DistributionError)):
+        build(bad)
 
 
 def test_json_round_trip(tmp_path):

@@ -1,6 +1,9 @@
-"""Kernel-level tests: the jitted and plain paths must agree exactly, and
-the simplex must match brute-force answers on tiny problems."""
+"""Kernel-level tests: the batched entropy kernel must match the entropy
+formula and agree between batched and single calls, the sweep must match
+brute force, and the simplex must match brute-force answers on tiny
+problems."""
 
+import itertools
 import math
 
 import numpy as np
@@ -66,34 +69,34 @@ def test_simplex_random_vs_vertex_enumeration():
         assert abs(obj - best) < 1e-8
 
 
-def test_python_and_jitted_paths_agree():
-    # compiled code may differ from the interpreter in the last ulp
-    tol = 1e-13
-    rng = np.random.default_rng(11)
-    A = rng.uniform(0.0, 1.0, size=(6, 9))
-    b = rng.uniform(0.2, 1.0, size=6)
-    c = rng.uniform(0.0, 1.0, size=9)
-    s1, o1, x1 = kernels.simplex_maximize(A, b, c, 1e-11, 1000)
-    s2, o2, x2 = kernels.py_simplex_maximize(A, b, c, 1e-11, 1000)
-    assert s1 == s2
-    assert abs(o1 - o2) < tol
-    assert np.abs(x1 - x2).max() < tol
+def _entropy_bits(p, keep):
+    """H of the marginal of p[a, b, f] on the axes in ``keep``."""
+    q = p.sum(axis=tuple(i for i in range(3) if i not in keep)).ravel()
+    q = q[q > 0]
+    return -float(np.sum(q * np.log2(q)))
 
-    p = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
-    assert abs(
-        kernels.conditional_mutual_information_bits(p)
-        - kernels.py_conditional_mutual_information_bits(p)
-    ) < tol
-    assert abs(
-        kernels.mutual_information_bits(p.sum(axis=2))
-        - kernels.py_mutual_information_bits(p.sum(axis=2))
-    ) < tol
-    rows = rng.dirichlet(np.ones(3), size=3)
-    assert abs(kernels.cmi_after_map_bits(p, rows) - kernels.py_cmi_after_map_bits(p, rows)) < tol
-    b1, a1 = kernels.sweep_deterministic_maps(p, 3)
-    b2, a2 = kernels.py_sweep_deterministic_maps(p, 3)
-    assert abs(b1 - b2) < tol
-    assert np.array_equal(a1, a2)
+
+def test_cmi_kernel_matches_entropy_formula_and_batches():
+    # I(A:B|F) = H(AF) + H(BF) - H(ABF) - H(F), one table or map at a time
+    # and for a batch of maps in one call
+    rng = np.random.default_rng(11)
+    for shape in ((2, 2, 3), (2, 3, 4), (3, 3, 5)):
+        p = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+        expected = (
+            _entropy_bits(p, (0, 2)) + _entropy_bits(p, (1, 2))
+            - _entropy_bits(p, (0, 1, 2)) - _entropy_bits(p, (2,))
+        )
+        assert abs(kernels.conditional_mutual_information_bits(p) - expected) < 1e-12
+
+        n_e = shape[2]
+        maps = rng.dirichlet(np.ones(n_e), size=(7, n_e))
+        maps[3] = np.eye(n_e)[rng.integers(0, n_e, n_e)]  # a one-hot map in the batch
+        batched = kernels.cmi_after_map_bits(p, maps)
+        assert batched.shape == (7,)
+        for k in range(7):
+            single = kernels.cmi_after_map_bits(p, maps[k])
+            assert isinstance(single, float)
+            assert single == batched[k]
 
 
 def test_mutual_information_kernel_direct_sum():
@@ -137,6 +140,29 @@ def test_sweep_covers_identity_and_constants():
         manual = min(manual, kernels.conditional_mutual_information_bits(q))
     assert abs(best - manual) < 1e-14
     assert assign.shape == (3,)
+
+    # |E| = 5: 3125 maps span several sweep batches; brute force over every
+    # map, keeping the first minimum in odometer order (e = 0 fastest)
+    p = rng.dirichlet(np.ones(20)).reshape(2, 2, 5)
+    assert 5**5 > kernels.SWEEP_BATCH
+    brute_best, brute_assign = np.inf, None
+    for digits in itertools.product(range(5), repeat=5):
+        digits = digits[::-1]
+        value = kernels.cmi_after_map_bits(p, np.eye(5)[list(digits)])
+        if value < brute_best:
+            brute_best, brute_assign = value, digits
+    best, assign = kernels.sweep_deterministic_maps(p, 5)
+    assert best == brute_best
+    assert tuple(assign) == brute_assign
+
+    # exact ties: every map separating e in {0, 1, 2} (a = b = 0) from
+    # e in {3, 4} (a = b = 1) gives exactly 0; the first in odometer order wins
+    p = np.zeros((2, 2, 5))
+    p[0, 0, :3] = 0.25
+    p[1, 1, 3:] = 0.125
+    best, assign = kernels.sweep_deterministic_maps(p, 5)
+    assert best == 0.0
+    assert tuple(assign) == (1, 1, 1, 0, 0)
 
 
 def test_kernel_flags_exported():
