@@ -14,7 +14,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import attack as atk
 from . import regions
@@ -87,19 +86,6 @@ def cmd_constants(parser, args) -> int:
 # -------------------------------------------------------------------- curve
 
 
-def _curve_rows(payload):
-    theta, vs = payload
-    scale = 2.0 * (math.cos(theta) + math.sin(theta))
-    return [
-        f"{v:.6f},{scale * v:.6f},{atk.chsh_keyrate_bound(theta, v):.6f}" for v in vs
-    ]
-
-
-def _chunks(items, n):
-    size = max(1, (len(items) + n - 1) // n)
-    return [items[i : i + size] for i in range(0, len(items), size)]
-
-
 def cmd_curve(parser, args) -> int:
     theta = _resolve_theta(parser, args)
     if args.step <= 0:
@@ -111,17 +97,11 @@ def cmd_curve(parser, args) -> int:
     while v <= args.v_max + 1e-12:
         vs.append(min(v, 1.0))
         v = args.v_min + (len(vs)) * args.step
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            row_chunks = list(pool.map(_curve_rows, [(theta, c) for c in _chunks(vs, args.jobs)]))
-        rows = [row for chunk in row_chunks for row in chunk]
-    else:
-        rows = _curve_rows((theta, vs))
+    scale = 2.0 * (math.cos(theta) + math.sin(theta))
+    rows = [f"{v:.6f},{scale * v:.6f},{atk.chsh_keyrate_bound(theta, v):.6f}\n" for v in vs]
     stream, owned = _open_out(args.out)
     try:
-        stream.write("v,S,bound\n")
-        for row in rows:
-            stream.write(row + "\n")
+        stream.write("v,S,bound\n" + "".join(rows))
     finally:
         if owned:
             stream.close()
@@ -131,34 +111,13 @@ def cmd_curve(parser, args) -> int:
 # ------------------------------------------------------------------- region
 
 
-def _region_rows(payload):
-    resolution, t_indices = payload
-    step = 1.0 / (resolution - 1)
-    rows = []
-    for j in t_indices:
-        t = j * step
-        for i in range(resolution):
-            rows.append(regions.format_point(regions.classify(i * step, t)))
-    return rows
-
-
 def cmd_region(parser, args) -> int:
     if args.resolution < 2:
         parser.error("--resolution must be at least 2")
-    t_indices = list(range(args.resolution))
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            chunks = _chunks(t_indices, args.jobs)
-            row_chunks = list(pool.map(_region_rows, [(args.resolution, c) for c in chunks]))
-        rows = [row for chunk in row_chunks for row in chunk]
-    else:
-        rows = _region_rows((args.resolution, t_indices))
+    grid = regions.region_grid(args.resolution)
     stream, owned = _open_out(args.out)
     try:
-        stream.write("# grid ordering: row-major, t outer loop, s inner loop\n")
-        stream.write(regions.CSV_HEADER + "\n")
-        for row in rows:
-            stream.write(row + "\n")
+        regions.write_region_csv(grid, stream)
     finally:
         if owned:
             stream.close()
@@ -315,6 +274,9 @@ def cmd_localweight(parser, args) -> int:
 # --------------------------------------------------------------------- main
 
 
+JOBS_HELP = "accepted for compatibility and ignored; the sweep runs in one process"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccbound",
@@ -337,12 +299,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--v-max", type=float, default=1.0)
     p_curve.add_argument("--step", type=float, default=0.005)
     p_curve.add_argument("--out", default="-", help="output path or '-' for stdout")
-    p_curve.add_argument("--jobs", type=int, default=1)
+    p_curve.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p_region = sub.add_parser("region", help="classify the two-parameter slice grid (CSV)")
     p_region.add_argument("--resolution", type=int, default=201, help="points per axis")
     p_region.add_argument("--out", default="-", help="output path or '-' for stdout")
-    p_region.add_argument("--jobs", type=int, default=1)
+    p_region.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p_bound = sub.add_parser("bound", help="attack a protocol correlation from a JSON file")
     p_bound.add_argument("correlation", help="correlation JSON file")
@@ -390,7 +352,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](parser, args)
+        code = COMMANDS[args.command](parser, args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed early (`ccbound region | head`): stop quietly with
+        # the shell's SIGPIPE status, and send the unflushed rest of stdout to
+        # devnull so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -57,7 +57,7 @@ def unit_vector(components) -> np.ndarray:
     if v.shape != (3,):
         raise CorrelationError(f"Bloch vector must have 3 components, got shape {v.shape}")
     if abs(float(np.linalg.norm(v)) - 1.0) > ATOL:
-        raise CorrelationError(f"Bloch vector must be unit norm, got |v| = {np.linalg.norm(v)!r}")
+        raise CorrelationError(f"Bloch vector must be unit norm, got |v| = {float(np.linalg.norm(v))!r}")
     v.setflags(write=False)
     return v
 
@@ -97,12 +97,12 @@ class Correlation:
                 f"table shape {arr.shape} does not match scenario {scenario.table_shape}"
             )
         if not np.all(arr >= 0.0):
-            raise CorrelationError(f"negative or NaN probability entry: min = {arr.min()!r}")
+            raise CorrelationError(f"negative or NaN probability entry: min = {float(arr.min())!r}")
         sums = arr.sum(axis=(0, 1))
         if np.any(np.abs(sums - 1.0) > ATOL):
             raise CorrelationError(
                 f"each block p(.,.|x,y) must sum to 1 within {ATOL}; worst deviation "
-                f"{np.abs(sums - 1.0).max()!r}"
+                f"{float(np.abs(sums - 1.0).max())!r}"
             )
         arr.setflags(write=False)
         object.__setattr__(self, "scenario", scenario)
@@ -282,7 +282,7 @@ def from_correlators(form: CorrelatorForm, scenario: Scenario) -> Correlation:
     low = table.min()
     if low < -NEGATIVE_CLAMP:
         raise CorrelationError(
-            f"correlators produce a negative probability ({low!r}); not a valid correlation"
+            f"correlators produce a negative probability ({float(low)!r}); not a valid correlation"
         )
     np.clip(table, 0.0, None, out=table)
     return Correlation(scenario, table)

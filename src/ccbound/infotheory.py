@@ -36,7 +36,7 @@ class JointDistribution:
         if arr.ndim != 3:
             raise DistributionError(f"expected a rank-3 tensor, got shape {arr.shape}")
         if not np.all(arr >= 0.0):
-            raise DistributionError(f"negative or NaN probability entry: min = {arr.min()!r}")
+            raise DistributionError(f"negative or NaN probability entry: min = {float(arr.min())!r}")
         total = float(arr.sum())
         if abs(total - 1.0) > ATOL:
             raise DistributionError(f"probabilities sum to {total!r}, expected 1 within {ATOL}")
@@ -97,7 +97,7 @@ class StochasticMap:
             raise DistributionError("map entries must lie in [0, 1]")
         row_sums = arr.sum(axis=1)
         if np.any(np.abs(row_sums - 1.0) > ATOL):
-            raise DistributionError(f"rows must sum to 1 within {ATOL}; got {row_sums!r}")
+            raise DistributionError(f"rows must sum to 1 within {ATOL}; got {row_sums.tolist()!r}")
         arr.setflags(write=False)
         object.__setattr__(self, "rows", arr)
 

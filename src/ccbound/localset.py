@@ -213,7 +213,7 @@ def max_local_weight_ns(corr: Correlation) -> NSLocalWeight:
     if q < 1.0 - 1e-12:
         rest_flat = (corr.table.ravel() - local_flat) / (1.0 - q)
         if rest_flat.min() < -1e-8:
-            raise LPError(f"LP remainder has negative mass {rest_flat.min()!r}")
+            raise LPError(f"LP remainder has negative mass {float(rest_flat.min())!r}")
         rest_table = np.clip(rest_flat, 0.0, None).reshape(corr.scenario.table_shape)
         # renormalize away simplex rounding before the 1e-12 construction check
         rest_table = rest_table / rest_table.sum(axis=(0, 1), keepdims=True)

@@ -1,8 +1,12 @@
 """End-to-end CLI tests driving the subcommands through main()."""
 
+import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -129,6 +133,50 @@ def test_region_jobs_invariant(capsys, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+# sha256 of the region CSV as written by the per-point classifier that
+# preceded the array one
+REGION_SHA256 = {
+    201: "ff3fc7ae139ce398defaa53ba6b8b9d3c6b6fe4800fb1ba42d69f986ad4457ae",
+    801: "48e26690819839ad6b4f8c0e6ab18f5acc2d2f70e2950c6997b1311e8e52a6e5",
+}
+
+
+@pytest.mark.parametrize("resolution", sorted(REGION_SHA256))
+def test_region_bytes_pinned(capsys, tmp_path, resolution):
+    out_path = tmp_path / "region.csv"
+    code, _, _ = run(capsys, ["region", "--resolution", str(resolution), "--out", str(out_path)])
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REGION_SHA256[resolution]
+
+
+def test_region_stdout_equals_file(capsys, tmp_path):
+    out_path = tmp_path / "region.csv"
+    run(capsys, ["region", "--resolution", "201", "--out", str(out_path)])
+    code, out, err = run(capsys, ["region", "--resolution", "201", "--out", "-"])
+    assert code == 0 and err == ""
+    assert out.encode("ascii") == out_path.read_bytes()
+
+
+def test_region_into_closed_pipe_exits_quietly():
+    # 201^2 rows are far more than a pipe buffer holds, so the writer is
+    # still writing when the reader goes away
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccbound.cli", "region", "--resolution", "201"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    try:
+        assert proc.stdout.readline().startswith(b"# grid ordering")
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+
+
 # -------------------------------------------------------------------- bound
 
 
@@ -239,6 +287,14 @@ def test_intrinsic_nan_distribution_is_error(capsys, tmp_path):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_intrinsic_nan_diagnostic_prints_plain_float(capsys, tmp_path):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps({"alphabets": [2, 2, 2], "p": np.full((2, 2, 2), math.nan).tolist()}))
+    code, _, err = run(capsys, ["intrinsic", str(path)])
+    assert code == 1
+    assert err == "error: negative or NaN probability entry: min = nan\n"
 
 
 def test_intrinsic_rejects_non_integer_seed_env(capsys, tmp_path, monkeypatch):

@@ -85,6 +85,22 @@ def test_non_finite_entries_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: JointDistribution(np.full((2, 2, 2), math.nan)),
+        lambda: Correlation(Scenario(1, 1, 2, 2), np.full((2, 2, 1, 1), math.nan)),
+        lambda: Correlation(Scenario(1, 1, 2, 2), np.full((2, 2, 1, 1), 0.3)),
+        lambda: StochasticMap(np.array([[0.5, 0.4], [0.5, 0.5]])),
+    ],
+)
+def test_diagnostics_print_plain_floats(build):
+    with pytest.raises((CorrelationError, DistributionError)) as excinfo:
+        build()
+    message = str(excinfo.value)
+    assert "np." not in message and "array(" not in message
+
+
 def test_json_round_trip(tmp_path):
     dist = random_joint((2, 3, 4))
     path = tmp_path / "dist.json"

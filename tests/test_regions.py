@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbound.attack import chsh_keyrate_bound, critical_visibility
 from ccbound.correlations import slice_correlation
@@ -13,6 +15,7 @@ from ccbound.regions import (
     CSV_HEADER,
     RegionLabel,
     classify,
+    fixed6_bytes,
     format_point,
     region_grid,
     write_region_csv,
@@ -113,3 +116,78 @@ def test_csv_format():
 def test_format_point_is_stable():
     point = classify(0.55, 0.48)
     assert format_point(point) == "0.550000,0.480000,0.730000,0.717541,RED_ZERO_KEY"
+
+
+def test_classify_rejects_nan():
+    with pytest.raises(ValueError):
+        classify(math.nan, 0.5)
+
+
+def test_grid_polar_fields_and_labels_match_scalar_formulas():
+    red = blue = 0
+    for p in region_grid(201):
+        assert p.visibility == math.hypot(p.s, p.t)
+        assert p.theta == math.atan2(p.t, p.s)
+        if p.s + p.t > 1.0 + 1e-12 and p.visibility <= 1.0 + 1e-12:
+            is_red = p.visibility <= critical_visibility(p.theta)
+            assert p.label == (RegionLabel.RED_ZERO_KEY if is_red else RegionLabel.BLUE_POSITIVE_BOUND)
+            red, blue = red + is_red, blue + (not is_red)
+    assert red and blue
+
+
+def test_labels_on_the_critical_curve_match_critical_visibility():
+    # points within an ulp or two of the curve: the array rule must round
+    # exactly as attack.critical_visibility does
+    red = 0
+    for theta in np.linspace(0.01, math.pi / 2 - 0.01, 2000).tolist():
+        v_c = critical_visibility(theta)
+        for v in (np.nextafter(v_c, 0.0), v_c, np.nextafter(v_c, 1.0)):
+            p = classify(v * math.cos(theta), v * math.sin(theta))
+            is_red = p.visibility <= critical_visibility(p.theta)
+            assert p.label == (RegionLabel.RED_ZERO_KEY if is_red else RegionLabel.BLUE_POSITIVE_BOUND)
+            red += is_red
+    assert 0 < red < 6000
+
+
+def test_grid_reads_as_a_sequence_of_points():
+    grid = region_grid(5)
+    points = list(grid)
+    assert len(grid) == len(points) == 25
+    assert grid[-1] == points[-1] == classify(1.0, 1.0)
+    assert grid[np.int64(7)] == points[7]
+    assert grid[3:9:2] == points[3:9:2]
+    with pytest.raises(IndexError):
+        grid[25]
+    with pytest.raises(ValueError):
+        grid.codes[0] = 0
+
+
+def _percent6(values):
+    return "".join("%.6f" % v for v in values).encode("ascii")
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(min_value=0.0, max_value=9.999999), min_size=1, max_size=40))
+def test_fixed6_bytes_matches_percent_format(values):
+    assert fixed6_bytes(np.array(values)).tobytes() == _percent6(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=9_999_998))
+def test_fixed6_bytes_next_to_decimal_ties(k):
+    tie = (k + 0.5) / 1e6
+    below, above = np.nextafter(tie, 0.0), np.nextafter(tie, 10.0)
+    values = [tie, below, np.nextafter(below, 0.0), above, np.nextafter(above, 10.0)]
+    assert fixed6_bytes(np.array(values)).tobytes() == _percent6(values)
+
+
+def test_fixed6_bytes_exact_binary_ties_and_grid_steps():
+    assert fixed6_bytes(0.0078125).tobytes() == b"0.007812"
+    values = np.concatenate([np.arange(1280) / 128, np.arange(3201) / 3200])
+    assert fixed6_bytes(values).tobytes() == _percent6(values.tolist())
+
+
+@pytest.mark.parametrize("bad", [-0.0, -1e-9, 9.9999996, 10.0, math.nan, math.inf])
+def test_fixed6_bytes_rejects_values_wider_than_eight_bytes(bad):
+    with pytest.raises(ValueError):
+        fixed6_bytes(np.array([bad]))
