@@ -20,72 +20,71 @@ SIMPLEX_UNBOUNDED = 2
 
 
 def simplex_maximize(A, b, c, tol, maxiter):
-    """Maximize c.x subject to A x <= b, x >= 0, assuming b >= 0.
+    """Maximize c.x subject to A x <= b, x >= 0, for finite b >= 0.
 
-    Tableau simplex starting from the slack basis (feasible because b >= 0).
-    Entering column by Dantzig's rule, switching to Bland's rule after
-    50*(m+n) pivots to rule out cycling; leaving row by minimum ratio with
-    smallest-basis-index tie break.
+    Tableau simplex from the slack basis (feasible because b >= 0; a negative
+    or non-finite entry of b raises ValueError).  Entering column by Dantzig's
+    rule, switching to Bland's rule after 50*(m+n) pivots to rule out
+    cycling; leaving row by minimum ratio with a 1e-12 hysteresis and
+    smallest-basis-index tie break.  Each pivot is a few whole-array
+    operations; the row update skips rows whose pivot-column entry is zero,
+    so the tableau equals an element-by-element pivot's bit for bit, signed
+    zeros included.
 
     Returns (status, objective, x).
     """
-    m, n = A.shape
-    width = n + m + 1
-    T = np.zeros((m + 1, width))
+    b = np.asarray(b, dtype=float)
+    bad = ~(np.isfinite(b) & (b >= 0.0))
+    if bad.any():
+        raise ValueError(f"right-hand side must be finite and >= 0, got {float(b[bad].min())!r}")
+    m, n = np.shape(A)
+    T = np.zeros((m + 1, n + m + 1))
     T[:m, :n] = A
-    for i in range(m):
-        T[i, n + i] = 1.0
-    T[:m, width - 1] = b
-    T[m, :n] = -c
-    basis = np.arange(n, n + m)
+    T[np.arange(m), n + np.arange(m)] = 1.0
+    T[:m, -1] = b
+    T[m, :n] = np.negative(c)
+    cost = T[m, :-1]
+    rhs = T[:m, -1]
+    basis = list(range(n, n + m))
 
     bland_after = 50 * (m + n)
-    it = 0
-    while it < maxiter:
-        # entering column
-        col = -1
+    for it in range(maxiter):
+        # entering column: first most negative cost (Dantzig), first negative (Bland)
         if it < bland_after:
-            best = -tol
-            for j in range(n + m):
-                if T[m, j] < best:
-                    best = T[m, j]
-                    col = j
+            col = int(cost.argmin())
+            if not cost[col] < -tol:
+                col = -1
         else:
-            for j in range(n + m):
-                if T[m, j] < -tol:
-                    col = j
-                    break
+            negative = (cost < -tol).nonzero()[0]
+            col = int(negative[0]) if negative.size else -1
         if col < 0:
+            basis = np.array(basis)
             x = np.zeros(n)
-            for i in range(m):
-                if basis[i] < n:
-                    x[basis[i]] = T[i, width - 1]
-            return SIMPLEX_OPTIMAL, T[m, width - 1], x
+            x[basis[basis < n]] = rhs[basis < n]
+            return SIMPLEX_OPTIMAL, T[m, -1], x
 
-        # leaving row: minimum ratio test
+        # leaving row by minimum ratio, scanned in row order: the hysteresis is order-dependent
+        column = T[:, col]
+        eligible = (column[:m] > tol).nonzero()[0]
+        ratios = rhs[eligible] / column[eligible]
         row = -1
         best_ratio = np.inf
-        for i in range(m):
-            a = T[i, col]
-            if a > tol:
-                ratio = T[i, width - 1] / a
-                if ratio < best_ratio - 1e-12:
-                    best_ratio = ratio
-                    row = i
-                elif ratio < best_ratio + 1e-12 and row >= 0 and basis[i] < basis[row]:
-                    row = i
+        for i, ratio in zip(eligible.tolist(), ratios.tolist()):
+            if ratio < best_ratio - 1e-12:
+                best_ratio = ratio
+                row = i
+            elif ratio < best_ratio + 1e-12 and row >= 0 and basis[i] < basis[row]:
+                row = i
         if row < 0:
             return SIMPLEX_UNBOUNDED, 0.0, np.zeros(n)
 
-        piv = T[row, col]
-        T[row, :] /= piv
-        for i in range(m + 1):
-            if i != row:
-                f = T[i, col]
-                if f != 0.0:
-                    T[i, :] -= f * T[row, :]
+        pivot_row = T[row]
+        pivot_row /= pivot_row[col]
+        factors = column.copy()
+        factors[row] = 0.0
+        update = factors.nonzero()[0]
+        T[update] -= factors[update, None] * pivot_row
         basis[row] = col
-        it += 1
 
     return SIMPLEX_ITERATION_LIMIT, 0.0, np.zeros(n)
 

@@ -68,24 +68,26 @@ def _check_guard(scenario: Scenario) -> None:
         )
 
 
+def _assignments(scenario: Scenario):
+    """(a_out, b_out) output tuples of every deterministic strategy, in vertex order."""
+    return itertools.product(
+        itertools.product(range(scenario.k_a), repeat=scenario.n_a),
+        itertools.product(range(scenario.k_b), repeat=scenario.n_b),
+    )
+
+
 def enumerate_vertices(scenario: Scenario) -> list[DeterministicVertex]:
     """All k_a^n_a * k_b^n_b product deterministic strategies, in a fixed order.
 
     Alice assignments iterate in the outer loop, Bob assignments in the
-    inner loop, each in lexicographic order of the output tuples.
+    inner loop, each in lexicographic order of the output tuples.  The
+    tables are the columns of :func:`vertex_matrix`.
     """
-    _check_guard(scenario)
-    vertices = []
-    for a_out in itertools.product(range(scenario.k_a), repeat=scenario.n_a):
-        for b_out in itertools.product(range(scenario.k_b), repeat=scenario.n_b):
-            table = np.zeros(scenario.table_shape)
-            for x in range(scenario.n_a):
-                for y in range(scenario.n_b):
-                    table[a_out[x], b_out[y], x, y] = 1.0
-            vertices.append(
-                DeterministicVertex(a_out, b_out, Correlation(scenario, table))
-            )
-    return vertices
+    mat = vertex_matrix(scenario)
+    return [
+        DeterministicVertex(a_out, b_out, Correlation(scenario, column.reshape(scenario.table_shape)))
+        for (a_out, b_out), column in zip(_assignments(scenario), mat.T)
+    ]
 
 
 @functools.lru_cache(maxsize=32)
@@ -96,18 +98,12 @@ def vertex_matrix(scenario: Scenario) -> np.ndarray:
     enumerate_vertices.
     """
     _check_guard(scenario)
-    count = _vertex_count(scenario)
-    rows = scenario.k_a * scenario.k_b * scenario.n_a * scenario.n_b
-    mat = np.zeros((rows, count))
-    col = 0
-    for a_out in itertools.product(range(scenario.k_a), repeat=scenario.n_a):
-        for b_out in itertools.product(range(scenario.k_b), repeat=scenario.n_b):
-            table = np.zeros(scenario.table_shape)
-            for x in range(scenario.n_a):
-                for y in range(scenario.n_b):
-                    table[a_out[x], b_out[y], x, y] = 1.0
-            mat[:, col] = table.ravel()
-            col += 1
+    mat = np.zeros((math.prod(scenario.table_shape), _vertex_count(scenario)))
+    tables = mat.reshape(*scenario.table_shape, -1)
+    x = np.arange(scenario.n_a)[:, None]
+    y = np.arange(scenario.n_b)[None, :]
+    for col, (a_out, b_out) in enumerate(_assignments(scenario)):
+        tables[np.array(a_out)[:, None], np.array(b_out)[None, :], x, y, col] = 1.0
     mat.setflags(write=False)
     return mat
 
@@ -161,6 +157,15 @@ def _local_content_lp(corr: Correlation) -> tuple[float, np.ndarray]:
         raise LPError(f"simplex did not reach an optimum (status {status})")
     if not -1e-9 <= q <= 1.0 + 1e-9:
         raise LPError(f"local content {q!r} outside [0, 1]; LP is inconsistent")
+    # primal self-check: V m <= corr, m >= 0 and sum(m) = q, each within 1e-9
+    residuals = {
+        "max(V m - corr)": float((mat @ m - b).max()),
+        "-min(m)": float(-m.min()),
+        "|sum(m) - q|": abs(float(m.sum()) - float(q)),
+    }
+    failed = [f"{name} = {value!r}" for name, value in residuals.items() if not value <= 1e-9]
+    if failed:
+        raise LPError(f"LP solution fails its primal check: {', '.join(failed)}")
     return float(q), m
 
 

@@ -1,14 +1,21 @@
 """Kernel-level tests: the batched entropy kernel must match the entropy
 formula and agree between batched and single calls, the sweep must match
 brute force, and the simplex must match brute-force answers on tiny
-problems."""
+problems, an element-by-element pivot bit for bit, and scipy's HiGHS on
+LPs shaped like the locality LPs."""
 
 import itertools
 import math
+import re
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbound import kernels
+from ccbound.correlations import Scenario
+from ccbound.localset import vertex_matrix
 
 
 def test_simplex_known_optimum():
@@ -67,6 +74,168 @@ def test_simplex_random_vs_vertex_enumeration():
             if np.all(point >= -1e-9) and np.all(A @ point <= b + 1e-9):
                 best = max(best, float(c @ point))
         assert abs(obj - best) < 1e-8
+
+
+@pytest.mark.parametrize("bad", [-1.0, -1e-300, math.nan, math.inf])
+def test_simplex_rejects_negative_or_non_finite_rhs(bad):
+    # the slack basis is infeasible for such a b; max x st x <= -1 used to
+    # return x = [-1] as optimal, and a NaN b was reported as unbounded
+    with pytest.raises(ValueError, match=re.escape(f"got {bad!r}") + "$"):
+        kernels.simplex_maximize(np.ones((2, 1)), np.array([1.0, bad]), np.ones(1), 1e-11, 100)
+
+
+def test_simplex_accepts_negative_zero_rhs():
+    status, obj, x = kernels.simplex_maximize(np.ones((1, 1)), np.array([-0.0]), np.ones(1), 1e-11, 100)
+    assert status == kernels.SIMPLEX_OPTIMAL
+    assert obj == 0.0 and x.tolist() == [0.0]
+
+
+# Beale's LP: Dantzig's rule with smallest-index ties cycles through six
+# degenerate bases, so the optimum is reached only after Bland's rule takes
+# over at pivot 50*(m+n) = 350
+BEALE_A = np.array([[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]])
+BEALE_B = np.array([0.0, 0.0, 1.0])
+BEALE_C = np.array([0.75, -20.0, 0.5, -6.0])
+
+
+def test_simplex_cycles_until_bland_rule():
+    status, _, _ = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 1e-11, 354)
+    assert status == kernels.SIMPLEX_ITERATION_LIMIT
+    status, obj, x = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 1e-11, 1000)
+    assert status == kernels.SIMPLEX_OPTIMAL
+    assert abs(obj - 1.25) < 1e-12
+    assert np.allclose(x, [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+def test_simplex_tied_ratio_leaves_smallest_basis_index():
+    # pivot 1: x0 enters and leaves row 1 basic; pivot 2: x1 enters and all
+    # three rows tie at ratio 1 while holding basis indices 3 (slack), 0 (x0)
+    # and 5 (slack).  Row 1, neither the first nor the last tied row, must
+    # leave: that is optimal after two pivots, the other rows need a third
+    A = np.array([[1.0, 1.0, 0.0], [2.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
+    b = np.array([1.0, 1.0, 2.0])
+    c = np.ones(3)
+    status, _, _ = kernels.simplex_maximize(A, b, c, 1e-11, 2)
+    assert status == kernels.SIMPLEX_ITERATION_LIMIT
+    status, obj, x = kernels.simplex_maximize(A, b, c, 1e-11, 3)
+    assert status == kernels.SIMPLEX_OPTIMAL
+    assert obj == 1.0
+    assert x.tolist() == [0.0, 1.0, 0.0]
+
+
+def _elementwise_simplex(A, b, c, tol, maxiter):
+    """The same tableau simplex pivoting one element at a time: the reference
+    that the vectorized pivot must equal bit for bit."""
+    m, n = A.shape
+    width = n + m + 1
+    T = np.zeros((m + 1, width))
+    T[:m, :n] = A
+    for i in range(m):
+        T[i, n + i] = 1.0
+    T[:m, width - 1] = b
+    T[m, :n] = -c
+    basis = list(range(n, n + m))
+    for it in range(maxiter):
+        col = -1
+        if it < 50 * (m + n):
+            best = -tol
+            for j in range(n + m):
+                if T[m, j] < best:
+                    best = T[m, j]
+                    col = j
+        else:
+            for j in range(n + m):
+                if T[m, j] < -tol:
+                    col = j
+                    break
+        if col < 0:
+            x = np.zeros(n)
+            for i in range(m):
+                if basis[i] < n:
+                    x[basis[i]] = T[i, width - 1]
+            return kernels.SIMPLEX_OPTIMAL, T[m, width - 1], x
+        row = -1
+        best_ratio = np.inf
+        for i in range(m):
+            if T[i, col] > tol:
+                ratio = T[i, width - 1] / T[i, col]
+                if ratio < best_ratio - 1e-12:
+                    best_ratio = ratio
+                    row = i
+                elif ratio < best_ratio + 1e-12 and row >= 0 and basis[i] < basis[row]:
+                    row = i
+        if row < 0:
+            return kernels.SIMPLEX_UNBOUNDED, 0.0, np.zeros(n)
+        T[row, :] /= T[row, col]
+        for i in range(m + 1):
+            if i != row and T[i, col] != 0.0:
+                T[i, :] -= T[i, col] * T[row, :]
+        basis[row] = col
+    return kernels.SIMPLEX_ITERATION_LIMIT, 0.0, np.zeros(n)
+
+
+def _result_bytes(result):
+    status, obj, x = result
+    return status, np.float64(obj).tobytes(), np.asarray(x, dtype=float).tobytes()
+
+
+def test_simplex_equals_elementwise_pivot_bit_for_bit():
+    # random LPs with 30% zero entries, quarter-step entries (exact ties and
+    # degenerate pivots), -0.0 right-hand sides, every exit status, and
+    # Beale's LP through Bland's rule
+    rng = np.random.default_rng(11)
+    cases = [(BEALE_A, BEALE_B, BEALE_C, maxiter) for maxiter in (354, 1000)]
+    for k in range(300):
+        m, n = rng.integers(1, 25), rng.integers(1, 40)
+        A = rng.normal(size=(m, n)) if k % 3 else rng.uniform(0.0, 1.0, size=(m, n))
+        A[rng.random(A.shape) < 0.3] = 0.0
+        if k % 4 == 0:
+            A = np.round(A * 4.0) / 4.0
+        b = rng.uniform(0.0, 1.0, size=m)
+        b[rng.random(m) < 0.3] = 0.0 if k % 5 else -0.0
+        c = rng.normal(size=n) if k % 2 else np.ones(n)
+        cases.append((A, b, c, (1000, 7, 20000)[k % 3]))
+    statuses = set()
+    for A, b, c, maxiter in cases:
+        expected = _result_bytes(_elementwise_simplex(A, b, c, 1e-11, maxiter))
+        assert _result_bytes(kernels.simplex_maximize(A, b, c, 1e-11, maxiter)) == expected
+        statuses.add(expected[0])
+    assert statuses == {kernels.SIMPLEX_OPTIMAL, kernels.SIMPLEX_ITERATION_LIMIT, kernels.SIMPLEX_UNBOUNDED}
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([Scenario(2, 3, 2, 2), Scenario(2, 4, 2, 2)]).flatmap(
+        lambda scenario: st.tuples(
+            st.just(scenario),
+            st.lists(
+                st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=1.0)),
+                min_size=math.prod(scenario.table_shape),
+                max_size=math.prod(scenario.table_shape),
+            ),
+        )
+    )
+)
+def test_simplex_matches_highs_on_local_content_lps(case):
+    # max sum(m) subject to V m <= b, m >= 0, with V the 24x32 or 32x64
+    # vertex matrix of the locality LPs and an arbitrary b >= 0.  Nonzero
+    # entries stay above 1e-3 and HiGHS's tolerances are tightened, because
+    # at its default 1e-7 it answers 1e-8 where b has one entry 1e-8 and
+    # the exact optimum is 0
+    optimize = pytest.importorskip("scipy.optimize")
+    scenario, b = case
+    mat = vertex_matrix(scenario)
+    b = np.array(b)
+    c = np.ones(mat.shape[1])
+    status, obj, x = kernels.simplex_maximize(mat, b, c, 1e-11, 20000)
+    assert status == kernels.SIMPLEX_OPTIMAL
+    reference = optimize.linprog(
+        -c, A_ub=mat, b_ub=b, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert reference.status == 0
+    assert abs(obj + reference.fun) < 1e-9
+    assert abs(x.sum() - obj) < 1e-9
 
 
 def _entropy_bits(p, keep):

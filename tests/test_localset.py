@@ -1,10 +1,12 @@
 """Local polytope membership, facets, and local-weight maximization."""
 
 import math
+import re
 
 import numpy as np
 import pytest
 
+from ccbound import kernels
 from ccbound.correlations import (
     Correlation,
     CorrelationError,
@@ -16,6 +18,7 @@ from ccbound.correlations import (
 )
 from ccbound.localset import (
     FacetValue,
+    LPError,
     VertexGuardError,
     enumerate_vertices,
     facet_values,
@@ -192,6 +195,36 @@ def test_fourth_setting_keeps_threshold():
         v_l = local_visibility(theta)
         assert is_local_lp(werner_correlation(v_l - 1e-4, arr)).is_local
         assert not is_local_lp(werner_correlation(v_l + 1e-4, arr)).is_local
+
+
+@pytest.mark.parametrize(
+    "shift_support,shift_zero,failed",
+    [
+        (-1e-6, 0.0, "|sum(m) - q|"),
+        (0.0, -1e-6, "-min(m)"),
+        (1e-6, 0.0, "max(V m - corr)"),
+    ],
+    ids=["sum", "sign", "rows"],
+)
+def test_lp_primal_check_rejects_perturbed_solution(monkeypatch, shift_support, shift_zero, failed):
+    # each perturbation breaks exactly one of the three checks: q follows the
+    # changed weights except in the first case, and a support vertex of the
+    # optimum has a tight row (complementary slackness), so raising its
+    # weight pushes V m above the correlation
+    solve = kernels.simplex_maximize
+
+    def perturbed(A, b, c, tol, maxiter):
+        status, q, m = solve(A, b, c, tol, maxiter)
+        m = m.copy()
+        m[np.argmax(m)] += shift_support
+        m[np.flatnonzero(m == 0.0)[0]] += shift_zero
+        return status, q + shift_zero + max(shift_support, 0.0), m
+
+    corr = chsh_protocol_correlation(math.pi / 4, 1.0)
+    assert is_local_lp(corr).local_content < 0.95
+    monkeypatch.setattr(kernels, "simplex_maximize", perturbed)
+    with pytest.raises(LPError, match=r"primal check: " + re.escape(failed) + r" = [0-9.e-]+$"):
+        is_local_lp(corr)
 
 
 # ----------------------------------------------------- local weight (segment)
