@@ -27,6 +27,7 @@ from .correlations import (
 )
 from .infotheory import (
     DistributionError,
+    MinimizerError,
     apply_map,
     conditional_mutual_information,
     load_distribution,
@@ -34,7 +35,9 @@ from .infotheory import (
 )
 from .localset import LPError, local_visibility, max_local_weight_along, max_local_weight_ns
 
-USER_ERRORS = (CorrelationError, DistributionError, atk.AttackError, LPError, ValueError, OSError)
+USER_ERRORS = (
+    CorrelationError, DistributionError, atk.AttackError, LPError, MinimizerError, ValueError, OSError
+)
 
 
 def _default_seed() -> int:

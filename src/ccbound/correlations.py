@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._jsondoc import json_int, json_table
+
 ATOL = 1e-12
 
 NEGATIVE_CLAMP = 1e-12  # reconstruction values in [-NEGATIVE_CLAMP, 0) are rounding noise
@@ -148,8 +150,9 @@ class Correlation:
     def from_json_dict(cls, data: dict) -> "Correlation":
         try:
             sc = data["scenario"]
-            scenario = Scenario(int(sc["nA"]), int(sc["nB"]), int(sc["kA"]), int(sc["kB"]))
-            nested = np.asarray(data["table"], dtype=float)
+            fields = ("nA", "nB", "kA", "kB")
+            scenario = Scenario(*(json_int(sc[f], f"scenario field {f}", CorrelationError) for f in fields))
+            nested = json_table(data["table"], "table", CorrelationError)
         except (KeyError, TypeError) as exc:
             raise CorrelationError(f"malformed correlation document: {exc}") from exc
         if nested.shape != (scenario.n_a, scenario.n_b, scenario.k_a, scenario.k_b):
@@ -167,7 +170,7 @@ def load_correlation(path) -> Correlation:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise CorrelationError(f"invalid JSON in {path}: {exc}") from exc
     return Correlation.from_json_dict(data)
 

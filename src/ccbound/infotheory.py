@@ -16,6 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
+from ._jsondoc import json_int, json_table
 
 ATOL = 1e-12
 
@@ -24,6 +25,10 @@ SWEEP_GUARD = 10**7
 
 class DistributionError(ValueError):
     """A probability tensor or stochastic map violates its contract."""
+
+
+class MinimizerError(RuntimeError):
+    """The minimizer's bound differs from the value of the map it returns."""
 
 
 class JointDistribution:
@@ -59,8 +64,8 @@ class JointDistribution:
     @classmethod
     def from_json_dict(cls, data: dict) -> "JointDistribution":
         try:
-            sizes = tuple(int(n) for n in data["alphabets"])
-            arr = np.asarray(data["p"], dtype=float)
+            sizes = tuple(json_int(n, "alphabet size", DistributionError) for n in data["alphabets"])
+            arr = json_table(data["p"], "p", DistributionError)
         except (KeyError, TypeError) as exc:
             raise DistributionError(f"malformed distribution document: {exc}") from exc
         if arr.shape != sizes:
@@ -75,7 +80,7 @@ def load_distribution(path) -> JointDistribution:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
             raise DistributionError(f"invalid JSON in {path}: {exc}") from exc
     return JointDistribution.from_json_dict(data)
 
@@ -271,4 +276,10 @@ def minimize_intrinsic(
 
     if best <= 0.0:  # rounding can leave a tiny negative (or -0.0) sum
         best = 0.0
-    return IntrinsicResult(best, StochasticMap(best_rows))
+    result = IntrinsicResult(best, StochasticMap(best_rows))
+    # self-check: the bound is the value of the map returned, recomputed by
+    # the same kernel (batched and single calls agree bit for bit)
+    check = float(kernels.cmi_after_map_bits(p, result.map.rows))
+    if max(check, 0.0) != best:
+        raise MinimizerError(f"reported bound {best!r} != {check!r} recomputed from the returned map")
+    return result

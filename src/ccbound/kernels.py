@@ -17,10 +17,16 @@ SWEEP_BATCH = 256
 SIMPLEX_OPTIMAL = 0
 SIMPLEX_ITERATION_LIMIT = 1
 SIMPLEX_UNBOUNDED = 2
+SIMPLEX_INFEASIBLE = 3
+
+# phase 1 declares the equality rows infeasible when its optimum leaves the
+# artificial variables a larger sum than this
+FEASIBILITY_TOL = 1e-9
 
 
-def simplex_maximize(A, b, c, tol, maxiter):
-    """Maximize c.x subject to A x <= b, x >= 0, for finite b >= 0.
+def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
+    """Maximize c.x subject to A x <= b, x >= 0, for finite b >= 0, where the
+    first ``equalities`` rows hold with equality.
 
     Tableau simplex from the slack basis (feasible because b >= 0; a negative
     or non-finite entry of b raises ValueError).  Entering column by Dantzig's
@@ -31,6 +37,16 @@ def simplex_maximize(A, b, c, tol, maxiter):
     so the tableau equals an element-by-element pivot's bit for bit, signed
     zeros included.
 
+    With equality rows the slacks of those rows are artificial variables and
+    a first phase maximizes the sum of those rows of A x from the same
+    basis.  If it leaves the artificials a sum above FEASIBILITY_TOL the
+    result is SIMPLEX_INFEASIBLE.  Otherwise each artificial still basic
+    (at level zero) is pivoted out on the largest entry of its row outside
+    the artificial columns; a row without one is redundant and stays as it
+    is.  The artificial columns are then zeroed, so they never enter again,
+    and the second phase maximizes c.  Both phases share ``maxiter``.
+    Without equality rows only the second phase runs.
+
     Returns (status, objective, x).
     """
     b = np.asarray(b, dtype=float)
@@ -38,17 +54,54 @@ def simplex_maximize(A, b, c, tol, maxiter):
     if bad.any():
         raise ValueError(f"right-hand side must be finite and >= 0, got {float(b[bad].min())!r}")
     m, n = np.shape(A)
-    T = np.zeros((m + 1, n + m + 1))
+    # row m is the objective; with equality rows, row m + 1 is phase 1's
+    T = np.zeros((m + 1 + (equalities > 0), n + m + 1))
     T[:m, :n] = A
     T[np.arange(m), n + np.arange(m)] = 1.0
     T[:m, -1] = b
     T[m, :n] = np.negative(c)
-    cost = T[m, :-1]
-    rhs = T[:m, -1]
     basis = list(range(n, n + m))
 
+    pivots = 0
+    if equalities:
+        T[m + 1, :n] = -T[:equalities, :n].sum(axis=0)
+        status, pivots = _pivot_until_optimal(T, basis, m + 1, tol, 0, maxiter)
+        if status != SIMPLEX_OPTIMAL:
+            return status, 0.0, np.zeros(n)
+        artificial = [i for i in range(m) if n <= basis[i] < n + equalities]
+        if T[artificial, -1].sum() > FEASIBILITY_TOL:
+            return SIMPLEX_INFEASIBLE, 0.0, np.zeros(n)
+        allowed = np.r_[0:n, n + equalities : n + m]
+        for row in artificial:
+            entries = np.abs(T[row, allowed])
+            if entries.max() > tol:
+                col = int(allowed[entries.argmax()])
+                _pivot(T, row, col)
+                basis[row] = col
+        T[:, n : n + equalities] = 0.0
+        T = T[: m + 1]
+
+    status, _ = _pivot_until_optimal(T, basis, m, tol, pivots, maxiter)
+    if status != SIMPLEX_OPTIMAL:
+        return status, 0.0, np.zeros(n)
+    basis = np.array(basis)
+    x = np.zeros(n)
+    x[basis[basis < n]] = T[:m, -1][basis < n]
+    return SIMPLEX_OPTIMAL, T[m, -1], x
+
+
+def _pivot_until_optimal(T, basis, cost_row, tol, first, maxiter):
+    """Pivot T until row ``cost_row`` has no entry below -tol.
+
+    The constraint rows are the first len(basis); pivots are counted from
+    ``first``.  Returns (status, pivots made so far).
+    """
+    m = len(basis)
+    n = T.shape[1] - m - 1
+    cost = T[cost_row, :-1]
+    rhs = T[:m, -1]
     bland_after = 50 * (m + n)
-    for it in range(maxiter):
+    for it in range(first, maxiter):
         # entering column: first most negative cost (Dantzig), first negative (Bland)
         if it < bland_after:
             col = int(cost.argmin())
@@ -58,14 +111,11 @@ def simplex_maximize(A, b, c, tol, maxiter):
             negative = (cost < -tol).nonzero()[0]
             col = int(negative[0]) if negative.size else -1
         if col < 0:
-            basis = np.array(basis)
-            x = np.zeros(n)
-            x[basis[basis < n]] = rhs[basis < n]
-            return SIMPLEX_OPTIMAL, T[m, -1], x
+            return SIMPLEX_OPTIMAL, it
 
         # leaving row by minimum ratio, scanned in row order: the hysteresis is order-dependent
-        column = T[:, col]
-        eligible = (column[:m] > tol).nonzero()[0]
+        column = T[:m, col]
+        eligible = (column > tol).nonzero()[0]
         ratios = rhs[eligible] / column[eligible]
         row = -1
         best_ratio = np.inf
@@ -76,17 +126,22 @@ def simplex_maximize(A, b, c, tol, maxiter):
             elif ratio < best_ratio + 1e-12 and row >= 0 and basis[i] < basis[row]:
                 row = i
         if row < 0:
-            return SIMPLEX_UNBOUNDED, 0.0, np.zeros(n)
+            return SIMPLEX_UNBOUNDED, it
 
-        pivot_row = T[row]
-        pivot_row /= pivot_row[col]
-        factors = column.copy()
-        factors[row] = 0.0
-        update = factors.nonzero()[0]
-        T[update] -= factors[update, None] * pivot_row
+        _pivot(T, row, col)
         basis[row] = col
+    return SIMPLEX_ITERATION_LIMIT, maxiter
 
-    return SIMPLEX_ITERATION_LIMIT, 0.0, np.zeros(n)
+
+def _pivot(T, row, col):
+    """Scale ``row`` to a unit pivot and eliminate ``col`` from every other row
+    whose entry in it is nonzero."""
+    pivot_row = T[row]
+    pivot_row /= pivot_row[col]
+    factors = T[:, col].copy()
+    factors[row] = 0.0
+    update = factors.nonzero()[0]
+    T[update] -= factors[update, None] * pivot_row
 
 
 def conditional_mutual_information_bits(p_abf):

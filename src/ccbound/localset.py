@@ -7,8 +7,10 @@ splits as q * (mixture of deterministic strategies) + (1-q) * remainder
 with a nonnegative remainder.  Because every deterministic strategy is
 nonsignaling, the remainder of a nonsignaling correlation is automatically
 a valid nonsignaling correlation, and q = 1 exactly when the correlation
-is local.  The LP has only inequality rows with nonnegative right-hand
-sides, so the slack basis is feasible and no phase-1 step is ever needed.
+is local.  That LP has only inequality rows with nonnegative right-hand
+sides, so the slack basis is feasible and the simplex needs no first phase.
+The segment weight along a fixed target is one LP with equality rows,
+solved by the simplex's two-phase method.
 """
 
 from __future__ import annotations
@@ -157,16 +159,20 @@ def _local_content_lp(corr: Correlation) -> tuple[float, np.ndarray]:
         raise LPError(f"simplex did not reach an optimum (status {status})")
     if not -1e-9 <= q <= 1.0 + 1e-9:
         raise LPError(f"local content {q!r} outside [0, 1]; LP is inconsistent")
-    # primal self-check: V m <= corr, m >= 0 and sum(m) = q, each within 1e-9
-    residuals = {
+    # primal self-check: V m <= corr, m >= 0 and sum(m) = q
+    _check_primal({
         "max(V m - corr)": float((mat @ m - b).max()),
         "-min(m)": float(-m.min()),
         "|sum(m) - q|": abs(float(m.sum()) - float(q)),
-    }
+    })
+    return float(q), m
+
+
+def _check_primal(residuals: dict[str, float]) -> None:
+    """Raise LPError naming every residual of an LP solution above 1e-9."""
     failed = [f"{name} = {value!r}" for name, value in residuals.items() if not value <= 1e-9]
     if failed:
         raise LPError(f"LP solution fails its primal check: {', '.join(failed)}")
-    return float(q), m
 
 
 def is_local_lp(corr: Correlation, atol: float = MEMBERSHIP_ATOL) -> LocalityResult:
@@ -235,70 +241,41 @@ class SegmentLocalWeight:
     on_segment: bool  # False when no local decomposition along the target exists
 
 
-def _segment_point(corr: Correlation, target: Correlation, q: float) -> Correlation | None:
-    """(corr - (1-q)*target)/q as a Correlation, or None when invalid."""
-    table = (corr.table - (1.0 - q) * target.table) / q
-    if table.min() < -1e-12:
-        return None
-    table = np.clip(table, 0.0, None)
-    try:
-        return Correlation(corr.scenario, table)
-    except CorrelationError:
-        return None
+def max_local_weight_along(corr: Correlation, target: Correlation) -> SegmentLocalWeight:
+    """Largest q such that corr = q*p_local + (1-q)*target with p_local local.
 
-
-def max_local_weight_along(
-    corr: Correlation, target: Correlation, tol: float = 1e-8, scan_points: int = 96
-) -> SegmentLocalWeight:
-    """Maximize q such that (corr - (1-q)*target)/q is a local correlation.
-
-    The candidate local component traces a ray from corr away from target as
-    q decreases, so the feasible q form an interval; its upper endpoint is
-    located by a geometric scan (the ray leaves the nonnegative orthant at a
-    computable q, which bounds the scan) followed by bisection to ``tol``.
+    One equality LP over the vertex weights m and the target weight r:
+    minimize r subject to V m + r*target = corr and m, r >= 0, so q = 1 - r
+    and p_local = V m / sum(m), a mixture of vertices and so local by
+    construction.  A local corr is answered by the membership LP alone, as
+    q = 1 with corr itself; when the LP is infeasible no decomposition along
+    the target exists and the result is q = 0 with on_segment False.  The
+    solution is re-checked: |V m + r*target - corr|, -min(m, r) and
+    |sum(m) + r - 1| must each be <= 1e-9, else LPError.
     """
     if corr.scenario != target.scenario:
         raise CorrelationError("correlation and target live on different scenarios")
-    if corr.allclose(target, atol=1e-12):
-        if is_local_lp(corr).is_local:
-            return SegmentLocalWeight(1.0, corr, True)
-        return SegmentLocalWeight(0.0, None, True)
     if is_local_lp(corr).is_local:
         return SegmentLocalWeight(1.0, corr, True)
 
-    # validity bound: p(u) = target + u*(corr - target) with u = 1/q stays
-    # nonnegative up to u_valid
-    diff = corr.table.ravel() - target.table.ravel()
-    tgt = target.table.ravel()
-    with np.errstate(divide="ignore"):
-        limits = np.where(diff < -1e-15, tgt / -diff, np.inf)
-    u_valid = float(min(limits.min(), 1e12))
-    if u_valid <= 1.0:
-        u_valid = 1.0
-
-    def feasible(q: float) -> bool:
-        point = _segment_point(corr, target, q)
-        return point is not None and is_local_lp(point).is_local
-
-    # ascending log-spaced scan in u = 1/q; the first feasible point brackets
-    # the upper q endpoint together with the previous (infeasible) point
-    us = np.geomspace(1.0, u_valid, num=scan_points) if u_valid > 1.0 else np.array([1.0])
-    q_feasible = None
-    q_infeasible = 1.0  # corr itself is nonlocal here
-    for u in us[1:]:
-        q = 1.0 / float(u)
-        if feasible(q):
-            q_feasible = q
-            break
-        q_infeasible = q
-    if q_feasible is None:
+    vertices = vertex_matrix(corr.scenario)
+    mat = np.column_stack([vertices, target.table.ravel()])
+    b = corr.table.ravel()
+    obj = np.zeros(mat.shape[1])
+    obj[-1] = -1.0
+    status, _, x = kernels.simplex_maximize(mat, b, obj, 1e-11, 20000, equalities=mat.shape[0])
+    if status == kernels.SIMPLEX_INFEASIBLE:
         return SegmentLocalWeight(0.0, None, False)
-
-    lo, hi = q_feasible, q_infeasible
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    return SegmentLocalWeight(lo, _segment_point(corr, target, lo), True)
+    if status != kernels.SIMPLEX_OPTIMAL:
+        raise LPError(f"simplex did not reach an optimum (status {status})")
+    _check_primal({
+        "max|V m + r t - corr|": float(np.abs(mat @ x - b).max()),
+        "-min(m, r)": float(-x.min()),
+        "|sum(m) + r - 1|": abs(float(x.sum()) - 1.0),
+    })
+    m = np.clip(x[:-1], 0.0, None)
+    q = 1.0 - float(x[-1])
+    local = None
+    if m.sum() > 1e-12:
+        local = Correlation(corr.scenario, (vertices @ m / m.sum()).reshape(corr.scenario.table_shape))
+    return SegmentLocalWeight(q, local, True)

@@ -1,6 +1,8 @@
 """End-to-end CLI tests driving the subcommands through main()."""
 
+import contextlib
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccbound.cli import main
 from ccbound.correlations import chsh_protocol_correlation, dump_correlation
@@ -357,3 +361,131 @@ def test_localweight_scenario_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, ["localweight", str(corr_path), "--target", str(target_path)])
     assert code == 1
     assert "mismatch" in err
+
+
+# ------------------------------------------------------- malformed documents
+
+
+@pytest.mark.parametrize(
+    "argv,document",
+    [
+        (["localweight", "{path}", "--ns"], {"scenario": {"kB": 2.99}}),
+        (["localweight", "{path}", "--ns"], {"scenario": {"nA": True}}),
+        (["intrinsic", "{path}"], {"alphabets": [2, 2, 1.9]}),
+    ],
+    ids=["kB-2.99", "nA-true", "alphabets-1.9"],
+)
+def test_json_sizes_are_not_truncated(capsys, tmp_path, argv, document):
+    # these documents used to load as kB = 2, nA = 1 and alphabets (2, 2, 1)
+    if argv[0] == "localweight":
+        base = chsh_protocol_correlation(math.pi / 4, 0.8).to_json_dict()
+        base["scenario"].update(document["scenario"])
+    else:
+        base = {"alphabets": document["alphabets"], "p": np.full((2, 2, 1), 0.25).tolist()}
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(base))
+    code, out, err = run(capsys, [arg.format(path=path) for arg in argv])
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1 and "JSON integer" in err
+
+
+@pytest.mark.parametrize("command", ["intrinsic", "localweight"])
+def test_deeply_nested_document_is_an_error(tmp_path, command):
+    # json raises RecursionError, not JSONDecodeError, past its nesting limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    extra = ["--ns"] if command == "localweight" else []
+    _exits_with_one_error_line([command, str(path), *extra])
+
+
+INF = "__1e400__"  # written as the literal 1e400, which json reads as inf
+
+BAD_SIZES = st.one_of(
+    st.floats(allow_nan=True).filter(lambda f: not f.is_integer()),
+    st.integers(-3, 3).map(float),
+    st.booleans(),
+    st.text(max_size=3),
+    st.none(),
+    st.lists(st.integers(1, 3), max_size=2),
+    st.just(INF),
+)
+BAD_ENTRIES = st.one_of(
+    st.text(max_size=3), st.none(), st.booleans(), st.just([]), st.just([0.5, 0.5]), st.just({}), st.just(INF)
+)
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+def _leaf_lists(nested):
+    """Every innermost list of a nested table, in order."""
+    if nested and isinstance(nested[0], list):
+        return [leaf for item in nested for leaf in _leaf_lists(item)]
+    return [nested]
+
+
+@st.composite
+def malformed(draw, document, sizes_key, table_key):
+    """``document`` broken in one way: a bad size, a bad entry, a ragged or
+    reshaped table, empty sizes, or a random JSON value in its place."""
+    doc = json.loads(json.dumps(document))
+    table = doc[table_key]
+    how = draw(st.sampled_from(["size", "entry", "ragged", "deeper", "shorter", "empty", "random"]))
+    if how == "size":
+        sizes = doc[sizes_key]
+        key = draw(st.sampled_from(sorted(sizes) if isinstance(sizes, dict) else range(len(sizes))))
+        sizes[key] = draw(BAD_SIZES)
+    elif how == "entry":
+        leaves = _leaf_lists(table)
+        leaf = draw(st.sampled_from(leaves))
+        leaf[draw(st.integers(0, len(leaf) - 1))] = draw(BAD_ENTRIES)
+    elif how == "ragged":
+        draw(st.sampled_from(_leaf_lists(table))).pop()
+    elif how == "deeper":
+        doc[table_key] = [table]
+    elif how == "shorter":
+        table.pop()
+    elif how == "empty":
+        doc[sizes_key] = [] if isinstance(doc[sizes_key], list) else {}
+        doc[table_key] = draw(st.sampled_from([[], 0.5, None]))
+    else:
+        doc = draw(JSON_VALUES)
+    return json.dumps(doc).replace(json.dumps(INF), "1e400")
+
+
+CORRELATION_DOC = chsh_protocol_correlation(math.pi / 4, 0.8).to_json_dict()
+DISTRIBUTION_DOC = JointDistribution(np.full((2, 2, 2), 0.125)).to_json_dict()
+
+
+def _exits_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    lines = err.getvalue().splitlines()
+    assert code == 1 and out.getvalue() == "", err.getvalue()
+    assert len(lines) == 1 and lines[0].startswith("error: ") and "Traceback" not in lines[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed(DISTRIBUTION_DOC, "alphabets", "p"))
+def test_intrinsic_rejects_malformed_documents(tmp_path_factory, text):
+    path = tmp_path_factory.mktemp("fuzz") / "dist.json"
+    path.write_text(text)
+    _exits_with_one_error_line(["intrinsic", str(path), "--restarts", "0"])
+
+
+@settings(max_examples=150, deadline=None)
+@given(malformed(CORRELATION_DOC, "scenario", "table"), st.sampled_from(["ns", "corr", "target"]))
+def test_localweight_rejects_malformed_documents(tmp_path_factory, text, role):
+    folder = tmp_path_factory.mktemp("fuzz")
+    bad, good = folder / "bad.json", folder / "good.json"
+    bad.write_text(text)
+    good.write_text(json.dumps(CORRELATION_DOC))
+    argv = {
+        "ns": ["localweight", str(bad), "--ns"],
+        "corr": ["localweight", str(bad), "--target", str(good)],
+        "target": ["localweight", str(good), "--target", str(bad)],
+    }[role]
+    _exits_with_one_error_line(argv)

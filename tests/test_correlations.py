@@ -261,3 +261,23 @@ def test_json_malformed_rejected(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(CorrelationError):
         load_correlation(path)
+
+
+@pytest.mark.parametrize(
+    "field,value", [("kB", 2.99), ("kB", 2.0), ("nA", True), ("nB", "3"), ("kA", None), ("nA", [2])]
+)
+def test_json_scenario_sizes_must_be_integers(field, value):
+    doc = chsh_protocol_correlation(1.1, 0.83).to_json_dict()
+    doc["scenario"][field] = value
+    with pytest.raises(CorrelationError, match=f"scenario field {field} must be a JSON integer"):
+        Correlation.from_json_dict(doc)
+
+
+@pytest.mark.parametrize(
+    "entry,message", [("0.25", "JSON numbers"), (False, "JSON numbers"), ([0.1, 0.2], "rectangular")]
+)
+def test_json_table_entries_must_be_numbers(entry, message):
+    doc = chsh_protocol_correlation(1.1, 0.83).to_json_dict()
+    doc["table"][1][2][0][1] = entry
+    with pytest.raises(CorrelationError, match=message):
+        Correlation.from_json_dict(doc)

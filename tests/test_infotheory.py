@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+from ccbound import attack, kernels
 from ccbound.correlations import Correlation, CorrelationError, Scenario
 from ccbound.infotheory import (
     DistributionError,
     JointDistribution,
+    MinimizerError,
     StochasticMap,
     apply_map,
     conditional_mutual_information,
@@ -275,3 +277,58 @@ def test_sweep_guard_raises_when_requested():
     # auto mode skips the sweep silently
     result = minimize_intrinsic(dist, restarts=1, seed=0)
     assert result.bound >= 0.0
+
+
+def _self_check_inputs():
+    """The three criterion-7 inputs (attack, independent, copy), then three
+    random 2x2x5 inputs."""
+    yield attack.tripartite(attack.cc_chsh(math.pi / 4, 0.72), 0, 2)
+    pab = np.array([[0.4, 0.1], [0.2, 0.3]])
+    yield JointDistribution(np.einsum("ab,e->abe", pab, np.full(4, 0.25)))
+    copy = np.zeros((2, 2, 4))
+    copy[0, 0, 0], copy[0, 1, 1], copy[1, 0, 2], copy[1, 1, 3] = pab.ravel()
+    yield JointDistribution(copy)
+    rng = np.random.default_rng(2021)
+    for _ in range(3):
+        yield random_joint((2, 2, 5), rng)
+
+
+def test_minimizer_bound_is_the_value_of_its_map():
+    # the bound equals I(A:B|F) recomputed from the returned map, bit for
+    # bit after the <= 0 clamp, whichever start won
+    for dist in _self_check_inputs():
+        result = minimize_intrinsic(dist, restarts=1, seed=0)
+        value = kernels.cmi_after_map_bits(dist.p, result.map.rows)
+        assert result.bound == max(float(value), 0.0)
+
+
+def test_minimizer_self_check_raises_on_mismatch(monkeypatch):
+    # a kernel that answers differently for the returned (read-only) map
+    # than during the search must trip the check
+    evaluate = kernels.cmi_after_map_bits
+
+    def drifting(p, rows):
+        value = evaluate(p, rows)
+        return value if np.asarray(rows).flags.writeable else value + 1e-9
+
+    monkeypatch.setattr(kernels, "cmi_after_map_bits", drifting)
+    with pytest.raises(MinimizerError, match="recomputed from the returned map"):
+        minimize_intrinsic(random_joint((2, 2, 3), np.random.default_rng(5)), restarts=1, seed=0)
+
+
+@pytest.mark.parametrize(
+    "alphabets", [[2, 2, 1.9], [2, 2, 2.0], [2, True, 2], [2, 2, "2"], [2, 2, None], "222"]
+)
+def test_json_alphabets_must_be_integers(alphabets):
+    doc = JointDistribution(np.full((2, 2, 2), 0.125)).to_json_dict()
+    doc["alphabets"] = alphabets
+    with pytest.raises(DistributionError, match="alphabet size must be a JSON integer"):
+        JointDistribution.from_json_dict(doc)
+
+
+@pytest.mark.parametrize("entry", ["0.125", True, None, {}])
+def test_json_entries_must_be_numbers(entry):
+    doc = JointDistribution(np.full((2, 2, 2), 0.125)).to_json_dict()
+    doc["p"][1][0][1] = entry
+    with pytest.raises(DistributionError, match="p entries must be JSON numbers"):
+        JointDistribution.from_json_dict(doc)

@@ -238,6 +238,92 @@ def test_simplex_matches_highs_on_local_content_lps(case):
     assert abs(x.sum() - obj) < 1e-9
 
 
+def test_simplex_equality_rows_known_optima():
+    # max x + 2y st x + y = 1 (equality), y <= 0.4
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    status, obj, x = kernels.simplex_maximize(A, [1.0, 0.4], [1.0, 2.0], 1e-11, 100, equalities=1)
+    assert status == kernels.SIMPLEX_OPTIMAL
+    assert abs(obj - 1.4) < 1e-12 and np.abs(x - [0.6, 0.4]).max() < 1e-12
+    # a redundant copy of the equality (twice the row) leaves an artificial
+    # basic at level zero with no real entry in its row
+    A = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
+    status, obj, x = kernels.simplex_maximize(A, [1.0, 2.0, 0.4], [1.0, 2.0], 1e-11, 100, equalities=2)
+    assert status == kernels.SIMPLEX_OPTIMAL
+    assert abs(obj - 1.4) < 1e-12
+    # an inconsistent copy is infeasible
+    status, obj, x = kernels.simplex_maximize(A, [1.0, 2.5, 0.4], [1.0, 2.0], 1e-11, 100, equalities=2)
+    assert status == kernels.SIMPLEX_INFEASIBLE
+    assert obj == 0.0 and not x.any()
+    # artificials never re-enter: max -x - y st x + y = 1 is -1; were the
+    # artificial free to enter, the row would act as x + y <= 1 and give 0
+    status, obj, x = kernels.simplex_maximize([[1.0, 1.0]], [1.0], [-1.0, -1.0], 1e-11, 100, equalities=1)
+    assert status == kernels.SIMPLEX_OPTIMAL and obj == -1.0
+
+
+def _random_equality_lp(rng):
+    """(A, b, c, equalities) with b >= 0 and bounded feasible set, and its kind:
+    consistent rows, redundant rows (combinations of earlier rows), an
+    inconsistent copy of a row, or more random rows than columns."""
+    n = int(rng.integers(1, 9))
+    m_eq = int(rng.integers(1, 7))
+    kind = ("consistent", "redundant", "inconsistent", "overdetermined")[int(rng.integers(0, 4))]
+    if kind == "overdetermined":
+        m_eq = n + int(rng.integers(1, 3))
+    A_eq = np.round(rng.normal(size=(m_eq, n)) * 4) / 4 * (rng.uniform(size=(m_eq, n)) > 0.3)
+    x0 = rng.uniform(size=n) * (rng.uniform(size=n) > 0.4)
+    b_eq = A_eq @ x0
+    if kind == "redundant":
+        weights = rng.normal(size=(int(rng.integers(1, 4)), m_eq))
+        A_eq, b_eq = np.vstack([A_eq, weights @ A_eq]), np.r_[b_eq, weights @ b_eq]
+    elif kind == "inconsistent":
+        i = int(rng.integers(0, m_eq))
+        shift = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 1.0)
+        A_eq, b_eq = np.vstack([A_eq, A_eq[i]]), np.r_[b_eq, b_eq[i] + shift]
+    elif kind == "overdetermined":
+        b_eq = b_eq + rng.uniform(0.1, 1.0, size=m_eq) * rng.choice([-1.0, 1.0], size=m_eq)
+    # flip rows with a negative right-hand side: the same equations
+    sign = np.where(b_eq < 0.0, -1.0, 1.0)
+    A_eq, b_eq = A_eq * sign[:, None], np.abs(b_eq)
+    m_in = int(rng.integers(0, 4))
+    A_in = np.round(rng.normal(size=(m_in, n)) * 4) / 4
+    b_in = np.maximum(A_in @ x0, 0.0) + rng.uniform(size=m_in) * (rng.uniform(size=m_in) > 0.5)
+    # sum(x) <= sum(x0) + 5 keeps every objective bounded
+    A_in, b_in = np.vstack([A_in, np.ones(n)]), np.r_[b_in, x0.sum() + 5.0]
+    c = np.round(rng.normal(size=n) * 4) / 4
+    return np.vstack([A_eq, A_in]), np.r_[b_eq, b_in], c, len(b_eq), kind
+
+
+def test_simplex_equality_rows_match_highs():
+    # random LPs mixing equality and inequality rows, including redundant
+    # and infeasible equalities; status, optimum and feasibility against
+    # scipy's HiGHS with its tolerances tightened to 1e-10
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2206)
+    seen = set()
+    for _ in range(300):
+        A, b, c, eq, kind = _random_equality_lp(rng)
+        status, obj, x = kernels.simplex_maximize(A, b, c, 1e-11, 20000, equalities=eq)
+        reference = optimize.linprog(
+            -c, A_ub=A[eq:], b_ub=b[eq:], A_eq=A[:eq], b_eq=b[:eq], bounds=(0, None), method="highs",
+            options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        )
+        seen.add((kind, status))
+        if reference.status == 2:
+            assert status == kernels.SIMPLEX_INFEASIBLE, kind
+            continue
+        assert reference.status == 0 and status == kernels.SIMPLEX_OPTIMAL, kind
+        assert abs(obj + reference.fun) < 1e-9
+        assert abs(c @ x - obj) < 1e-9
+        assert np.abs(A[:eq] @ x - b[:eq]).max() < 1e-9
+        assert (A[eq:] @ x - b[eq:]).max() < 1e-9 and x.min() > -1e-12
+    assert seen >= {
+        ("consistent", kernels.SIMPLEX_OPTIMAL),
+        ("redundant", kernels.SIMPLEX_OPTIMAL),
+        ("inconsistent", kernels.SIMPLEX_INFEASIBLE),
+        ("overdetermined", kernels.SIMPLEX_INFEASIBLE),
+    }
+
+
 def _entropy_bits(p, keep):
     """H of the marginal of p[a, b, f] on the axes in ``keep``."""
     q = p.sum(axis=tuple(i for i in range(3) if i not in keep)).ravel()

@@ -10,6 +10,7 @@ from ccbound import kernels
 from ccbound.correlations import (
     Correlation,
     CorrelationError,
+    MeasurementArrangement,
     Scenario,
     chsh_arrangement,
     chsh_protocol_correlation,
@@ -276,6 +277,91 @@ def test_segment_weight_scenario_mismatch():
         )
 
 
+def _jittered_werner(rng, n_b, v):
+    """Noisy singlet on the theta protocol's settings (a fourth Bob setting
+    on 2x4), each Bloch vector jittered at random: nonsignaling, usually
+    nonlocal for v near 1."""
+    base = chsh_arrangement(float(rng.uniform(0.2, 1.37)), fourth_bob_setting=n_b == 4)
+
+    def jitter(vector):
+        moved = vector + rng.normal(scale=0.15, size=3)
+        return moved / np.linalg.norm(moved)
+
+    arrangement = MeasurementArrangement(
+        tuple(jitter(a) for a in base.alice), tuple(jitter(b) for b in base.bob)
+    )
+    return werner_correlation(v, arrangement)
+
+
+def _random_local(rng, scenario):
+    """A random mixture of deterministic strategies."""
+    weights = rng.dirichlet(np.full(vertex_matrix(scenario).shape[1], 0.3))
+    table = (vertex_matrix(scenario) @ weights).reshape(scenario.table_shape)
+    return Correlation(scenario, table / table.sum(axis=(0, 1), keepdims=True))
+
+
+def _highs(optimize, c, **constraints):
+    return optimize.linprog(
+        c, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+        **constraints,
+    )
+
+
+def test_segment_weight_matches_highs():
+    # min r st V m + r*target = corr, m, r >= 0 solved by scipy's HiGHS, on
+    # random 2x3 and 2x4 pairs: corr on the segment from a local point to
+    # the target, an unrelated nonlocal corr (often off the segment), and a
+    # noisy, usually local corr
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(1181)
+    seen = set()
+    for i in range(150):
+        scenario = Scenario(2, 3 + i % 2, 2, 2)
+        target = _jittered_werner(rng, scenario.n_b, rng.uniform(0.85, 1.0))
+        kind = ("segment", "unrelated", "noisy")[i % 3]
+        if kind == "segment":
+            corr = _random_local(rng, scenario).mix(target, float(rng.uniform(0.02, 0.4)))
+        else:
+            corr = _jittered_werner(rng, scenario.n_b, rng.uniform(0.8, 1.0) if kind == "unrelated" else 0.5)
+        result = max_local_weight_along(corr, target)
+        if is_local_lp(corr).is_local:
+            assert result.q == 1.0 and result.local is corr and result.on_segment
+            seen.add("local")
+            continue
+        mat = np.column_stack([vertex_matrix(scenario), target.table.ravel()])
+        cost = np.zeros(mat.shape[1])
+        cost[-1] = 1.0
+        reference = _highs(optimize, cost, A_eq=mat, b_eq=corr.table.ravel())
+        if reference.status == 2:
+            assert not result.on_segment and result.q == 0.0 and result.local is None
+            seen.add("off segment")
+            continue
+        assert reference.status == 0 and result.on_segment
+        assert abs(result.q - (1.0 - reference.fun)) < 1e-9
+        rebuilt = result.q * result.local.table + (1.0 - result.q) * target.table
+        assert np.abs(rebuilt - corr.table).max() < 1e-9
+        assert is_local_lp(result.local).is_local
+        seen.add("on segment")
+    assert seen == {"local", "off segment", "on segment"}
+
+
+def test_segment_weight_primal_check_rejects_perturbed_solution(monkeypatch):
+    solve = kernels.simplex_maximize
+
+    def perturbed(A, b, c, tol, maxiter, equalities=0):
+        status, value, x = solve(A, b, c, tol, maxiter, equalities)
+        x = x.copy()
+        if equalities:
+            x[np.flatnonzero(x == 0.0)[0]] = 1e-6
+        return status, value, x
+
+    theta = math.pi / 4
+    monkeypatch.setattr(kernels, "simplex_maximize", perturbed)
+    with pytest.raises(LPError, match=r"primal check: max\|V m \+ r t - corr\| = "):
+        max_local_weight_along(chsh_protocol_correlation(theta, 0.85), chsh_protocol_correlation(theta, 1.0))
+
+
 # ------------------------------------------------- local weight (nonsignaling)
 
 
@@ -296,6 +382,43 @@ def test_ns_weight_ideal_protocol():
     result = max_local_weight_ns(chsh_protocol_correlation(math.pi / 4, 1.0))
     assert 0.0 <= result.q <= 1 - (2 * math.sqrt(2) - 2) / 2 + 1e-9
     assert result.q == pytest.approx(2 - math.sqrt(2), abs=1e-9)
+
+
+def _pr_like_box(rng, scenario):
+    """p(a,b|x,y) = 1/2 when a xor b = x*f(y) xor g(y), for random bits f, g:
+    nonsignaling, with uniform marginals."""
+    f = rng.integers(0, 2, scenario.n_b)
+    g = rng.integers(0, 2, scenario.n_b)
+    a, b, x, y = np.indices(scenario.table_shape)
+    return Correlation(scenario, 0.5 * ((a ^ b) == (x * f[y]) ^ g[y]))
+
+
+def test_ns_weight_matches_highs():
+    # max sum(m) st V m <= corr, m >= 0 solved by scipy's HiGHS, on random
+    # nonsignaling mixtures of a PR-like box, a jittered noisy singlet and a
+    # local point on 2x3 and 2x4
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(419)
+    qs = []
+    for i in range(80):
+        scenario = Scenario(2, 3 + i % 2, 2, 2)
+        w = rng.dirichlet(np.ones(3))
+        table = (
+            w[0] * _pr_like_box(rng, scenario).table
+            + w[1] * _jittered_werner(rng, scenario.n_b, rng.uniform(0.6, 1.0)).table
+            + w[2] * _random_local(rng, scenario).table
+        )
+        corr = Correlation(scenario, table)
+        assert corr.is_nonsignaling(atol=1e-12)
+        result = max_local_weight_ns(corr)
+        mat = vertex_matrix(scenario)
+        reference = _highs(optimize, -np.ones(mat.shape[1]), A_ub=mat, b_ub=corr.table.ravel())
+        assert reference.status == 0
+        assert abs(result.q + reference.fun) < 1e-9
+        qs.append(result.q)
+        if result.rest is not None:
+            assert result.rest.is_nonsignaling(atol=1e-8)
+    assert min(qs) < 0.5 and max(qs) > 0.9
 
 
 def test_ns_weight_decomposition_reconstructs():
