@@ -1,11 +1,22 @@
-"""Strict readers for the sizes and tables of the JSON documents ccbound loads.
+"""Strict readers for the JSON documents ccbound loads, and their sizes and tables.
 
 ``json`` gives integers, floats, bools, strings, None, lists and dicts; a
 size must be an integer (a bool is not one) and a table must nest lists of
 numbers, so that a typo fails instead of being truncated or coerced.
 """
 
+import json
+
 import numpy as np
+
+
+def json_document(path, error: type[Exception]):
+    """The parsed JSON document at ``path``; invalid JSON raises ``error``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
+            raise error(f"invalid JSON in {path}: {exc}") from exc
 
 
 def json_int(value, name: str, error: type[Exception]) -> int:

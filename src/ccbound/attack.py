@@ -13,7 +13,7 @@ setting-announcing protocols.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,21 +68,33 @@ class CCDecomposition:
         return self.local.mix(self.nonlocal_part, self.local_weight)
 
 
+def _check_settings(scenario, setting_weights: dict, maps=()) -> None:
+    """Raise AttackError unless every setting pair (x, y), weighted or
+    mapped, indexes the scenario's settings and every weight is finite and >= 0."""
+    for x, y in [*setting_weights, *maps]:
+        if not (0 <= x < scenario.n_a and 0 <= y < scenario.n_b):
+            raise AttackError(f"setting pair {(x, y)} is outside the {scenario.n_a}x{scenario.n_b} settings")
+    for pair, weight in setting_weights.items():
+        if not (math.isfinite(weight) and weight >= 0.0):
+            raise AttackError(f"setting weight for {pair} must be finite and >= 0, got {weight!r}")
+
+
 @dataclass(frozen=True)
 class AttackModel:
-    """A decomposition plus per-setting relabelling maps and setting weights."""
+    """A decomposition plus per-setting relabelling maps and setting weights,
+    and the unknown fractions the maps were built with (if recorded)."""
 
     decomposition: CCDecomposition
     maps: dict
     setting_weights: dict
+    unknown_fractions: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_settings(self.decomposition.scenario, self.setting_weights, self.maps)
         total = sum(self.setting_weights.values())
         if abs(total - 1.0) > MIXTURE_ATOL:
             raise AttackError(f"setting weights sum to {total!r}, expected 1")
         for pair, weight in self.setting_weights.items():
-            if weight < 0.0:
-                raise AttackError(f"negative setting weight for {pair}")
             if weight > 0.0 and pair not in self.maps:
                 raise AttackError(f"no relabelling map supplied for weighted setting {pair}")
 
@@ -232,6 +244,14 @@ def solve_unknown_fraction(
     return float(min(max(fraction, 0.0), 1.0))
 
 
+def setting_information(attack: AttackModel) -> dict:
+    """I(A:B|F) after the relabelling, for each setting pair with a map."""
+    return {
+        pair: conditional_mutual_information(apply_map(tripartite(attack.decomposition, *pair), rows))
+        for pair, rows in attack.maps.items()
+    }
+
+
 def keyrate_bound(observed: Correlation, attack: AttackModel) -> float:
     """Upper bound on the two-way key rate: the setting-weighted conditional
     mutual information after the eavesdropper's relabelling.
@@ -241,37 +261,43 @@ def keyrate_bound(observed: Correlation, attack: AttackModel) -> float:
     mixture = attack.decomposition.mixture()
     if not mixture.allclose(observed, atol=MIXTURE_ATOL):
         raise AttackError("attack decomposition does not reproduce the observed correlation")
+    information = setting_information(attack)
     total = 0.0
-    for (x, y), weight in attack.setting_weights.items():
-        if weight == 0.0:
-            continue
-        joint = tripartite(attack.decomposition, x, y)
-        total += weight * conditional_mutual_information(apply_map(joint, attack.maps[(x, y)]))
+    for pair, weight in attack.setting_weights.items():
+        if weight != 0.0:
+            total += weight * information[pair]
     return total
 
 
-def chsh_attack(theta: float, visibility: float, unknown_fraction="auto") -> AttackModel:
-    """Standard attack on the theta protocol with all key rounds at the
-    (x, y) = (0, 2) setting pair.
+def chsh_attack(
+    theta: float, visibility: float, unknown_fraction="auto", settings=None
+) -> AttackModel:
+    """Standard attack on the theta protocol with key rounds at the setting
+    pairs of ``settings``, a ``{(x, y): weight}`` mapping (default {(0, 2): 1}).
 
-    ``unknown_fraction='auto'`` solves for the zeroing fraction and falls
-    back to hiding every mismatched symbol when the visibility is above the
+    ``unknown_fraction='auto'`` solves each pair's zeroing fraction and falls
+    back to hiding every mismatched symbol when the visibility is above its
     zero-key threshold (any fraction still yields a valid upper bound).
     """
-    decomposition = cc_chsh(theta, visibility)
-    agreement = ideal_agreement(chsh_arrangement(theta), 0, 2)  # exactly 1
-    if unknown_fraction == "auto":
-        try:
-            fraction = solve_unknown_fraction(visibility, local_visibility(theta), agreement)
-        except BalanceInfeasibleError:
-            fraction = 1.0
-    else:
-        fraction = float(unknown_fraction)
-    return AttackModel(
-        decomposition=decomposition,
-        maps={(0, 2): eve_map(agreement, fraction)},
-        setting_weights={(0, 2): 1.0},
-    )
+    if settings is None:
+        settings = {(0, 2): 1.0}
+    arrangement = chsh_arrangement(theta)
+    _check_settings(arrangement.scenario, settings)
+    v_local = local_visibility(theta)
+    decomposition = cc_werner(visibility, arrangement, v_local)
+    maps, fractions = {}, {}
+    for pair in settings:
+        agreement = ideal_agreement(arrangement, *pair)
+        if unknown_fraction == "auto":
+            try:
+                fraction = solve_unknown_fraction(visibility, v_local, agreement)
+            except BalanceInfeasibleError:
+                fraction = 1.0
+        else:
+            fraction = float(unknown_fraction)
+        maps[pair] = eve_map(agreement, fraction)
+        fractions[pair] = fraction
+    return AttackModel(decomposition, maps, dict(settings), fractions)
 
 
 def chsh_keyrate_bound(theta: float, visibility: float) -> float:

@@ -28,8 +28,6 @@ from .correlations import (
 from .infotheory import (
     DistributionError,
     MinimizerError,
-    apply_map,
-    conditional_mutual_information,
     load_distribution,
     minimize_intrinsic,
 )
@@ -135,16 +133,13 @@ def _parse_setting(text: str):
     parts = pair_text.split(",")
     if len(parts) != 2:
         raise ValueError(f"setting must look like 'x,y' or 'x,y:weight', got {text!r}")
-    x, y = int(parts[0]), int(parts[1])
-    weight = float(weight_text) if weight_text else None
-    return (x, y), weight
+    return (int(parts[0]), int(parts[1])), (float(weight_text) if weight_text else None)
 
 
 def cmd_bound(parser, args) -> int:
     theta = _resolve_theta(parser, args)
     observed = load_correlation(args.correlation)
-    arrangement = chsh_arrangement(theta)
-    if observed.scenario != arrangement.scenario:
+    if observed.scenario != chsh_arrangement(theta).scenario:
         raise CorrelationError(
             f"correlation scenario {observed.scenario} does not match the theta protocol"
         )
@@ -159,49 +154,36 @@ def cmd_bound(parser, args) -> int:
             "correlation is not the theta protocol at any visibility (mismatch above 1e-9)"
         )
 
-    settings = [_parse_setting(text) for text in args.setting] if args.setting else [((0, 2), None)]
-    pairs = [pair for pair, _ in settings]
-    explicit = [w for _, w in settings if w is not None]
-    if explicit and len(explicit) != len(settings):
+    weights = {}
+    for text in args.setting or ["0,2"]:
+        pair, weight = _parse_setting(text)
+        if pair in weights:
+            raise ValueError("setting %d,%d is given more than once" % pair)
+        weights[pair] = weight
+    given = [w for w in weights.values() if w is not None]
+    if given and len(given) != len(weights):
         parser.error("either give weights for all settings or for none")
-    weights = explicit if explicit else [1.0 / len(settings)] * len(settings)
+    if not given:
+        weights = dict.fromkeys(weights, 1.0 / len(weights))
 
-    decomposition = atk.cc_chsh(theta, visibility)
-    v_local = local_visibility(theta)
-    maps = {}
-    fractions = {}
-    for pair in pairs:
-        agreement = atk.ideal_agreement(arrangement, *pair)
-        if args.unknown_fraction == "auto":
-            try:
-                fraction = atk.solve_unknown_fraction(visibility, v_local, agreement)
-            except atk.BalanceInfeasibleError:
-                fraction = 1.0
-        else:
-            fraction = float(args.unknown_fraction)
-        maps[pair] = atk.eve_map(agreement, fraction)
-        fractions[pair] = fraction
-    model = atk.AttackModel(decomposition, maps, dict(zip(pairs, weights)))
+    model = atk.chsh_attack(theta, visibility, args.unknown_fraction, weights)
     total = atk.keyrate_bound(observed, model)
-
-    per_setting = {}
-    for pair in pairs:
-        joint = atk.tripartite(decomposition, *pair)
-        per_setting[pair] = conditional_mutual_information(apply_map(joint, maps[pair]))
+    information = atk.setting_information(model)
+    fractions = model.unknown_fractions
 
     if args.json:
         print(
             json.dumps(
                 {
                     "visibility": round(visibility, 12),
-                    "local_weight": round(decomposition.local_weight, 12),
+                    "local_weight": round(model.decomposition.local_weight, 12),
                     "settings": {
                         f"{x},{y}": {
-                            "weight": weights[i],
+                            "weight": weight,
                             "unknown_fraction": round(fractions[(x, y)], 12),
-                            "conditional_information": round(per_setting[(x, y)], 12),
+                            "conditional_information": round(information[(x, y)], 12),
                         }
-                        for i, (x, y) in enumerate(pairs)
+                        for (x, y), weight in weights.items()
                     },
                     "bound": round(total, 12),
                 },
@@ -211,13 +193,12 @@ def cmd_bound(parser, args) -> int:
         )
     else:
         print(f"visibility = {visibility:.6f}")
-        print(f"local_weight = {decomposition.local_weight:.6f}")
-        for i, pair in enumerate(pairs):
-            x, y = pair
+        print(f"local_weight = {model.decomposition.local_weight:.6f}")
+        for (x, y), weight in weights.items():
             print(
-                f"setting {x},{y}: weight = {weights[i]:.6f}, "
-                f"unknown_fraction = {fractions[pair]:.6f}, "
-                f"conditional_information = {per_setting[pair]:.6f}"
+                f"setting {x},{y}: weight = {weight:.6f}, "
+                f"unknown_fraction = {fractions[(x, y)]:.6f}, "
+                f"conditional_information = {information[(x, y)]:.6f}"
             )
         print(f"bound = {total:.6f}")
     return 0
@@ -256,20 +237,15 @@ def cmd_localweight(parser, args) -> int:
     corr = load_correlation(args.correlation)
     if args.ns:
         result = max_local_weight_ns(corr)
-        q, local = result.q, result.local
-        note = None
     else:
-        target = load_correlation(args.target)
-        if target.scenario != corr.scenario:
-            raise CorrelationError("correlation and target have mismatched scenarios")
-        result = max_local_weight_along(corr, target)
-        q, local = result.q, result.local
-        note = None if result.on_segment else "no local decomposition along this target"
-    print(f"q_max = {q:.6f}")
-    if note:
-        print(f"note: {note}")
-    if args.out and local is not None:
-        dump_correlation(local, args.out)
+        result = max_local_weight_along(corr, load_correlation(args.target))
+    print(f"q_max = {result.q:.6f}")
+    if not (args.ns or result.on_segment):
+        print("note: no local decomposition along this target")
+    if args.out and result.local is None:
+        print(f"note: no local component, so {args.out} was not written")
+    elif args.out:
+        dump_correlation(result.local, args.out)
         print(f"local component written to {args.out}")
     return 0
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsondoc import json_int, json_table
+from ._jsondoc import json_document, json_int, json_table
 
 ATOL = 1e-12
 
@@ -167,12 +167,7 @@ class Correlation:
 
 
 def load_correlation(path) -> Correlation:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise CorrelationError(f"invalid JSON in {path}: {exc}") from exc
-    return Correlation.from_json_dict(data)
+    return Correlation.from_json_dict(json_document(path, CorrelationError))
 
 
 def dump_correlation(corr: Correlation, path) -> None:

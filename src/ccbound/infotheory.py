@@ -10,13 +10,12 @@ optimality is not required and not claimed.
 
 from __future__ import annotations
 
-import json
 from typing import NamedTuple
 
 import numpy as np
 
 from . import kernels
-from ._jsondoc import json_int, json_table
+from ._jsondoc import json_document, json_int, json_table
 
 ATOL = 1e-12
 
@@ -77,12 +76,7 @@ class JointDistribution:
 
 
 def load_distribution(path) -> JointDistribution:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nesting too deep
-            raise DistributionError(f"invalid JSON in {path}: {exc}") from exc
-    return JointDistribution.from_json_dict(data)
+    return JointDistribution.from_json_dict(json_document(path, DistributionError))
 
 
 class StochasticMap:

@@ -254,7 +254,7 @@ def max_local_weight_along(corr: Correlation, target: Correlation) -> SegmentLoc
     |sum(m) + r - 1| must each be <= 1e-9, else LPError.
     """
     if corr.scenario != target.scenario:
-        raise CorrelationError("correlation and target live on different scenarios")
+        raise CorrelationError("correlation and target have mismatched scenarios")
     if is_local_lp(corr).is_local:
         return SegmentLocalWeight(1.0, corr, True)
 

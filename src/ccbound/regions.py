@@ -149,13 +149,6 @@ REGION_COMMENT = "# grid ordering: row-major, t outer loop, s inner loop"
 CSV_HEADER = "s,t,v,theta,label"
 
 
-def format_point(point: RegionPoint) -> str:
-    return (
-        f"{point.s:.6f},{point.t:.6f},{point.visibility:.6f},"
-        f"{point.theta:.6f},{point.label}"
-    )
-
-
 def fixed6_bytes(x) -> np.ndarray:
     """The ASCII bytes of ``"%.6f" % v`` for each v of x, 8 per value.
 

@@ -283,6 +283,95 @@ def test_attack_model_validates_weights():
         atk.AttackModel(dec, {}, {(0, 2): 1.0})  # weighted setting without a map
 
 
+def step_by_step_attack(theta, v, unknown_fraction, settings):
+    """The attack built step by step: split, per-pair fraction and map, then
+    I(A:B|F) of the relabelled tripartite distribution per pair."""
+    decomposition = atk.cc_chsh(theta, v)
+    arrangement = chsh_arrangement(theta)
+    information = {}
+    for pair in settings:
+        agreement = atk.ideal_agreement(arrangement, *pair)
+        if unknown_fraction == "auto":
+            try:
+                fraction = atk.solve_unknown_fraction(v, local_visibility(theta), agreement)
+            except atk.BalanceInfeasibleError:
+                fraction = 1.0
+        else:
+            fraction = float(unknown_fraction)
+        joint = atk.tripartite(decomposition, *pair)
+        information[pair] = conditional_mutual_information(
+            apply_map(joint, atk.eve_map(agreement, fraction))
+        )
+    total = 0.0
+    for pair, weight in settings.items():
+        if weight != 0.0:
+            total += weight * information[pair]
+    return information, total
+
+
+SETTING_GRID = [
+    {(0, 2): 1.0},
+    {(1, 2): 1.0},
+    {(0, 2): 0.75, (1, 0): 0.25},
+    {(0, 0): 1 / 3, (0, 1): 1 / 3, (1, 1): 1 / 3},
+    {(0, 2): 1.0, (1, 0): 0.0},
+    {(1, 2): 0.2, (0, 2): 0.5, (1, 1): 0.3},
+]
+
+
+@pytest.mark.parametrize("settings", SETTING_GRID)
+def test_multi_setting_attack_matches_step_by_step_construction(settings):
+    for theta in (0.3, math.pi / 6, PI4, 1.2):
+        for v in (0.6, 0.72, 0.745, 0.8, 1.0):
+            observed = chsh_protocol_correlation(theta, v)
+            for fraction in ("auto", 0.5, 1.0):
+                model = atk.chsh_attack(theta, v, fraction, settings)
+                information, total = step_by_step_attack(theta, v, fraction, settings)
+                assert atk.setting_information(model) == information
+                assert atk.keyrate_bound(observed, model) == total
+                assert model.setting_weights == settings
+                assert set(model.unknown_fractions) == set(settings)
+
+
+def test_chsh_attack_default_settings_and_recorded_fraction():
+    model = atk.chsh_attack(PI4, 0.72)
+    assert model.setting_weights == {(0, 2): 1.0}
+    solved = atk.solve_unknown_fraction(0.72, local_visibility(PI4), 1.0)
+    assert model.unknown_fractions == {(0, 2): solved}
+    # above the zero-key threshold 'auto' falls back to hiding everything
+    assert atk.chsh_attack(PI4, 0.9).unknown_fractions == {(0, 2): 1.0}
+    assert atk.AttackModel(model.decomposition, model.maps, model.setting_weights).unknown_fractions == {}
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {(5, 5): 1.0},
+        {(2, 0): 1.0},
+        {(0, 3): 1.0},
+        {(-1, 2): 1.0},
+        {(0, 2): math.nan},
+        {(0, 2): math.inf},
+        {(0, 2): 2.0, (1, 2): -1.0},
+        {(0, 2): 0.5, (1, 2): math.nan},
+    ],
+)
+def test_chsh_attack_rejects_bad_settings(settings):
+    with pytest.raises(atk.AttackError):
+        atk.chsh_attack(PI4, 0.8, "auto", settings)
+
+
+def test_attack_model_rejects_out_of_range_pairs_and_nan_weights():
+    model = atk.chsh_attack(PI4, 0.8)
+    dec, rows = model.decomposition, model.maps[(0, 2)]
+    with pytest.raises(atk.AttackError):
+        atk.AttackModel(dec, {(-1, 2): rows}, {(-1, 2): 1.0})
+    with pytest.raises(atk.AttackError):
+        atk.AttackModel(dec, {(0, 2): rows, (0, 3): rows}, {(0, 2): 1.0})  # map at a bad pair
+    with pytest.raises(atk.AttackError):
+        atk.AttackModel(dec, {(0, 2): rows}, {(0, 2): math.nan})
+
+
 # ------------------------------------------------------------- closed form
 
 

@@ -228,6 +228,71 @@ def test_bound_rejects_non_protocol_correlation(capsys, tmp_path):
     assert "error:" in err
 
 
+@pytest.mark.parametrize(
+    "setting_args",
+    [
+        ["--setting", "5,5"],
+        ["--setting=-1,2"],
+        ["--setting", "0,3"],
+        ["--setting", "0,2:nan"],
+        ["--setting", "0,2:inf"],
+        ["--setting", "0,2:0", "--setting", "0,2:1"],
+        ["--setting", "1,2", "--setting", "1,2"],
+    ],
+)
+def test_bound_rejects_bad_settings(capsys, tmp_path, setting_args):
+    path = tmp_path / "corr.json"
+    dump_correlation(chsh_protocol_correlation(math.pi / 4, 0.8), path)
+    code, out, err = run(capsys, ["bound", str(path), *setting_args])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        {(0, 2): 0.75, (1, 0): 0.25},
+        {(1, 2): 0.5, (0, 0): 0.125, (0, 2): 0.375},
+    ],
+)
+@pytest.mark.parametrize("visibility", [0.72, 0.8])
+def test_bound_weighted_settings_match_library(capsys, tmp_path, settings, visibility):
+    from ccbound.attack import chsh_attack, keyrate_bound, setting_information
+
+    theta = 1.2
+    observed = chsh_protocol_correlation(theta, visibility)
+    path = tmp_path / "corr.json"
+    dump_correlation(observed, path)
+    model = chsh_attack(theta, visibility, "auto", settings)
+    information = setting_information(model)
+    bound = keyrate_bound(observed, model)
+    argv = ["bound", str(path), "--theta", repr(theta)]
+    argv += [f"--setting={x},{y}:{w!r}" for (x, y), w in settings.items()]
+
+    code, out, err = run(capsys, argv)
+    assert code == 0 and err == ""
+    lines = out.splitlines()
+    assert lines[2:-1] == [
+        f"setting {x},{y}: weight = {w:.6f}, "
+        f"unknown_fraction = {model.unknown_fractions[(x, y)]:.6f}, "
+        f"conditional_information = {information[(x, y)]:.6f}"
+        for (x, y), w in settings.items()
+    ]
+    assert lines[-1] == f"bound = {bound:.6f}"
+
+    code, out, err = run(capsys, argv + ["--json"])
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert list(data["settings"]) == sorted(f"{x},{y}" for x, y in settings)
+    for (x, y), w in settings.items():
+        entry = data["settings"][f"{x},{y}"]
+        assert entry["weight"] == w
+        assert entry["conditional_information"] == round(information[(x, y)], 12)
+        assert entry["unknown_fraction"] == round(model.unknown_fractions[(x, y)], 12)
+    assert data["bound"] == round(bound, 12)
+
+
 # ---------------------------------------------------------------- intrinsic
 
 
@@ -361,6 +426,34 @@ def test_localweight_scenario_mismatch(capsys, tmp_path):
     code, _, err = run(capsys, ["localweight", str(corr_path), "--target", str(target_path)])
     assert code == 1
     assert "mismatch" in err
+
+
+def test_localweight_out_without_local_component_says_so(capsys, tmp_path):
+    from ccbound.correlations import Correlation, Scenario
+
+    ideal_path = tmp_path / "ideal.json"
+    out_path = tmp_path / "local.json"
+    dump_correlation(chsh_protocol_correlation(math.pi / 4, 1.0), ideal_path)
+    code, out, _ = run(
+        capsys, ["localweight", str(ideal_path), "--target", str(ideal_path), "--out", str(out_path)]
+    )
+    assert code == 0
+    assert out == f"q_max = 0.000000\nnote: no local component, so {out_path} was not written\n"
+    assert not out_path.exists()
+
+    # a PR box has no local content with any nonsignaling remainder
+    box = np.array([[[[0.5 * ((a ^ b) == (x & y)) for y in range(2)] for x in range(2)]
+                     for b in range(2)] for a in range(2)])
+    box_path = tmp_path / "box.json"
+    dump_correlation(Correlation(Scenario(2, 2, 2, 2), box), box_path)
+    code, out, _ = run(capsys, ["localweight", str(box_path), "--ns", "--out", str(out_path)])
+    assert code == 0
+    assert out == f"q_max = 0.000000\nnote: no local component, so {out_path} was not written\n"
+    assert not out_path.exists()
+
+    # without --out nothing changes
+    code, out, _ = run(capsys, ["localweight", str(ideal_path), "--target", str(ideal_path)])
+    assert out == "q_max = 0.000000\n"
 
 
 # ------------------------------------------------------- malformed documents

@@ -16,7 +16,6 @@ from ccbound.regions import (
     RegionLabel,
     classify,
     fixed6_bytes,
-    format_point,
     region_grid,
     write_region_csv,
 )
@@ -111,11 +110,12 @@ def test_csv_format():
     assert lines[2] == "0.000000,0.000000,0.000000,0.000000,LOCAL"
     # fixed 6-decimal formatting throughout
     assert lines[3] == "0.500000,0.000000,0.500000,0.000000,LOCAL"
-
-
-def test_format_point_is_stable():
-    point = classify(0.55, 0.48)
-    assert format_point(point) == "0.550000,0.480000,0.730000,0.717541,RED_ZERO_KEY"
+    stream = io.StringIO()
+    write_region_csv(region_grid(101), stream)
+    # the point s = 0.55, t = 0.48: row-major with t outer, so row 48 * 101 + 55
+    assert stream.getvalue().splitlines()[2 + 48 * 101 + 55] == (
+        "0.550000,0.480000,0.730000,0.717541,RED_ZERO_KEY"
+    )
 
 
 def test_classify_rejects_nan():
