@@ -110,6 +110,9 @@ def test_csv_format():
     assert lines[2] == "0.000000,0.000000,0.000000,0.000000,LOCAL"
     # fixed 6-decimal formatting throughout
     assert lines[3] == "0.500000,0.000000,0.500000,0.000000,LOCAL"
+
+
+def test_format_point_is_stable():
     stream = io.StringIO()
     write_region_csv(region_grid(101), stream)
     # the point s = 0.55, t = 0.48: row-major with t outer, so row 48 * 101 + 55
