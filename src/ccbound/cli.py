@@ -162,7 +162,7 @@ def cmd_bound(parser, args) -> int:
         weights[pair] = weight
     given = [w for w in weights.values() if w is not None]
     if given and len(given) != len(weights):
-        parser.error("either give weights for all settings or for none")
+        raise ValueError("either give weights for all settings or for none")
     if not given:
         weights = dict.fromkeys(weights, 1.0 / len(weights))
 

@@ -10,6 +10,7 @@ optimality is not required and not claimed.
 
 from __future__ import annotations
 
+import bisect
 from typing import NamedTuple
 
 import numpy as np
@@ -49,10 +50,6 @@ class JointDistribution:
 
     def __setattr__(self, name, value):
         raise AttributeError("JointDistribution is immutable")
-
-    @property
-    def alphabet_sizes(self) -> tuple[int, int, int]:
-        return self.p.shape
 
     def marginal_ab(self) -> np.ndarray:
         return self.p.sum(axis=2)
@@ -148,72 +145,151 @@ def conditional_mutual_information(dist: JointDistribution) -> float:
     return float(kernels.conditional_mutual_information_bits(dist.p))
 
 
+class MinimizerRecord(NamedTuple):
+    """Work counts of one :func:`minimize_intrinsic` call.
+
+    ``maps`` and ``calls`` count everything passed to
+    ``kernels.cmi_after_map_bits``: the identity map, the deterministic
+    sweep, the Nelder-Mead points and the final self-check.
+    """
+
+    starts: int  # Nelder-Mead starts: the polish run plus the restarts
+    lanes: int  # starts run in lockstep per block, at most kernels.SWEEP_BATCH // 4
+    iterations: tuple[int, ...]  # Nelder-Mead iterations of each start, in start order
+    maps: int
+    calls: int
+    winner: str  # 'identity', 'sweep', 'polish' or 'restart i'
+
+
 class IntrinsicResult(NamedTuple):
     bound: float
     map: StochasticMap
+    record: MinimizerRecord
 
 
 def _rows_from_squares(z: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """Row-stochastic matrix from an unconstrained parameter vector.
+    """Row-stochastic matrices from unconstrained parameter vectors z[..., k].
 
     Entries are the squares of the parameters, normalized per row; an
     all-zero row falls back to the uniform row.
     """
-    sq = (z * z).reshape(shape)
-    sums = sq.sum(axis=1, keepdims=True)
-    uniform = np.full(shape[1], 1.0 / shape[1])
-    out = np.where(sums > 1e-300, sq / np.where(sums > 1e-300, sums, 1.0), uniform)
-    return out
+    sq = (z * z).reshape(*z.shape[:-1], *shape)
+    sums = sq.sum(axis=-1, keepdims=True)
+    positive = sums > 1e-300
+    return np.where(positive, sq / np.where(positive, sums, 1.0), 1.0 / shape[1])
 
 
-def _nelder_mead(fn, x0, max_iter=4000, fatol=1e-13, xatol=1e-10, initial_step=0.25):
-    """Derivative-free simplex descent with the dimension-adaptive coefficients."""
-    n = x0.shape[0]
+def _nelder_mead(fn, starts, max_iter=4000, fatol=1e-13, xatol=1e-10, initial_step=0.25):
+    """Derivative-free simplex descent with the dimension-adaptive coefficients,
+    run in lockstep from every row of ``starts[lanes, n]``.
+
+    ``fn`` maps points z[..., n] to their values.  Each iteration makes one
+    call of ``fn`` on the reflected, expanded, outside- and inside-contracted
+    points of every running start, and one more on the shrink points of the
+    starts that shrink.  Every start takes the steps it would take alone, bit
+    for bit, and stops at its own fatol/xatol test or after max_iter
+    iterations.  Returns (points[lanes, n], values, iterations): each start's
+    best vertex, its value and the iterations it ran.
+    """
+    lanes, n = starts.shape
     alpha = 1.0
     beta = 1.0 + 2.0 / n
     gamma = 0.75 - 0.5 / n
     delta = 1.0 - 1.0 / n
+    # c - gamma*u is c + (-gamma)*u bit for bit
+    ends_coef = np.array([[alpha], [-gamma]])
+    middle_coef = np.array([[beta], [gamma]])
 
-    simplex = np.repeat(x0[None, :], n + 1, axis=0)
-    for i in range(n):
-        simplex[i + 1, i] += initial_step if simplex[i + 1, i] >= 0 else -initial_step
-    values = np.array([fn(x) for x in simplex])
+    # a start's block of rows: its n + 1 vertices sorted by value (vals),
+    # then its four trial points.  Each iteration ends with one gather that
+    # builds every next block.  Row step * (n + 1) + j of gather lists the
+    # rows of a start's next block when trial point ``step`` replaces the
+    # worst vertex and sorts into place j (after equal values, as a stable
+    # sort puts it).
+    scratch = list(range(n + 1, n + 5))
+    gather = np.array(
+        [[*range(j), n + 1 + step, *range(j, n), *scratch] for step in range(4) for j in range(n + 1)]
+    )
+    offsets = np.arange(0, lanes * (n + 5), n + 5)[:, None]
+    block = np.empty((lanes, n + 5, n))
+    block[:, : n + 1] = starts[:, None]
+    axis = np.arange(n)
+    first = block[:, axis + 1, axis]
+    block[:, axis + 1, axis] = first + np.where(first >= 0, initial_step, -initial_step)
+    vals = fn(block[:, : n + 1]).tolist()
+    orders = [sorted(range(n + 1), key=v.__getitem__) for v in vals]
+    vals = [[v[i] for i in order] for v, order in zip(vals, orders)]
+    block = block.reshape(-1, n)[np.array([order + scratch for order in orders]) + offsets]
 
-    for _ in range(max_iter):
-        order = np.argsort(values, kind="stable")
-        simplex = simplex[order]
-        values = values[order]
-        if values[-1] - values[0] <= fatol:
-            break
-        if np.abs(simplex[1:] - simplex[0]).max() <= xatol:
-            break
+    points = np.empty((lanes, n))
+    best_values = [0.0] * lanes
+    iterations = [0] * lanes
+    live = list(range(lanes))  # the start in each block
+    for it in range(max_iter + 1):
+        # the worst vertex's distance from the best bounds the simplex's
+        # spread from below, so only starts it leaves near are measured whole
+        near = (np.abs(block[:, n] - block[:, 0]).max(axis=1) <= xatol).tolist()
+        stops = [
+            k
+            for k, (v, close) in enumerate(zip(vals, near))
+            if it == max_iter
+            or v[-1] - v[0] <= fatol
+            or close and np.abs(block[k, 1 : n + 1] - block[k, 0]).max() <= xatol
+        ]
+        # a stopped start's best vertex is the first of its sorted block
+        if stops:
+            for k in stops:
+                best_values[live[k]] = vals[k][0]
+                iterations[live[k]] = it
+            points[[live[k] for k in stops]] = block[stops, 0]
+            keep = [k for k in range(len(live)) if k not in stops]
+            block = block[keep]
+            vals = [vals[k] for k in keep]
+            live = [live[k] for k in keep]
+            offsets = offsets[: len(live)]
+            if not live:
+                break
 
-        centroid = simplex[:-1].mean(axis=0)
-        reflected = centroid + alpha * (centroid - simplex[-1])
-        f_reflected = fn(reflected)
-        if f_reflected < values[0]:
-            expanded = centroid + beta * (reflected - centroid)
-            f_expanded = fn(expanded)
-            if f_expanded < f_reflected:
-                simplex[-1], values[-1] = expanded, f_expanded
+        centroid = np.add.reduce(block[:, :n], axis=1) / n
+        inward = centroid - block[:, n]
+        trial = block[:, n + 1 :]
+        ends = trial[:, ::3]  # reflected and inside-contracted
+        np.multiply(inward[:, None], ends_coef, out=ends)
+        ends += centroid[:, None]
+        middle = trial[:, 1:3]  # expanded and outside-contracted
+        np.multiply((trial[:, 0] - centroid)[:, None], middle_coef, out=middle)
+        middle += centroid[:, None]
+
+        # each start's step: 0 reflect, 1 expand, 2 contract outside,
+        # 3 contract inside, or a shrink, which keeps the old worst vertex
+        places, shrinking = [], []
+        for k, (v, (f_r, f_e, f_o, f_i)) in enumerate(zip(vals, fn(trial).tolist())):
+            if f_r < v[0]:
+                step, f = (1, f_e) if f_e < f_r else (0, f_r)
+            elif f_r < v[-2]:
+                step, f = 0, f_r
             else:
-                simplex[-1], values[-1] = reflected, f_reflected
-        elif f_reflected < values[-2]:
-            simplex[-1], values[-1] = reflected, f_reflected
-        else:
-            if f_reflected < values[-1]:
-                contracted = centroid + gamma * (reflected - centroid)
-            else:
-                contracted = centroid - gamma * (centroid - simplex[-1])
-            f_contracted = fn(contracted)
-            if f_contracted < min(f_reflected, values[-1]):
-                simplex[-1], values[-1] = contracted, f_contracted
-            else:
-                simplex[1:] = simplex[0] + delta * (simplex[1:] - simplex[0])
-                values[1:] = [fn(x) for x in simplex[1:]]
-
-    best = int(np.argmin(values))
-    return simplex[best], float(values[best])
+                step, f = (2, f_o) if f_r < v[-1] else (3, f_i)
+                if not f < min(f_r, v[-1]):
+                    shrinking.append(k)
+                    places.append(n)  # the gather row is set below
+                    continue
+            place = bisect.bisect_right(v, f, 0, n)
+            v.insert(place, f)
+            v.pop()
+            places.append(step * (n + 1) + place)
+        rows = gather[places]
+        if shrinking:
+            kept = block[shrinking, :1]
+            shrunk = kept + delta * (block[shrinking, 1 : n + 1] - kept)
+            block[shrinking, 1 : n + 1] = shrunk
+            for k, new in zip(shrinking, fn(shrunk).tolist()):
+                v = [vals[k][0], *new]
+                order = sorted(range(n + 1), key=v.__getitem__)
+                vals[k] = [v[i] for i in order]
+                rows[k, : n + 1] = order
+        block = block.reshape(-1, n)[rows + offsets]
+    return points, best_values, iterations
 
 
 def minimize_intrinsic(
@@ -229,7 +305,9 @@ def minimize_intrinsic(
     None and the guard is exceeded, an error when it was requested
     explicitly), and Nelder-Mead descent from ``restarts`` random
     row-stochastic starts plus a polish run from the best deterministic map.
-    Each restart is seeded independently so results are reproducible.
+    Each restart is seeded independently so results are reproducible.  The
+    starts run in lockstep, in blocks of kernels.SWEEP_BATCH // 4; the
+    result's ``record`` holds the work counts and the winning candidate.
     """
     n_e = dist.p.shape[2]
     n_f = n_e
@@ -237,6 +315,8 @@ def minimize_intrinsic(
 
     best_rows = np.eye(n_e)
     best = float(kernels.cmi_after_map_bits(p, best_rows))
+    winner = "identity"
+    calls = maps = 1
 
     sweep_size = float(n_f) ** n_e
     run_sweep = deterministic_sweep if deterministic_sweep is not None else sweep_size <= SWEEP_GUARD
@@ -246,14 +326,20 @@ def minimize_intrinsic(
                 f"deterministic sweep of {sweep_size:.3g} maps exceeds the guard {SWEEP_GUARD}"
             )
         sweep_best, sweep_assign = kernels.sweep_deterministic_maps(p, n_f)
+        calls += -(-(n_f**n_e) // kernels.SWEEP_BATCH)
+        maps += n_f**n_e
         if sweep_best < best:
             best = float(sweep_best)
             best_rows = StochasticMap.deterministic(sweep_assign, n_f).rows.copy()
+            winner = "sweep"
 
     shape = (n_e, n_f)
 
     def objective(z):
-        return float(kernels.cmi_after_map_bits(p, _rows_from_squares(z, shape)))
+        nonlocal calls, maps
+        calls += 1
+        maps += z.size // z.shape[-1]
+        return kernels.cmi_after_map_bits(p, _rows_from_squares(z, shape))
 
     # descent starts: sqrt of the best map so far (with a floor so zero rows
     # can move), then fully random restarts
@@ -261,16 +347,25 @@ def minimize_intrinsic(
     for i in range(restarts):
         rng = np.random.default_rng([seed, i])
         starts.append(rng.normal(0.0, 1.0, size=n_e * n_f))
+    starts = np.array(starts)
 
-    for z0 in starts:
-        z_opt, value = _nelder_mead(objective, np.asarray(z0, dtype=float))
-        if value < best - 1e-15:
-            best = value
-            best_rows = _rows_from_squares(z_opt, shape)
+    # blocks of lanes bound the memory of a large --restarts: one block's
+    # trial points are SWEEP_BATCH maps
+    lanes = min(len(starts), kernels.SWEEP_BATCH // 4)
+    iterations = []
+    for first in range(0, len(starts), lanes):
+        points, values, steps = _nelder_mead(objective, starts[first : first + lanes])
+        iterations += steps
+        for i, (z_opt, value) in enumerate(zip(points, values), first):
+            if value < best - 1e-15:
+                best = value
+                best_rows = _rows_from_squares(z_opt, shape)
+                winner = f"restart {i - 1}" if i else "polish"
 
     if best <= 0.0:  # rounding can leave a tiny negative (or -0.0) sum
         best = 0.0
-    result = IntrinsicResult(best, StochasticMap(best_rows))
+    record = MinimizerRecord(len(starts), lanes, tuple(iterations), maps + 1, calls + 1, winner)
+    result = IntrinsicResult(best, StochasticMap(best_rows), record)
     # self-check: the bound is the value of the map returned, recomputed by
     # the same kernel (batched and single calls agree bit for bit)
     check = float(kernels.cmi_after_map_bits(p, result.map.rows))

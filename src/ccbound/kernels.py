@@ -166,7 +166,7 @@ def conditional_mutual_information_bits(p_abf):
     terms = np.where(keep, p * np.log2(ratio), 0.0)
     # left-to-right sum in (f, a, b) order: the value does not depend on the
     # batch shape, so a batched sweep and single calls agree bit for bit
-    ordered = np.moveaxis(terms, -1, -3).reshape(*batch, nf * na * nb)
+    ordered = terms.reshape(*batch, na * nb, nf).swapaxes(-1, -2).reshape(*batch, nf * na * nb)
     total = np.cumsum(ordered, axis=-1)[..., -1]
     return total if batch else float(total)
 

@@ -238,6 +238,7 @@ def test_bound_rejects_non_protocol_correlation(capsys, tmp_path):
         ["--setting", "0,2:inf"],
         ["--setting", "0,2:0", "--setting", "0,2:1"],
         ["--setting", "1,2", "--setting", "1,2"],
+        ["--setting", "0,2:1", "--setting", "1,2"],
     ],
 )
 def test_bound_rejects_bad_settings(capsys, tmp_path, setting_args):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from ccbound import attack, kernels
+from ccbound import attack, infotheory, kernels
 from ccbound.correlations import Correlation, CorrelationError, Scenario
 from ccbound.infotheory import (
     DistributionError,
@@ -332,3 +332,212 @@ def test_json_entries_must_be_numbers(entry):
     doc["p"][1][0][1] = entry
     with pytest.raises(DistributionError, match="p entries must be JSON numbers"):
         JointDistribution.from_json_dict(doc)
+
+
+# ------------------------------------------- lockstep Nelder-Mead against one start
+
+
+def _reference_rows(z, shape):
+    """The single-start parameterization: squares of z, normalized per row."""
+    sq = (z * z).reshape(shape)
+    sums = sq.sum(axis=1, keepdims=True)
+    uniform = np.full(shape[1], 1.0 / shape[1])
+    return np.where(sums > 1e-300, sq / np.where(sums > 1e-300, sums, 1.0), uniform)
+
+
+def _reference_nelder_mead(fn, x0, max_iter=4000, fatol=1e-13, xatol=1e-10, initial_step=0.25):
+    """The one-start Nelder-Mead loop, one scalar ``fn`` call per point; it
+    also returns the iterations run and the shrinks taken."""
+    n = x0.shape[0]
+    alpha = 1.0
+    beta = 1.0 + 2.0 / n
+    gamma = 0.75 - 0.5 / n
+    delta = 1.0 - 1.0 / n
+
+    simplex = np.repeat(x0[None, :], n + 1, axis=0)
+    for i in range(n):
+        simplex[i + 1, i] += initial_step if simplex[i + 1, i] >= 0 else -initial_step
+    values = np.array([fn(x) for x in simplex])
+
+    iterations = max_iter
+    shrinks = 0
+    for it in range(max_iter):
+        order = np.argsort(values, kind="stable")
+        simplex = simplex[order]
+        values = values[order]
+        if values[-1] - values[0] <= fatol or np.abs(simplex[1:] - simplex[0]).max() <= xatol:
+            iterations = it
+            break
+
+        centroid = simplex[:-1].mean(axis=0)
+        reflected = centroid + alpha * (centroid - simplex[-1])
+        f_reflected = fn(reflected)
+        if f_reflected < values[0]:
+            expanded = centroid + beta * (reflected - centroid)
+            f_expanded = fn(expanded)
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        else:
+            if f_reflected < values[-1]:
+                contracted = centroid + gamma * (reflected - centroid)
+            else:
+                contracted = centroid - gamma * (centroid - simplex[-1])
+            f_contracted = fn(contracted)
+            if f_contracted < min(f_reflected, values[-1]):
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                simplex[1:] = simplex[0] + delta * (simplex[1:] - simplex[0])
+                values[1:] = [fn(x) for x in simplex[1:]]
+                shrinks += 1
+
+    best = int(np.argmin(values))
+    return simplex[best], float(values[best]), iterations, shrinks
+
+
+def _starts(p, restarts, seed=0):
+    """minimize_intrinsic's descent starts from the identity map."""
+    n_e = p.shape[2]
+    starts = [np.sqrt(np.eye(n_e) + 0.05).ravel()]
+    for i in range(restarts):
+        starts.append(np.random.default_rng([seed, i]).normal(0.0, 1.0, size=n_e * n_e))
+    return np.array(starts)
+
+
+def _objectives(p):
+    """The minimizer's objective on batches of points and on one point."""
+    shape = (p.shape[2], p.shape[2])
+    return (
+        lambda z: kernels.cmi_after_map_bits(p, infotheory._rows_from_squares(z, shape)),
+        lambda z: float(kernels.cmi_after_map_bits(p, _reference_rows(z, shape))),
+    )
+
+
+def _compare_lockstep(objectives, starts, **options):
+    """Run both loops from every start; the points, values and iterations
+    must agree bit for bit.  Returns the reference runs."""
+    batched, single = objectives
+    points, values, iterations = infotheory._nelder_mead(batched, starts, **options)
+    runs = []
+    for k, z0 in enumerate(starts):
+        run = _reference_nelder_mead(single, z0.copy(), **options)
+        assert points[k].tobytes() == run[0].tobytes(), f"start {k}"
+        assert values[k] == run[1] and iterations[k] == run[2], f"start {k}"
+        runs.append(run)
+    return runs
+
+
+def _random_table(shape, seed):
+    """A random table with about 30% zero entries."""
+    rng = np.random.default_rng(seed)
+    p = rng.dirichlet(np.ones(int(np.prod(shape)))).reshape(shape)
+    p[rng.random(shape) < 0.3] = 0.0
+    return p / p.sum()
+
+
+def test_lockstep_matches_single_start_on_attack_inputs():
+    rng = np.random.default_rng(7)
+    for _ in range(2):
+        theta = float(rng.uniform(math.pi / 12, 5 * math.pi / 12))
+        v = float(rng.uniform(0.72, 0.95))
+        p = attack.tripartite(attack.cc_chsh(theta, v), 0, 2).p
+        _compare_lockstep(_objectives(p), _starts(p, 0))
+
+
+@pytest.mark.parametrize("shape, seed", [((2, 2, 3), 1), ((3, 3, 3), 0), ((3, 3, 3), 1)])
+def test_lockstep_matches_single_start_on_random_tables(shape, seed):
+    # seed 0's 2x2x3 table is the next test's
+    p = _random_table(shape, seed)
+    _compare_lockstep(_objectives(p), _starts(p, 3))
+
+
+def test_lockstep_shrinks_and_stops_apart_like_single_starts():
+    # seed 0's 2x2x3 table: two of its four starts shrink, and the starts stop
+    # at four different iterations
+    p = _random_table((2, 2, 3), 0)
+    runs = _compare_lockstep(_objectives(p), _starts(p, 3))
+    assert sum(run[3] > 0 for run in runs) == 2
+    assert len({run[2] for run in runs}) == 4
+
+
+def test_lockstep_matches_single_start_at_the_xatol_test():
+    # with fatol = 0 only the simplex's size stops a start; sum sqrt|z - c|
+    # has a cusp at its minimum, so the values stay apart while it shrinks
+    center = np.array([0.3, -1.2])
+    batched = lambda z: np.add.reduce(np.sqrt(np.abs(z - center)), axis=-1)
+    single = lambda z: float(batched(z[None])[0])
+    starts = np.random.default_rng(4).normal(size=(4, 2))
+    runs = _compare_lockstep((batched, single), starts, fatol=0.0)
+    assert all(run[2] < 4000 for run in runs)
+
+
+def test_lockstep_matches_single_start_when_iterations_run_out():
+    p = _random_table((2, 2, 3), 0)
+    runs = _compare_lockstep(_objectives(p), _starts(p, 3), max_iter=50)
+    assert all(run[2] == 50 for run in runs)
+
+
+def _reference_minimize(p, restarts, seed=0):
+    """minimize_intrinsic with one single-start loop per start: the identity,
+    the sweep, then each start in order, taking a new best only below
+    best - 1e-15.  Returns (bound, rows, winner, iterations)."""
+    n = p.shape[2]
+    best_rows = np.eye(n)
+    best = float(kernels.cmi_after_map_bits(p, best_rows))
+    winner = "identity"
+    sweep_best, assign = kernels.sweep_deterministic_maps(p, n)
+    if sweep_best < best:
+        best, best_rows, winner = float(sweep_best), StochasticMap.deterministic(assign, n).rows, "sweep"
+    starts = _starts(p, restarts, seed)
+    starts[0] = np.sqrt(best_rows + 0.05).ravel()
+    iterations = []
+    for i, z0 in enumerate(starts):
+        fn = lambda z: float(kernels.cmi_after_map_bits(p, _reference_rows(z, (n, n))))
+        z_opt, value, steps, _ = _reference_nelder_mead(fn, z0.copy())
+        iterations.append(steps)
+        if value < best - 1e-15:
+            best, best_rows = value, _reference_rows(z_opt, (n, n))
+            winner = f"restart {i - 1}" if i else "polish"
+    return max(best, 0.0), best_rows, winner, tuple(iterations)
+
+
+def test_minimizer_runs_more_starts_than_one_block_like_single_starts():
+    # 71 starts: one block of SWEEP_BATCH // 4 = 64 lanes, then one of 7
+    p = _random_table((2, 2, 2), 3)
+    result = minimize_intrinsic(JointDistribution(p), restarts=70, seed=0)
+    bound, rows, winner, iterations = _reference_minimize(p, 70)
+    assert result.bound == bound and result.map.rows.tobytes() == rows.tobytes()
+    assert result.record.winner == winner
+    assert result.record.iterations == iterations
+    assert (result.record.starts, result.record.lanes) == (71, kernels.SWEEP_BATCH // 4)
+
+
+@pytest.mark.parametrize(
+    "index, restarts, winner", [(0, 32, "restart 12"), (1, 8, "sweep"), (2, 8, "identity")]
+)
+def test_minimizer_record_on_criterion_7_inputs(monkeypatch, index, restarts, winner):
+    # the record's counts equal those of a wrapped kernel, and the winner is
+    # the candidate whose map is returned
+    dist = list(_self_check_inputs())[index]
+    evaluate = kernels.cmi_after_map_bits
+    seen = {"calls": 0, "maps": 0}
+
+    def counted(p, rows):
+        seen["calls"] += 1
+        seen["maps"] += int(np.prod(np.shape(rows)[:-2]))
+        return evaluate(p, rows)
+
+    monkeypatch.setattr(kernels, "cmi_after_map_bits", counted)
+    result = minimize_intrinsic(dist, restarts=restarts, seed=0)
+    record = result.record
+    assert (record.calls, record.maps) == (seen["calls"], seen["maps"])
+    assert record.starts == restarts + 1 == record.lanes == len(record.iterations)
+    assert record.winner == winner
+    n = dist.p.shape[2]
+    if winner == "identity":
+        assert np.array_equal(result.map.rows, np.eye(n))
+    elif winner == "sweep":
+        assert set(result.map.rows.ravel().tolist()) <= {0.0, 1.0}
