@@ -89,8 +89,10 @@ def cmd_constants(parser, args) -> int:
 
 def cmd_curve(parser, args) -> int:
     theta = _resolve_theta(parser, args)
-    if args.step <= 0:
+    if not args.step > 0:
         parser.error("--step must be positive")
+    if math.isinf(args.step):
+        parser.error("--step must be finite")
     if args.v_max < args.v_min or not (0.0 <= args.v_min <= 1.0 and 0.0 <= args.v_max <= 1.0):
         parser.error("visibility range must satisfy 0 <= v-min <= v-max <= 1")
     vs = []

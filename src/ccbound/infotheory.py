@@ -309,6 +309,8 @@ def minimize_intrinsic(
     starts run in lockstep, in blocks of kernels.SWEEP_BATCH // 4; the
     result's ``record`` holds the work counts and the winning candidate.
     """
+    if restarts < 0:
+        raise ValueError(f"restarts must be >= 0, got {restarts}")
     n_e = dist.p.shape[2]
     n_f = n_e
     p = np.ascontiguousarray(dist.p)

@@ -105,6 +105,16 @@ def test_curve_bad_range(capsys):
         main(["curve", "--step", "0"])
 
 
+@pytest.mark.parametrize("step", ["nan", "inf"])
+def test_curve_rejects_non_finite_step(capsys, step):
+    # like a non-positive step: a usage error, and no CSV on stdout
+    with pytest.raises(SystemExit) as excinfo:
+        main(["curve", "--step", step])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert captured.err.splitlines()[-1].startswith("ccbound: error: --step must be")
+
+
 # ------------------------------------------------------------------- region
 
 
@@ -375,6 +385,13 @@ def test_intrinsic_rejects_non_integer_seed_env(capsys, tmp_path, monkeypatch):
     assert code == 1
     assert out == ""
     assert err.startswith("error:") and "CCBOUND_SEED" in err
+
+
+def test_intrinsic_rejects_negative_restarts(capsys, tmp_path):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(JointDistribution(np.full((2, 2, 2), 0.125)).to_json_dict()))
+    code, out, err = run(capsys, ["intrinsic", str(path), "--restarts", "-3"])
+    assert (code, out, err) == (1, "", "error: restarts must be >= 0, got -3\n")
 
 
 # -------------------------------------------------------------- localweight

@@ -279,6 +279,13 @@ def test_sweep_guard_raises_when_requested():
     assert result.bound >= 0.0
 
 
+def test_minimizer_rejects_negative_restarts():
+    dist = random_joint((2, 2, 3), np.random.default_rng(8))
+    with pytest.raises(ValueError, match="restarts must be >= 0, got -3"):
+        minimize_intrinsic(dist, restarts=-3, seed=0)
+    assert minimize_intrinsic(dist, restarts=0, seed=0).record.starts == 1
+
+
 def _self_check_inputs():
     """The three criterion-7 inputs (attack, independent, copy), then three
     random 2x2x5 inputs."""

@@ -1,5 +1,6 @@
 """Slice classification and the region grid."""
 
+import dataclasses
 import io
 import math
 
@@ -13,6 +14,7 @@ from ccbound.correlations import slice_correlation
 from ccbound.localset import is_local_lp, local_visibility
 from ccbound.regions import (
     CSV_HEADER,
+    LABELS,
     RegionLabel,
     classify,
     fixed6_bytes,
@@ -119,6 +121,35 @@ def test_format_point_is_stable():
     assert stream.getvalue().splitlines()[2 + 48 * 101 + 55] == (
         "0.550000,0.480000,0.730000,0.717541,RED_ZERO_KEY"
     )
+
+
+def _percent6_lines(grid):
+    columns = (grid.s, grid.t, grid.visibility, grid.theta, grid.codes)
+    return [
+        f"{s:.6f},{t:.6f},{v:.6f},{theta:.6f},{LABELS[code]}"
+        for s, t, v, theta, code in zip(*(c.tolist() for c in columns))
+    ]
+
+
+@pytest.mark.parametrize("resolution", [257, 300])
+def test_csv_rows_match_percent_format_of_the_grid(resolution):
+    # 257: the axis step 1/256 puts exact binary ties into the axis fields;
+    # 300: 90,000 points end on a partial block of t rows
+    grid = region_grid(resolution)
+    assert np.array_equal(grid.s, np.tile(grid.axis, resolution))
+    assert np.array_equal(grid.t, np.repeat(grid.axis, resolution))
+    # the near-tie fallback of fixed6_bytes decides no byte of any grid
+    # (rint and "%.6f" both round exact ties to even), so the same grid also
+    # carries v and theta values at or an ulp from decimal ties, which
+    # rint(v * 1e6) alone gets wrong about 1% of the time
+    rng = np.random.default_rng(resolution)
+    ties = (rng.integers(0, 2_000_000, size=(2, len(grid))) + 0.5) / 1e6
+    side = rng.integers(-1, 2, size=ties.shape)
+    near = np.where(side < 0, np.nextafter(ties, 0.0), np.where(side > 0, np.nextafter(ties, 10.0), ties))
+    for case in (grid, dataclasses.replace(grid, visibility=near[0], theta=near[1])):
+        stream = io.StringIO()
+        write_region_csv(case, stream)
+        assert stream.getvalue().split("\n")[2:] == _percent6_lines(case) + [""]
 
 
 def test_classify_rejects_nan():
