@@ -86,6 +86,9 @@ def cmd_constants(parser, args) -> int:
 
 # -------------------------------------------------------------------- curve
 
+# rows a curve may have: a smaller step for its range is a usage error
+CURVE_MAX_ROWS = 10**7
+
 
 def cmd_curve(parser, args) -> int:
     theta = _resolve_theta(parser, args)
@@ -95,6 +98,8 @@ def cmd_curve(parser, args) -> int:
         parser.error("--step must be finite")
     if args.v_max < args.v_min or not (0.0 <= args.v_min <= 1.0 and 0.0 <= args.v_max <= 1.0):
         parser.error("visibility range must satisfy 0 <= v-min <= v-max <= 1")
+    if (args.v_max - args.v_min + 1e-12) / args.step > CURVE_MAX_ROWS:
+        parser.error(f"--step is too small for the range: more than {CURVE_MAX_ROWS} rows")
     vs = []
     v = args.v_min
     while v <= args.v_max + 1e-12:

@@ -295,19 +295,17 @@ def _nelder_mead(fn, starts, max_iter=4000, fatol=1e-13, xatol=1e-10, initial_st
 def minimize_intrinsic(
     dist: JointDistribution,
     restarts: int = 32,
-    deterministic_sweep: bool | None = None,
     seed: int = 0,
 ) -> IntrinsicResult:
     """Heuristic minimum of I(A:B|F) over stochastic maps E -> F with |F| = |E|.
 
     Candidates: the identity map, the exhaustive set of deterministic maps
-    (when |F|^|E| <= 10^7; skipped silently when ``deterministic_sweep`` is
-    None and the guard is exceeded, an error when it was requested
-    explicitly), and Nelder-Mead descent from ``restarts`` random
-    row-stochastic starts plus a polish run from the best deterministic map.
-    Each restart is seeded independently so results are reproducible.  The
-    starts run in lockstep, in blocks of kernels.SWEEP_BATCH // 4; the
-    result's ``record`` holds the work counts and the winning candidate.
+    (when |F|^|E| <= 10^7, skipped otherwise), and Nelder-Mead descent from
+    ``restarts`` random row-stochastic starts plus a polish run from the best
+    deterministic map.  Each restart is seeded independently so results are
+    reproducible.  The starts run in lockstep, in blocks of
+    kernels.SWEEP_BATCH // 4; the result's ``record`` holds the work counts
+    and the winning candidate.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
@@ -320,13 +318,7 @@ def minimize_intrinsic(
     winner = "identity"
     calls = maps = 1
 
-    sweep_size = float(n_f) ** n_e
-    run_sweep = deterministic_sweep if deterministic_sweep is not None else sweep_size <= SWEEP_GUARD
-    if run_sweep:
-        if sweep_size > SWEEP_GUARD:
-            raise DistributionError(
-                f"deterministic sweep of {sweep_size:.3g} maps exceeds the guard {SWEEP_GUARD}"
-            )
+    if n_f**n_e <= SWEEP_GUARD:
         sweep_best, sweep_assign = kernels.sweep_deterministic_maps(p, n_f)
         calls += -(-(n_f**n_e) // kernels.SWEEP_BATCH)
         maps += n_f**n_e

@@ -58,18 +58,6 @@ class FacetValue:
     value: float
 
 
-def _vertex_count(scenario: Scenario) -> int:
-    return scenario.k_a**scenario.n_a * scenario.k_b**scenario.n_b
-
-
-def _check_guard(scenario: Scenario) -> None:
-    count = _vertex_count(scenario)
-    if count > VERTEX_GUARD:
-        raise VertexGuardError(
-            f"{count} deterministic strategies exceed the guard of {VERTEX_GUARD}"
-        )
-
-
 def _assignments(scenario: Scenario):
     """(a_out, b_out) output tuples of every deterministic strategy, in vertex order."""
     return itertools.product(
@@ -99,8 +87,10 @@ def vertex_matrix(scenario: Scenario) -> np.ndarray:
     Row order matches Correlation.table.ravel(); column order matches
     enumerate_vertices.
     """
-    _check_guard(scenario)
-    mat = np.zeros((math.prod(scenario.table_shape), _vertex_count(scenario)))
+    count = scenario.k_a**scenario.n_a * scenario.k_b**scenario.n_b
+    if count > VERTEX_GUARD:
+        raise VertexGuardError(f"{count} deterministic strategies exceed the guard of {VERTEX_GUARD}")
+    mat = np.zeros((math.prod(scenario.table_shape), count))
     tables = mat.reshape(*scenario.table_shape, -1)
     x = np.arange(scenario.n_a)[:, None]
     y = np.arange(scenario.n_b)[None, :]
@@ -150,7 +140,6 @@ def _local_content_lp(corr: Correlation) -> tuple[float, np.ndarray]:
 
     Returns (q, m) where m are the unnormalized vertex weights summing to q.
     """
-    _check_guard(corr.scenario)
     mat = vertex_matrix(corr.scenario)
     b = corr.table.ravel().copy()
     obj = np.ones(mat.shape[1])
@@ -175,7 +164,7 @@ def _check_primal(residuals: dict[str, float]) -> None:
         raise LPError(f"LP solution fails its primal check: {', '.join(failed)}")
 
 
-def is_local_lp(corr: Correlation, atol: float = MEMBERSHIP_ATOL) -> LocalityResult:
+def is_local_lp(corr: Correlation) -> LocalityResult:
     """Decide membership in the local polytope by linear programming.
 
     Local verdicts come with vertex weights reproducing the correlation;
@@ -183,7 +172,7 @@ def is_local_lp(corr: Correlation, atol: float = MEMBERSHIP_ATOL) -> LocalityRes
     CHSH-type facet as a witness (first by index order on ties).
     """
     q, m = _local_content_lp(corr)
-    if q >= 1.0 - atol:
+    if q >= 1.0 - MEMBERSHIP_ATOL:
         return LocalityResult(True, q, m, None)
     witness = None
     if corr.scenario.binary:

@@ -12,9 +12,9 @@ import numpy as np
 
 ATOL = 1e-12
 
-# points classified, or written out, per block: bounds the Python float
-# lists of classify_arrays and the byte rows of write_region_csv, whose
-# blocks are the whole t rows that fit (at least one row)
+# points per block of the grid: bounds the Python float lists of
+# classify_arrays and the byte rows of write_region_csv.  region_grid and
+# the writer both take blocks of the whole t rows that fit (at least one row)
 BLOCK_POINTS = 1 << 16
 
 
@@ -91,24 +91,31 @@ def classify(s: float, t: float) -> RegionPoint:
     return RegionPoint(float(s), float(t), float(visibility[0]), float(theta[0]), LABELS[codes[0]])
 
 
+def _row_blocks(n: int) -> range:
+    """First t row of each block of a grid with n points per axis."""
+    return range(0, n, max(1, BLOCK_POINTS // n))
+
+
 @dataclass(frozen=True, eq=False)
 class RegionGrid(Sequence):
     """Classified slice points held as read-only arrays.
 
+    ``axis`` holds the coordinates shared by s and t: with n = len(axis),
+    point i is (s, t) = (axis[i % n], axis[i // n]), so t is the outer loop.
     Indexing and iteration give ``RegionPoint`` values, so the grid reads
-    like a list of points.  ``axis`` holds the coordinates shared by s and
-    t: ``s == tile(axis, n)`` and ``t == repeat(axis, n)``.
+    like a list of points.
     """
 
-    s: np.ndarray
-    t: np.ndarray
     visibility: np.ndarray
     theta: np.ndarray
     codes: np.ndarray
     axis: np.ndarray
 
     def __post_init__(self):
-        for array in (self.s, self.t, self.visibility, self.theta, self.codes, self.axis):
+        size = len(self.axis) ** 2
+        if any(array.shape != (size,) for array in (self.visibility, self.theta, self.codes)):
+            raise ValueError(f"visibility, theta and codes must each hold len(axis)**2 = {size} points")
+        for array in (self.visibility, self.theta, self.codes, self.axis):
             array.setflags(write=False)
 
     def __len__(self):
@@ -118,34 +125,35 @@ class RegionGrid(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(*index.indices(len(self)))]
         i = range(len(self))[index]
+        t, s = divmod(i, len(self.axis))
         return RegionPoint(
-            float(self.s[i]), float(self.t[i]), float(self.visibility[i]),
+            float(self.axis[s]), float(self.axis[t]), float(self.visibility[i]),
             float(self.theta[i]), LABELS[self.codes[i]],
         )
-
-    def __iter__(self):
-        columns = (self.s, self.t, self.visibility, self.theta, self.codes)
-        for s, t, v, theta, code in zip(*(c.tolist() for c in columns)):
-            yield RegionPoint(s, t, v, theta, LABELS[code])
 
 
 def region_grid(resolution: int) -> RegionGrid:
     """Classified points of the uniform grid over [0, 1]^2.
 
-    Row-major with t as the outer loop and s as the inner loop.
+    Row-major with t as the outer loop and s as the inner loop.  The points
+    are classified in the blocks of whole t rows that ``write_region_csv``
+    writes.
     """
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
-    axis = np.arange(resolution) * (1.0 / (resolution - 1))
-    s = np.tile(axis, resolution)
-    t = np.repeat(axis, resolution)
-    visibility = np.empty(s.size)
-    theta = np.empty(s.size)
-    codes = np.empty(s.size, dtype=np.int8)
-    for start in range(0, s.size, BLOCK_POINTS):
-        block = slice(start, start + BLOCK_POINTS)
-        visibility[block], theta[block], codes[block] = classify_arrays(s[block], t[block])
-    return RegionGrid(s, t, visibility, theta, codes, axis)
+    n = resolution
+    axis = np.arange(n) * (1.0 / (n - 1))
+    visibility = np.empty(n * n)
+    theta = np.empty(n * n)
+    codes = np.empty(n * n, dtype=np.int8)
+    blocks = _row_blocks(n)
+    for first in blocks:
+        rows = axis[first : first + blocks.step]
+        block = slice(first * n, (first + len(rows)) * n)
+        visibility[block], theta[block], codes[block] = classify_arrays(
+            np.tile(axis, len(rows)), np.repeat(rows, n)
+        )
+    return RegionGrid(visibility, theta, codes, axis)
 
 
 REGION_COMMENT = "# grid ordering: row-major, t outer loop, s inner loop"
@@ -211,12 +219,12 @@ def write_region_csv(grid: RegionGrid, stream) -> None:
     axis_fields = np.empty((n, 9), dtype=np.uint8)
     axis_fields[:, :8] = fixed6_bytes(grid.axis)
     axis_fields[:, 8] = ord(",")
-    rows_per_block = max(1, BLOCK_POINTS // n)
-    buffer = np.empty((min(rows_per_block, n), n, _ROW_WIDTH), dtype=np.uint8)
+    blocks = _row_blocks(n)
+    buffer = np.empty((min(blocks.step, n), n, _ROW_WIDTH), dtype=np.uint8)
     buffer[..., 0:9] = axis_fields
     buffer[..., 26] = buffer[..., 35] = ord(",")
-    for first in range(0, n, rows_per_block):
-        rows = buffer[: min(rows_per_block, n - first)]
+    for first in blocks:
+        rows = buffer[: min(blocks.step, n - first)]
         block = slice(first * n, (first + len(rows)) * n)
         rows[..., 9:18] = axis_fields[first : first + len(rows), None]
         rows[..., 18:26] = fixed6_bytes(grid.visibility[block]).reshape(len(rows), n, 8)

@@ -115,6 +115,19 @@ def test_curve_rejects_non_finite_step(capsys, step):
     assert captured.err.splitlines()[-1].startswith("ccbound: error: --step must be")
 
 
+@pytest.mark.parametrize("v_min, v_max, step", [("0.5", "0.5", "1e-300"), ("0", "1", "1e-12")])
+def test_curve_rejects_a_step_too_small_for_its_range(v_min, v_max, step):
+    # in a subprocess with a timeout, so that a curve that never ends (the
+    # first case) or builds 10^12 rows (the second) fails instead of hanging
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccbound.cli", "curve", "--v-min", v_min, "--v-max", v_max, "--step", step],
+        capture_output=True, env=env, timeout=10,
+    )
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.splitlines()[-1].startswith(b"ccbound: error: --step is too small for the range")
+
+
 # ------------------------------------------------------------------- region
 
 

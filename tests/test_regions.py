@@ -124,7 +124,8 @@ def test_format_point_is_stable():
 
 
 def _percent6_lines(grid):
-    columns = (grid.s, grid.t, grid.visibility, grid.theta, grid.codes)
+    n = len(grid.axis)
+    columns = (np.tile(grid.axis, n), np.repeat(grid.axis, n), grid.visibility, grid.theta, grid.codes)
     return [
         f"{s:.6f},{t:.6f},{v:.6f},{theta:.6f},{LABELS[code]}"
         for s, t, v, theta, code in zip(*(c.tolist() for c in columns))
@@ -136,8 +137,6 @@ def test_csv_rows_match_percent_format_of_the_grid(resolution):
     # 257: the axis step 1/256 puts exact binary ties into the axis fields;
     # 300: 90,000 points end on a partial block of t rows
     grid = region_grid(resolution)
-    assert np.array_equal(grid.s, np.tile(grid.axis, resolution))
-    assert np.array_equal(grid.t, np.repeat(grid.axis, resolution))
     # the near-tie fallback of fixed6_bytes decides no byte of any grid
     # (rint and "%.6f" both round exact ties to even), so the same grid also
     # carries v and theta values at or an ulp from decimal ties, which
@@ -150,6 +149,25 @@ def test_csv_rows_match_percent_format_of_the_grid(resolution):
         stream = io.StringIO()
         write_region_csv(case, stream)
         assert stream.getvalue().split("\n")[2:] == _percent6_lines(case) + [""]
+
+
+def test_csv_rows_are_the_points_the_grid_indexes():
+    # the writer and indexing both read s and t from the axis, so a grid
+    # given another axis writes exactly the points it indexes
+    grid = region_grid(51)
+    squared = dataclasses.replace(grid, axis=grid.axis**2)
+    stream = io.StringIO()
+    write_region_csv(squared, stream)
+    expected = [f"{p.s:.6f},{p.t:.6f},{p.visibility:.6f},{p.theta:.6f},{p.label}" for p in squared]
+    assert stream.getvalue().split("\n")[2:] == expected + [""]
+
+
+def test_grid_rejects_arrays_that_do_not_fit_its_axis():
+    grid = region_grid(5)
+    with pytest.raises(ValueError, match="len\\(axis\\)\\*\\*2 = 25"):
+        dataclasses.replace(grid, codes=grid.codes[:-1])
+    with pytest.raises(ValueError):
+        dataclasses.replace(grid, axis=grid.axis[:-1])
 
 
 def test_classify_rejects_nan():
