@@ -10,6 +10,8 @@ intrinsic-information minimizer; --seed overrides both.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import itertools
 import json
 import math
 import os
@@ -47,20 +49,21 @@ def _default_seed() -> int:
 
 
 def _resolve_theta(parser: argparse.ArgumentParser, args) -> float:
-    theta = args.theta
-    if getattr(args, "theta_deg", None) is not None:
-        theta = math.radians(args.theta_deg)
-    if theta is None:
-        theta = math.pi / 4
+    theta = args.theta if args.theta_deg is None else math.radians(args.theta_deg)
     if not 0.0 < theta < math.pi / 2:
         parser.error(f"theta must lie strictly between 0 and pi/2, got {theta}")
     return theta
 
 
-def _open_out(path):
-    if path in (None, "-"):
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline="\n"), True
+def _output(path):
+    """The output as a context manager: stdout for '-' (left open), else the file (closed on exit)."""
+    if path == "-":
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="\n")
+
+
+# rows a CSV command may write: a larger curve or region is a usage error
+MAX_ROWS = 10**7
 
 
 # ---------------------------------------------------------------- constants
@@ -86,10 +89,6 @@ def cmd_constants(parser, args) -> int:
 
 # -------------------------------------------------------------------- curve
 
-# rows a curve may have: a smaller step for its range is a usage error
-CURVE_MAX_ROWS = 10**7
-
-
 def cmd_curve(parser, args) -> int:
     theta = _resolve_theta(parser, args)
     if not args.step > 0:
@@ -98,21 +97,17 @@ def cmd_curve(parser, args) -> int:
         parser.error("--step must be finite")
     if args.v_max < args.v_min or not (0.0 <= args.v_min <= 1.0 and 0.0 <= args.v_max <= 1.0):
         parser.error("visibility range must satisfy 0 <= v-min <= v-max <= 1")
-    if (args.v_max - args.v_min + 1e-12) / args.step > CURVE_MAX_ROWS:
-        parser.error(f"--step is too small for the range: more than {CURVE_MAX_ROWS} rows")
-    vs = []
-    v = args.v_min
-    while v <= args.v_max + 1e-12:
-        vs.append(min(v, 1.0))
-        v = args.v_min + (len(vs)) * args.step
+    if (args.v_max - args.v_min + 1e-12) / args.step > MAX_ROWS:
+        parser.error(f"--step is too small for the range: more than {MAX_ROWS} rows")
     scale = 2.0 * (math.cos(theta) + math.sin(theta))
-    rows = [f"{v:.6f},{scale * v:.6f},{atk.chsh_keyrate_bound(theta, v):.6f}\n" for v in vs]
-    stream, owned = _open_out(args.out)
-    try:
-        stream.write("v,S,bound\n" + "".join(rows))
-    finally:
-        if owned:
-            stream.close()
+    steps = (args.v_min + i * args.step for i in itertools.count())
+    vs = (min(v, 1.0) for v in itertools.takewhile(lambda v: v <= args.v_max + 1e-12, steps))
+    rows = (f"{v:.6f},{scale * v:.6f},{atk.chsh_keyrate_bound(theta, v):.6f}\n" for v in vs)
+    with _output(args.out) as stream:
+        stream.write("v,S,bound\n")
+        # blocks of rows, so that no more than one block is held in memory
+        while block := "".join(itertools.islice(rows, 4096)):
+            stream.write(block)
     return 0
 
 
@@ -122,13 +117,11 @@ def cmd_curve(parser, args) -> int:
 def cmd_region(parser, args) -> int:
     if args.resolution < 2:
         parser.error("--resolution must be at least 2")
+    if args.resolution**2 > MAX_ROWS:
+        parser.error(f"--resolution is too large: more than {MAX_ROWS} rows")
     grid = regions.region_grid(args.resolution)
-    stream, owned = _open_out(args.out)
-    try:
+    with _output(args.out) as stream:
         regions.write_region_csv(grid, stream)
-    finally:
-        if owned:
-            stream.close()
     return 0
 
 
@@ -156,9 +149,9 @@ def cmd_bound(parser, args) -> int:
         raise atk.AttackError(
             f"inferred visibility {visibility!r} outside [0, 1]; not a protocol correlation"
         )
-    if not observed.allclose(chsh_protocol_correlation(theta, visibility), atol=1e-9):
+    if not observed.allclose(chsh_protocol_correlation(theta, visibility), atol=atk.MIXTURE_ATOL):
         raise atk.AttackError(
-            "correlation is not the theta protocol at any visibility (mismatch above 1e-9)"
+            f"correlation is not the theta protocol at any visibility (mismatch above {atk.MIXTURE_ATOL:g})"
         )
 
     weights = {}
@@ -272,8 +265,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_theta(p):
-        p.add_argument("--theta", type=float, default=None, help="protocol angle in radians (default pi/4)")
-        p.add_argument("--theta-deg", type=float, default=None, help="protocol angle in degrees")
+        group = p.add_mutually_exclusive_group()
+        group.add_argument("--theta", type=float, default=math.pi / 4, help="protocol angle in radians (default pi/4)")
+        group.add_argument("--theta-deg", type=float, default=None, help="protocol angle in degrees")
 
     p_const = sub.add_parser("constants", help="print the locality and critical visibilities")
     add_theta(p_const)

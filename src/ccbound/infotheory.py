@@ -309,6 +309,8 @@ def minimize_intrinsic(
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     n_e = dist.p.shape[2]
     n_f = n_e
     p = np.ascontiguousarray(dist.p)

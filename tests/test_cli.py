@@ -6,8 +6,10 @@ import io
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,12 +22,50 @@ from ccbound.correlations import chsh_protocol_correlation, dump_correlation
 from ccbound.infotheory import JointDistribution
 
 PI4_STR = repr(math.pi / 4)
+# one BLAS thread, so that a child's address space does not grow with the
+# core count (see _cap_address_space)
+CHILD_ENV = {
+    **os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src"), "OPENBLAS_NUM_THREADS": "1"
+}
 
 
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _cap_address_space():
+    # the CLI needs about 150 MB of address space, so under a 1 GiB cap a
+    # command that holds a large output whole fails instead of running the
+    # machine out of memory
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _into_closed_pipe(argv):
+    """Run the CLI, close its stdout after one line; (line, exit code, stderr)."""
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccbound.cli", *argv],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=CHILD_ENV, preexec_fn=_cap_address_space,
+    )
+    try:
+        line = proc.stdout.readline()
+        proc.stdout.close()
+        return line, proc.wait(timeout=60), proc.stderr.read()
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+        proc.stderr.close()
+
+
+def test_python_m_ccbound_runs_the_cli():
+    procs = [
+        subprocess.run([sys.executable, "-m", module, "constants"], capture_output=True, env=CHILD_ENV, timeout=60)
+        for module in ("ccbound", "ccbound.cli")
+    ]
+    assert [proc.returncode for proc in procs] == [0, 0]
+    assert procs[0].stdout == procs[1].stdout != b""
 
 
 # ---------------------------------------------------------------- constants
@@ -58,6 +98,14 @@ def test_constants_zero_theta_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["constants", "--theta", "0"])
     assert excinfo.value.code != 0
+
+
+def test_theta_options_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["constants", "--theta", "0.3", "--theta-deg", "60"])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == ""
+    assert "not allowed with argument" in captured.err
 
 
 def test_constants_json(capsys):
@@ -119,13 +167,33 @@ def test_curve_rejects_non_finite_step(capsys, step):
 def test_curve_rejects_a_step_too_small_for_its_range(v_min, v_max, step):
     # in a subprocess with a timeout, so that a curve that never ends (the
     # first case) or builds 10^12 rows (the second) fails instead of hanging
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
     proc = subprocess.run(
         [sys.executable, "-m", "ccbound.cli", "curve", "--v-min", v_min, "--v-max", v_max, "--step", step],
-        capture_output=True, env=env, timeout=10,
+        capture_output=True, env=CHILD_ENV, timeout=10,
     )
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.splitlines()[-1].startswith(b"ccbound: error: --step is too small for the range")
+
+
+def test_curve_memory_does_not_grow_with_its_rows(tmp_path):
+    # 25,001 rows: held whole, their floats, strings and join take several MB
+    out_path = tmp_path / "curve.csv"
+    tracemalloc.start()
+    try:
+        code = main(["curve", "--v-min", "0", "--v-max", "1", "--step", "4e-5", "--out", str(out_path)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out_path.read_bytes().count(b"\n") == 25_002
+    assert peak < 2_000_000
+
+
+def test_curve_into_closed_pipe_exits_quietly():
+    # a curve of nearly the 10^7-row limit under the 1 GiB cap: its rows
+    # reach the pipe block by block as they are computed, so the writer
+    # meets the closed pipe after a few blocks
+    line, code, err = _into_closed_pipe(["curve", "--v-min", "0", "--v-max", "0.999999", "--step", "1e-7"])
+    assert (line, code, err) == (b"v,S,bound\n", 141, b"")
 
 
 # ------------------------------------------------------------------- region
@@ -187,21 +255,19 @@ def test_region_stdout_equals_file(capsys, tmp_path):
 def test_region_into_closed_pipe_exits_quietly():
     # 201^2 rows are far more than a pipe buffer holds, so the writer is
     # still writing when the reader goes away
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
-    proc = subprocess.Popen(
-        [sys.executable, "-m", "ccbound.cli", "region", "--resolution", "201"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    line, code, err = _into_closed_pipe(["region", "--resolution", "201"])
+    assert line.startswith(b"# grid ordering") and (code, err) == (141, b"")
+
+
+def test_region_rejects_a_resolution_above_the_row_limit():
+    # 10^10 points: a usage error before any array is allocated (under the
+    # cap, an allocation of that grid fails with a traceback)
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccbound.cli", "region", "--resolution", "100000"],
+        capture_output=True, env=CHILD_ENV, timeout=10, preexec_fn=_cap_address_space,
     )
-    try:
-        assert proc.stdout.readline().startswith(b"# grid ordering")
-        proc.stdout.close()
-        assert proc.wait(timeout=60) == 141
-        assert proc.stderr.read() == b""
-    finally:
-        if proc.poll() is None:
-            proc.kill()
-            proc.wait()
-        proc.stderr.close()
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.splitlines()[-1].startswith(b"ccbound: error: --resolution")
 
 
 # -------------------------------------------------------------------- bound
@@ -249,6 +315,17 @@ def test_bound_rejects_non_protocol_correlation(capsys, tmp_path):
     code, _, err = run(capsys, ["bound", str(path), "--theta", "1.2"])
     assert code == 1
     assert "error:" in err
+
+
+def test_bound_rejects_a_protocol_rounded_to_ten_decimals(capsys, tmp_path):
+    # within 1e-9 of the protocol, but not within the 1e-12 that the attack
+    # decomposition is checked to: the protocol check rejects it first
+    path = tmp_path / "corr.json"
+    document = json.dumps(chsh_protocol_correlation(math.pi / 4, 0.8).to_json_dict())
+    path.write_text(json.dumps(json.loads(document, parse_float=lambda text: round(float(text), 10))))
+    code, out, err = run(capsys, ["bound", str(path)])
+    assert (code, out) == (1, "")
+    assert err == "error: correlation is not the theta protocol at any visibility (mismatch above 1e-12)\n"
 
 
 @pytest.mark.parametrize(
@@ -405,6 +482,18 @@ def test_intrinsic_rejects_negative_restarts(capsys, tmp_path):
     path.write_text(json.dumps(JointDistribution(np.full((2, 2, 2), 0.125)).to_json_dict()))
     code, out, err = run(capsys, ["intrinsic", str(path), "--restarts", "-3"])
     assert (code, out, err) == (1, "", "error: restarts must be >= 0, got -3\n")
+
+
+@pytest.mark.parametrize("restarts", ["0", "2"])
+@pytest.mark.parametrize("from_env", [False, True])
+def test_intrinsic_rejects_negative_seed(capsys, tmp_path, monkeypatch, restarts, from_env):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(JointDistribution(np.full((2, 2, 2), 0.125)).to_json_dict()))
+    if from_env:
+        monkeypatch.setenv("CCBOUND_SEED", "-1")
+    seed_args = [] if from_env else ["--seed", "-1"]
+    code, out, err = run(capsys, ["intrinsic", str(path), "--restarts", restarts, *seed_args])
+    assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
 
 
 # -------------------------------------------------------------- localweight

@@ -285,6 +285,13 @@ def test_minimizer_rejects_negative_restarts():
     assert minimize_intrinsic(dist, restarts=0, seed=0).record.starts == 1
 
 
+@pytest.mark.parametrize("restarts", [0, 2])
+def test_minimizer_rejects_negative_seed(restarts):
+    dist = random_joint((2, 2, 3), np.random.default_rng(8))
+    with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
+        minimize_intrinsic(dist, restarts=restarts, seed=-1)
+
+
 def _self_check_inputs():
     """The three criterion-7 inputs (attack, independent, copy), then three
     random 2x2x5 inputs."""
