@@ -1,13 +1,18 @@
-"""Strict readers for the JSON documents ccbound loads, and their sizes and tables.
+"""Strict readers for the JSON documents ccbound loads, and the rules of their sizes and tables.
 
 ``json`` gives integers, floats, bools, strings, None, lists and dicts; a
 size must be an integer (a bool is not one) and a table must nest lists of
-numbers, so that a typo fails instead of being truncated or coerced.
+numbers, so that a typo fails instead of being truncated or coerced.  Every
+probability table (a correlation, a joint distribution, a stochastic map),
+read from a file or built in code, passes :func:`probability_table`.
 """
 
 import json
 
 import numpy as np
+
+# the rounding slack of a probability table: how far its sums may be off 1
+ATOL = 1e-12
 
 
 def json_document(path, error: type[Exception]):
@@ -39,3 +44,20 @@ def json_table(value, name: str, error: type[Exception]) -> np.ndarray:
         return np.asarray(value, dtype=float)
     except (ValueError, OverflowError) as exc:
         raise error(f"{name} is not a rectangular array of numbers: {exc}") from exc
+
+
+def probability_table(values, sum_axes, error: type[Exception]) -> np.ndarray:
+    """``values`` as a read-only float array of probabilities, else raise ``error``.
+
+    Every entry must be >= 0 (so not NaN), and every sum over ``sum_axes``
+    (None: all entries) must be 1 within ATOL, which an infinite entry fails.
+    """
+    arr = np.array(values, dtype=float)
+    # the methods, not np.all and np.any: tables are small and built per task
+    if not (arr >= 0.0).all():
+        raise error(f"negative or NaN probability entry: min = {float(arr.min())!r}")
+    deviation = abs(arr.sum(axis=sum_axes) - 1.0)
+    if (deviation > ATOL).any():
+        raise error(f"probabilities must sum to 1 within {ATOL}; worst deviation {float(deviation.max())!r}")
+    arr.setflags(write=False)
+    return arr

@@ -17,13 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correlations import (
-    Correlation,
-    MeasurementArrangement,
-    chsh_arrangement,
-    werner_correlation,
-)
-from .infotheory import JointDistribution, StochasticMap, apply_map, conditional_mutual_information
+from . import kernels
+from ._jsondoc import ATOL
+from .correlations import Correlation, MeasurementArrangement, chsh_arrangement, werner_correlation
+from .infotheory import JointDistribution, StochasticMap
 from .localset import local_visibility
 
 # Locality threshold of the singlet/white-noise family under arbitrary
@@ -34,8 +31,6 @@ WERNER_LOCAL_VISIBILITY = 999 * 689 * 1e-6 * math.cos(math.pi / 50) ** 4
 # nonlocal correlation.  Externally sourced numerical constant (no closed
 # form published); used only to exhibit the nonlocal-yet-keyless gap.
 WERNER_NONLOCAL_VISIBILITY = 0.6964
-
-MIXTURE_ATOL = 1e-12
 
 
 class AttackError(ValueError):
@@ -92,11 +87,15 @@ class AttackModel:
     def __post_init__(self):
         _check_settings(self.decomposition.scenario, self.setting_weights, self.maps)
         total = sum(self.setting_weights.values())
-        if abs(total - 1.0) > MIXTURE_ATOL:
+        if abs(total - 1.0) > ATOL:
             raise AttackError(f"setting weights sum to {total!r}, expected 1")
         for pair, weight in self.setting_weights.items():
             if weight > 0.0 and pair not in self.maps:
                 raise AttackError(f"no relabelling map supplied for weighted setting {pair}")
+        symbols = self.decomposition.scenario.k_a * self.decomposition.scenario.k_b + 1
+        for pair, m in self.maps.items():
+            if m.rows.shape[0] != symbols:
+                raise AttackError(f"map for setting {pair} takes {m.rows.shape[0]} symbols, expected {symbols}")
 
 
 def local_weight(visibility: float, local_visibility_value: float) -> float:
@@ -136,27 +135,20 @@ def cc_chsh(theta: float, visibility: float) -> CCDecomposition:
     return cc_werner(visibility, chsh_arrangement(theta), local_visibility(theta))
 
 
-def unknown_symbol(scenario) -> int:
-    """Index of the 'knows nothing' symbol in the side-information alphabet."""
-    return scenario.k_a * scenario.k_b
-
-
 def tripartite(decomposition: CCDecomposition, x: int, y: int) -> JointDistribution:
     """Joint distribution of the outcomes and the eavesdropper's variable.
 
     On local rounds the side information equals the outcome pair (encoded as
-    k_b*a + b); on nonlocal rounds it is the unknown symbol.  The alphabet
-    has k_a*k_b + 1 symbols.
+    k_b*a + b); on nonlocal rounds it is the unknown symbol k_a*k_b, the last
+    of the k_a*k_b + 1 symbols.
     """
-    scenario = decomposition.scenario
-    k_a, k_b = scenario.k_a, scenario.k_b
+    k_a, k_b = decomposition.scenario.k_a, decomposition.scenario.k_b
     q = decomposition.local_weight
     p = np.zeros((k_a, k_b, k_a * k_b + 1))
-    unknown = unknown_symbol(scenario)
     for a in range(k_a):
         for b in range(k_b):
             p[a, b, k_b * a + b] = q * decomposition.local.table[a, b, x, y]
-            p[a, b, unknown] = (1.0 - q) * decomposition.nonlocal_part.table[a, b, x, y]
+            p[a, b, -1] = (1.0 - q) * decomposition.nonlocal_part.table[a, b, x, y]
     return JointDistribution(p)
 
 
@@ -247,8 +239,8 @@ def solve_unknown_fraction(
 def setting_information(attack: AttackModel) -> dict:
     """I(A:B|F) after the relabelling, for each setting pair with a map."""
     return {
-        pair: conditional_mutual_information(apply_map(tripartite(attack.decomposition, *pair), rows))
-        for pair, rows in attack.maps.items()
+        pair: kernels.cmi_after_map_bits(tripartite(attack.decomposition, *pair).p, m.rows)
+        for pair, m in attack.maps.items()
     }
 
 
@@ -259,7 +251,7 @@ def keyrate_bound(observed: Correlation, attack: AttackModel) -> float:
     The attack's mixture must reproduce the observed correlation entrywise.
     """
     mixture = attack.decomposition.mixture()
-    if not mixture.allclose(observed, atol=MIXTURE_ATOL):
+    if not mixture.allclose(observed, atol=ATOL):
         raise AttackError("attack decomposition does not reproduce the observed correlation")
     information = setting_information(attack)
     total = 0.0

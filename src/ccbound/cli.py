@@ -19,6 +19,7 @@ import sys
 
 from . import attack as atk
 from . import regions
+from ._jsondoc import ATOL
 from .correlations import (
     CorrelationError,
     chsh_arrangement,
@@ -36,7 +37,8 @@ from .infotheory import (
 from .localset import LPError, local_visibility, max_local_weight_along, max_local_weight_ns
 
 USER_ERRORS = (
-    CorrelationError, DistributionError, atk.AttackError, LPError, MinimizerError, ValueError, OSError
+    CorrelationError, DistributionError, atk.AttackError, LPError, MinimizerError, ValueError, OSError,
+    MemoryError,
 )
 
 
@@ -149,9 +151,9 @@ def cmd_bound(parser, args) -> int:
         raise atk.AttackError(
             f"inferred visibility {visibility!r} outside [0, 1]; not a protocol correlation"
         )
-    if not observed.allclose(chsh_protocol_correlation(theta, visibility), atol=atk.MIXTURE_ATOL):
+    if not observed.allclose(chsh_protocol_correlation(theta, visibility), atol=ATOL):
         raise atk.AttackError(
-            f"correlation is not the theta protocol at any visibility (mismatch above {atk.MIXTURE_ATOL:g})"
+            f"correlation is not the theta protocol at any visibility (mismatch above {ATOL:g})"
         )
 
     weights = {}
@@ -343,7 +345,7 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         return 141
     except USER_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return 1
 
 

@@ -14,11 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsondoc import json_document, json_int, json_table
-
-ATOL = 1e-12
-
-NEGATIVE_CLAMP = 1e-12  # reconstruction values in [-NEGATIVE_CLAMP, 0) are rounding noise
+from ._jsondoc import ATOL, json_document, json_int, json_table, probability_table
 
 
 class CorrelationError(ValueError):
@@ -93,22 +89,11 @@ class Correlation:
     __slots__ = ("scenario", "table")
 
     def __init__(self, scenario: Scenario, table):
-        arr = np.array(table, dtype=float)
+        arr = np.asarray(table, dtype=float)
         if arr.shape != scenario.table_shape:
-            raise CorrelationError(
-                f"table shape {arr.shape} does not match scenario {scenario.table_shape}"
-            )
-        if not np.all(arr >= 0.0):
-            raise CorrelationError(f"negative or NaN probability entry: min = {float(arr.min())!r}")
-        sums = arr.sum(axis=(0, 1))
-        if np.any(np.abs(sums - 1.0) > ATOL):
-            raise CorrelationError(
-                f"each block p(.,.|x,y) must sum to 1 within {ATOL}; worst deviation "
-                f"{float(np.abs(sums - 1.0).max())!r}"
-            )
-        arr.setflags(write=False)
+            raise CorrelationError(f"table shape {arr.shape} does not match scenario {scenario.table_shape}")
         object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "table", probability_table(arr, (0, 1), CorrelationError))
 
     def __setattr__(self, name, value):
         raise AttributeError("Correlation is immutable")
@@ -278,7 +263,7 @@ def from_correlators(form: CorrelatorForm, scenario: Scenario) -> Correlation:
                 1.0 + sign_a * am[:, None] + sign_b * bm[None, :] + sign_a * sign_b * co
             )
     low = table.min()
-    if low < -NEGATIVE_CLAMP:
+    if low < -ATOL:
         raise CorrelationError(
             f"correlators produce a negative probability ({float(low)!r}); not a valid correlation"
         )

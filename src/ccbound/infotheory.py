@@ -16,11 +16,13 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels
-from ._jsondoc import json_document, json_int, json_table
-
-ATOL = 1e-12
+from ._jsondoc import json_document, json_int, json_table, probability_table
 
 SWEEP_GUARD = 10**7
+
+# entries of the Nelder-Mead state (its gather table and one block of
+# lanes) that minimize_intrinsic may hold: |E| up to 19 fits
+NELDER_MEAD_GUARD = 10**7
 
 
 class DistributionError(ValueError):
@@ -37,16 +39,10 @@ class JointDistribution:
     __slots__ = ("p",)
 
     def __init__(self, p):
-        arr = np.array(p, dtype=float)
+        arr = np.asarray(p, dtype=float)
         if arr.ndim != 3:
             raise DistributionError(f"expected a rank-3 tensor, got shape {arr.shape}")
-        if not np.all(arr >= 0.0):
-            raise DistributionError(f"negative or NaN probability entry: min = {float(arr.min())!r}")
-        total = float(arr.sum())
-        if abs(total - 1.0) > ATOL:
-            raise DistributionError(f"probabilities sum to {total!r}, expected 1 within {ATOL}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "p", arr)
+        object.__setattr__(self, "p", probability_table(arr, None, DistributionError))
 
     def __setattr__(self, name, value):
         raise AttributeError("JointDistribution is immutable")
@@ -82,20 +78,12 @@ class StochasticMap:
     __slots__ = ("rows",)
 
     def __init__(self, rows):
-        arr = np.array(rows, dtype=float)
+        arr = np.asarray(rows, dtype=float)
         if arr.ndim != 2:
             raise DistributionError(f"expected a matrix, got shape {arr.shape}")
         if arr.shape[1] > arr.shape[0]:
-            raise DistributionError(
-                f"output alphabet {arr.shape[1]} exceeds input alphabet {arr.shape[0]}"
-            )
-        if not np.all((arr >= 0.0) & (arr <= 1.0 + ATOL)):
-            raise DistributionError("map entries must lie in [0, 1]")
-        row_sums = arr.sum(axis=1)
-        if np.any(np.abs(row_sums - 1.0) > ATOL):
-            raise DistributionError(f"rows must sum to 1 within {ATOL}; got {row_sums.tolist()!r}")
-        arr.setflags(write=False)
-        object.__setattr__(self, "rows", arr)
+            raise DistributionError(f"output alphabet {arr.shape[1]} exceeds input alphabet {arr.shape[0]}")
+        object.__setattr__(self, "rows", probability_table(arr, 1, DistributionError))
 
     def __setattr__(self, name, value):
         raise AttributeError("StochasticMap is immutable")
@@ -123,12 +111,10 @@ class StochasticMap:
 
 def mutual_information(p_ab) -> float:
     """I(A:B) in bits of a bipartite distribution (2D array or nested list)."""
-    arr = np.array(p_ab, dtype=float)
+    arr = np.asarray(p_ab, dtype=float)
     if arr.ndim != 2:
         raise DistributionError(f"expected a bipartite table, got shape {arr.shape}")
-    if not np.all(arr >= 0.0) or abs(float(arr.sum()) - 1.0) > ATOL:
-        raise DistributionError("not a normalized bipartite distribution")
-    return float(kernels.mutual_information_bits(arr))
+    return float(kernels.mutual_information_bits(probability_table(arr, None, DistributionError)))
 
 
 def apply_map(dist: JointDistribution, m: StochasticMap) -> JointDistribution:
@@ -305,7 +291,8 @@ def minimize_intrinsic(
     deterministic map.  Each restart is seeded independently so results are
     reproducible.  The starts run in lockstep, in blocks of
     kernels.SWEEP_BATCH // 4; the result's ``record`` holds the work counts
-    and the winning candidate.
+    and the winning candidate.  An |E| whose Nelder-Mead state would exceed
+    NELDER_MEAD_GUARD entries raises ValueError before anything is built.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
@@ -313,6 +300,10 @@ def minimize_intrinsic(
         raise ValueError(f"seed must be >= 0, got {seed}")
     n_e = dist.p.shape[2]
     n_f = n_e
+    n = n_e * n_f
+    state = (4 * (n + 1) + kernels.SWEEP_BATCH // 4 * n) * (n + 5)
+    if state > NELDER_MEAD_GUARD:
+        raise ValueError(f"|E| = {n_e} needs {state} Nelder-Mead entries, above the guard of {NELDER_MEAD_GUARD}")
     p = np.ascontiguousarray(dist.p)
 
     best_rows = np.eye(n_e)

@@ -25,7 +25,9 @@ import numpy as np
 from . import kernels
 from .correlations import Correlation, CorrelationError, CorrelatorForm, Scenario, to_correlators
 
-VERTEX_GUARD = 10**6
+# entries (rows x vertices) of the largest vertex matrix built; 5522 has
+# 100 x 1,024 and a binary 9x9 scenario 324 x 262,144
+VERTEX_GUARD = 10**7
 
 MEMBERSHIP_ATOL = 1e-9
 
@@ -35,7 +37,7 @@ class LPError(RuntimeError):
 
 
 class VertexGuardError(ValueError):
-    """The deterministic-strategy count exceeds the enumeration guard."""
+    """The vertex matrix of a scenario exceeds the enumeration guard."""
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,11 @@ def vertex_matrix(scenario: Scenario) -> np.ndarray:
     Row order matches Correlation.table.ravel(); column order matches
     enumerate_vertices.
     """
+    rows = math.prod(scenario.table_shape)
     count = scenario.k_a**scenario.n_a * scenario.k_b**scenario.n_b
-    if count > VERTEX_GUARD:
-        raise VertexGuardError(f"{count} deterministic strategies exceed the guard of {VERTEX_GUARD}")
-    mat = np.zeros((math.prod(scenario.table_shape), count))
+    if rows * count > VERTEX_GUARD:
+        raise VertexGuardError(f"{rows} x {count} vertex matrix entries exceed the guard of {VERTEX_GUARD}")
+    mat = np.zeros((rows, count))
     tables = mat.reshape(*scenario.table_shape, -1)
     x = np.arange(scenario.n_a)[:, None]
     y = np.arange(scenario.n_b)[None, :]

@@ -7,7 +7,7 @@ import pytest
 
 from ccbound import attack as atk
 from ccbound.correlations import chsh_arrangement, chsh_protocol_correlation, werner_correlation
-from ccbound.infotheory import apply_map, conditional_mutual_information
+from ccbound.infotheory import StochasticMap, apply_map, conditional_mutual_information
 from ccbound.localset import is_local_lp, local_visibility
 
 PI4 = math.pi / 4
@@ -283,6 +283,12 @@ def test_attack_model_validates_weights():
         atk.AttackModel(dec, {}, {(0, 2): 1.0})  # weighted setting without a map
 
 
+def test_attack_model_rejects_a_map_of_the_wrong_alphabet():
+    # setting_information pushes the 5-symbol side information through each map
+    with pytest.raises(atk.AttackError, match=r"^map for setting \(0, 2\) takes 3 symbols, expected 5$"):
+        atk.AttackModel(atk.cc_chsh(PI4, 0.9), {(0, 2): StochasticMap.identity(3)}, {(0, 2): 1.0})
+
+
 def step_by_step_attack(theta, v, unknown_fraction, settings):
     """The attack built step by step: split, per-pair fraction and map, then
     I(A:B|F) of the relabelled tripartite distribution per pair."""
@@ -331,6 +337,21 @@ def test_multi_setting_attack_matches_step_by_step_construction(settings):
                 assert atk.keyrate_bound(observed, model) == total
                 assert model.setting_weights == settings
                 assert set(model.unknown_fractions) == set(settings)
+
+
+def test_setting_information_matches_the_relabelled_distribution():
+    # setting_information calls the minimizer's kernel on the map's rows;
+    # apply_map plus conditional_mutual_information gives the same float
+    rng = np.random.default_rng(7)
+    settings = {(0, 2): 0.5, (1, 1): 0.25, (0, 0): 0.25}
+    for _ in range(100):
+        theta, v = rng.uniform(0.05, math.pi / 2 - 0.05), rng.uniform(0.6, 1.0)
+        for fraction in ("auto", rng.uniform()):
+            model = atk.chsh_attack(theta, v, fraction, settings)
+            assert atk.setting_information(model) == {
+                pair: conditional_mutual_information(apply_map(atk.tripartite(model.decomposition, *pair), m))
+                for pair, m in model.maps.items()
+            }
 
 
 def test_chsh_attack_default_settings_and_recorded_fraction():

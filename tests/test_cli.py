@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ccbound import cli
 from ccbound.cli import main
 from ccbound.correlations import chsh_protocol_correlation, dump_correlation
 from ccbound.infotheory import JointDistribution
@@ -496,6 +497,29 @@ def test_intrinsic_rejects_negative_seed(capsys, tmp_path, monkeypatch, restarts
     assert (code, out, err) == (1, "", "error: seed must be >= 0, got -1\n")
 
 
+def test_intrinsic_json_matches_text(capsys, tmp_path):
+    from ccbound.attack import cc_chsh, tripartite
+    from ccbound.infotheory import minimize_intrinsic
+
+    joint = tripartite(cc_chsh(math.pi / 6, 0.8), 0, 2)
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(joint.to_json_dict()))
+    argv = ["intrinsic", str(path), "--restarts", "2"]
+    code, text, _ = run(capsys, argv)
+    assert code == 0
+    code, out, _ = run(capsys, [*argv, "--json"])
+    assert code == 0
+    document = json.loads(out)
+    assert sorted(document) == ["bound", "map"]
+    result = minimize_intrinsic(joint, restarts=2, seed=0)
+    rows = result.map.rows.tolist()
+    assert document["bound"] == round(result.bound, 12)
+    assert document["map"] == [[round(v, 12) for v in row] for row in rows]
+    assert text == "".join(
+        [f"bound = {result.bound:.6f}\nmap:\n"] + ["  " + " ".join(f"{v:.6f}" for v in row) + "\n" for row in rows]
+    )
+
+
 # -------------------------------------------------------------- localweight
 
 
@@ -574,6 +598,57 @@ def test_localweight_out_without_local_component_says_so(capsys, tmp_path):
     # without --out nothing changes
     code, out, _ = run(capsys, ["localweight", str(ideal_path), "--target", str(ideal_path)])
     assert out == "q_max = 0.000000\n"
+
+
+def test_localweight_off_segment_note(capsys, tmp_path):
+    from ccbound.correlations import slice_correlation
+
+    corr_path = tmp_path / "corr.json"
+    target_path = tmp_path / "target.json"
+    dump_correlation(slice_correlation(0.75, 0.5), corr_path)
+    dump_correlation(slice_correlation(-0.7, 0.7), target_path)
+    code, out, _ = run(capsys, ["localweight", str(corr_path), "--target", str(target_path)])
+    assert (code, out) == (0, "q_max = 0.000000\nnote: no local decomposition along this target\n")
+
+
+# -------------------------------------------------------- oversized inputs
+
+
+def _uniform_binary_correlation(n):
+    table = np.full((n, n, 2, 2), 0.25).tolist()
+    return {"scenario": {"nA": n, "nB": n, "kA": 2, "kB": 2}, "table": table}
+
+
+@pytest.mark.parametrize(
+    "argv, document, message",
+    [
+        # 2x2x100: a Nelder-Mead gather table of 4 x 10,001 rows of 10,005 entries
+        (["intrinsic", "--restarts", "0"], {"alphabets": [2, 2, 100], "p": np.full((2, 2, 100), 1 / 400).tolist()},
+         b"error: |E| = 100 needs "),
+        # binary 9x9: a 324 x 262,144 vertex matrix (679 MB) and a tableau as big
+        (["localweight", "--ns"], _uniform_binary_correlation(9),
+         b"error: 324 x 262144 vertex matrix entries exceed the guard of 10000000"),
+    ],
+    ids=["intrinsic", "localweight"],
+)
+def test_oversized_inputs_fail_in_one_line(tmp_path, argv, document, message):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccbound", argv[0], str(path), *argv[1:]],
+        capture_output=True, env=CHILD_ENV, timeout=60, preexec_fn=_cap_address_space,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message)
+
+
+def test_memory_error_is_one_line(capsys, monkeypatch):
+    # an allocation no guard foresaw: a bare MemoryError has no message
+    def exhausted(parser, args):
+        raise MemoryError
+
+    monkeypatch.setitem(cli.COMMANDS, "constants", exhausted)
+    assert run(capsys, ["constants"]) == (1, "", "error: MemoryError\n")
 
 
 # ------------------------------------------------------- malformed documents

@@ -87,6 +87,45 @@ def test_non_finite_entries_rejected(build, bad):
         build(bad)
 
 
+SUM_MESSAGE = "probabilities must sum to 1 within 1e-12; worst deviation "
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [
+        (math.nan, "^negative or NaN probability entry: min = nan$"),
+        (math.inf, f"^{SUM_MESSAGE}inf$"),
+        (0.5, rf"^{SUM_MESSAGE}0\.[0-9]+$"),  # every kind's sum is off by 1/4 to 1/2
+        (1.5, rf"^{SUM_MESSAGE}[01]\.[0-9]+$"),  # a map entry above 1 too
+    ],
+    ids=["nan", "inf", "sum-below-1", "entry-above-1"],
+)
+@pytest.mark.parametrize(
+    "build", [_correlation_with, _joint_with, _map_with, _mutual_information_with]
+)
+def test_every_probability_table_gives_one_diagnostic(build, bad, message):
+    with pytest.raises((CorrelationError, DistributionError), match=message):
+        build(bad)
+
+
+def test_map_entries_above_one_are_rejected():
+    with pytest.raises(DistributionError, match="^negative or NaN probability entry: min = -0.5$"):
+        StochasticMap([[1.5, -0.5], [0.0, 1.0]])
+    with pytest.raises(DistributionError, match=f"^{SUM_MESSAGE}0.5$"):
+        StochasticMap([[1.5, 0.0], [0.0, 1.0]])
+    # an entry above 1 by less than the rows' 1e-12 slack is rounding
+    assert StochasticMap([[1.0 + 5e-13, 0.0], [0.0, 1.0]]).rows[0, 0] > 1.0
+
+
+def test_tables_are_read_only_copies():
+    table = np.full((2, 2, 1, 1), 0.25)
+    p = np.full((2, 2, 2), 0.125)
+    rows = np.eye(2)
+    stored = [Correlation(Scenario(1, 1, 2, 2), table).table, JointDistribution(p).p, StochasticMap(rows).rows]
+    assert all(arr.flags.writeable for arr in (table, p, rows))
+    assert not any(arr.flags.writeable for arr in stored)
+
+
 @pytest.mark.parametrize(
     "build",
     [
@@ -290,6 +329,21 @@ def test_minimizer_rejects_negative_seed(restarts):
     dist = random_joint((2, 2, 3), np.random.default_rng(8))
     with pytest.raises(ValueError, match="seed must be >= 0, got -1"):
         minimize_intrinsic(dist, restarts=restarts, seed=-1)
+
+
+def test_minimizer_rejects_an_alphabet_too_large_for_nelder_mead():
+    # |E| = 20 would need a gather table and one block of lanes of
+    # 11,017,620 entries; the check comes before anything is built
+    dist = JointDistribution(np.full((2, 2, 20), 1 / 80))
+    with pytest.raises(ValueError, match="^[|]E[|] = 20 needs 11017620 Nelder-Mead entries, above the guard of 10000000$"):
+        minimize_intrinsic(dist, restarts=0)
+
+
+def test_minimizer_runs_on_three_outcome_attack_alphabets():
+    # three outcomes per side give |E| = 10, far inside the guard
+    dist = random_joint((3, 3, 10), np.random.default_rng(4))
+    result = minimize_intrinsic(dist, restarts=0)
+    assert result.map.rows.shape == (10, 10) and result.record.starts == 1
 
 
 def _self_check_inputs():

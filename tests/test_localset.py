@@ -14,6 +14,7 @@ from ccbound.correlations import (
     Scenario,
     chsh_arrangement,
     chsh_protocol_correlation,
+    slice_correlation,
     to_correlators,
     werner_correlation,
 )
@@ -71,6 +72,8 @@ def test_vertices_are_deterministic_products():
 def test_vertex_guard():
     with pytest.raises(VertexGuardError):
         enumerate_vertices(Scenario(10, 10, 4, 4))
+    # 5 settings a side, 100 x 1,024 entries, is inside the guard
+    assert vertex_matrix(Scenario(5, 5, 2, 2)).shape == (100, 1024)
 
 
 def test_vertex_matrix_consistent_with_enumeration():
@@ -344,6 +347,24 @@ def test_segment_weight_matches_highs():
         assert is_local_lp(result.local).is_local
         seen.add("on segment")
     assert seen == {"local", "off segment", "on segment"}
+
+
+def test_segment_weight_keeps_the_membership_tolerance():
+    # a slice point 3e-10 outside the local square, along polar angle 0.5:
+    # local within the membership LP's 1e-9, but the segment LP alone (no
+    # membership pre-pass) finds no split along this target and returns q = 0
+    radius = (1 + 3e-10) / (math.cos(0.5) + math.sin(0.5))
+    corr = slice_correlation(radius * math.cos(0.5), radius * math.sin(0.5))
+    target = slice_correlation(-0.7, 0.7)
+    membership = is_local_lp(corr)
+    assert membership.is_local and 1 - membership.local_content == pytest.approx(3e-10, rel=1e-3)
+    result = max_local_weight_along(corr, target)
+    assert result.q == 1.0 and result.local is corr and result.on_segment
+    mat = np.column_stack([vertex_matrix(corr.scenario), target.table.ravel()])
+    obj = np.zeros(mat.shape[1])
+    obj[-1] = -1.0
+    status, _, _ = kernels.simplex_maximize(mat, corr.table.ravel(), obj, 1e-11, 20000, equalities=mat.shape[0])
+    assert status == kernels.SIMPLEX_INFEASIBLE
 
 
 def test_segment_weight_primal_check_rejects_perturbed_solution(monkeypatch):
