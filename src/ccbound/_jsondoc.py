@@ -11,7 +11,8 @@ import json
 
 import numpy as np
 
-# the rounding slack of a probability table: how far its sums may be off 1
+# the rounding slack of a probability table (how far its sums may be off 1)
+# and of the slice's unit disc
 ATOL = 1e-12
 
 

@@ -17,6 +17,8 @@ import math
 import os
 import sys
 
+import numpy as np
+
 from . import attack as atk
 from . import regions
 from ._jsondoc import ATOL
@@ -334,7 +336,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = COMMANDS[args.command](parser, args)
+        # an overflowing table sum is reported by its own check, in one line
+        with np.errstate(over="ignore"):
+            code = COMMANDS[args.command](parser, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -140,7 +140,7 @@ class MinimizerRecord(NamedTuple):
     """
 
     starts: int  # Nelder-Mead starts: the polish run plus the restarts
-    lanes: int  # starts run in lockstep per block, at most kernels.SWEEP_BATCH // 4
+    lanes: int  # starts run in lockstep per block: a quarter of kernels.map_batch, at most 64
     iterations: tuple[int, ...]  # Nelder-Mead iterations of each start, in start order
     maps: int
     calls: int
@@ -289,10 +289,11 @@ def minimize_intrinsic(
     (when |F|^|E| <= 10^7, skipped otherwise), and Nelder-Mead descent from
     ``restarts`` random row-stochastic starts plus a polish run from the best
     deterministic map.  Each restart is seeded independently so results are
-    reproducible.  The starts run in lockstep, in blocks of
-    kernels.SWEEP_BATCH // 4; the result's ``record`` holds the work counts
-    and the winning candidate.  An |E| whose Nelder-Mead state would exceed
-    NELDER_MEAD_GUARD entries raises ValueError before anything is built.
+    reproducible.  The starts run in lockstep, in blocks of a quarter of
+    kernels.map_batch (64 lanes, fewer for wide tables); the result's
+    ``record`` holds the work counts and the winning candidate.  An |E|
+    whose Nelder-Mead state would exceed NELDER_MEAD_GUARD entries raises
+    ValueError before anything is built.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
@@ -311,9 +312,10 @@ def minimize_intrinsic(
     winner = "identity"
     calls = maps = 1
 
+    batch = kernels.map_batch(p.shape[0] * p.shape[1] * n_f)
     if n_f**n_e <= SWEEP_GUARD:
         sweep_best, sweep_assign = kernels.sweep_deterministic_maps(p, n_f)
-        calls += -(-(n_f**n_e) // kernels.SWEEP_BATCH)
+        calls += -(-(n_f**n_e) // batch)
         maps += n_f**n_e
         if sweep_best < best:
             best = float(sweep_best)
@@ -337,8 +339,8 @@ def minimize_intrinsic(
     starts = np.array(starts)
 
     # blocks of lanes bound the memory of a large --restarts: one block's
-    # trial points are SWEEP_BATCH maps
-    lanes = min(len(starts), kernels.SWEEP_BATCH // 4)
+    # trial points are one kernel batch of maps
+    lanes = min(len(starts), batch // 4)
     iterations = []
     for first in range(0, len(starts), lanes):
         points, values, steps = _nelder_mead(objective, starts[first : first + lanes])

@@ -10,8 +10,8 @@ import numpy as np
 
 PROB_FLOOR = 1e-15
 
-# one-hot maps evaluated per batch by the deterministic sweep; bounds the
-# sweep's temporary arrays to a few hundred kB whatever |F|^|E| is
+# maps per kernel call of the deterministic sweep and Nelder-Mead on tables
+# of up to 20 entries; map_batch scales it down for wider tables
 SWEEP_BATCH = 256
 
 SIMPLEX_OPTIMAL = 0
@@ -19,9 +19,9 @@ SIMPLEX_ITERATION_LIMIT = 1
 SIMPLEX_UNBOUNDED = 2
 SIMPLEX_INFEASIBLE = 3
 
-# phase 1 declares the equality rows infeasible when its optimum leaves the
-# artificial variables a larger sum than this
-FEASIBILITY_TOL = 1e-9
+# the one rounding slack of every LP answer: phase 1's infeasibility test
+# here, and localset's membership verdict and primal residuals
+LP_SLACK = 1e-9
 
 
 def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
@@ -39,7 +39,7 @@ def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
 
     With equality rows the slacks of those rows are artificial variables and
     a first phase maximizes the sum of those rows of A x from the same
-    basis.  If it leaves the artificials a sum above FEASIBILITY_TOL the
+    basis.  If it leaves the artificials a sum above LP_SLACK the
     result is SIMPLEX_INFEASIBLE.  Otherwise each artificial still basic
     (at level zero) is pivoted out on the largest entry of its row outside
     the artificial columns; a row without one is redundant and stays as it
@@ -69,7 +69,7 @@ def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
         if status != SIMPLEX_OPTIMAL:
             return status, 0.0, np.zeros(n)
         artificial = [i for i in range(m) if n <= basis[i] < n + equalities]
-        if T[artificial, -1].sum() > FEASIBILITY_TOL:
+        if T[artificial, -1].sum() > LP_SLACK:
             return SIMPLEX_INFEASIBLE, 0.0, np.zeros(n)
         allowed = np.r_[0:n, n + equalities : n + m]
         for row in artificial:
@@ -184,20 +184,26 @@ def cmi_after_map_bits(p_abe, rows):
     return conditional_mutual_information_bits(np.einsum("abe,...ef->...abf", p_abe, rows))
 
 
+def map_batch(entries):
+    """Maps per kernel call on |A|*|B|*|F| = ``entries``: at most SWEEP_BATCH * 20 map entries, at least 4 maps."""
+    return max(4, min(SWEEP_BATCH, SWEEP_BATCH * 20 // entries))
+
+
 def sweep_deterministic_maps(p_abe, n_f):
     """Minimum of I(A:B|F) over all deterministic maps e -> f.
 
     Enumerates the n_f**n_e assignments in odometer order (e = 0 changes
-    fastest), SWEEP_BATCH maps at a time, and returns (best value, best
+    fastest), map_batch maps at a time, and returns (best value, best
     assignment); ties keep the first assignment in that order.
     """
-    n_e = p_abe.shape[2]
+    n_a, n_b, n_e = p_abe.shape
     n_maps = n_f**n_e
+    batch = map_batch(n_a * n_b * n_f)
     place = n_f ** np.arange(n_e)
     best = np.inf
     best_index = 0
-    for start in range(0, n_maps, SWEEP_BATCH):
-        index = np.arange(start, min(start + SWEEP_BATCH, n_maps))
+    for start in range(0, n_maps, batch):
+        index = np.arange(start, min(start + batch, n_maps))
         maps = np.eye(n_f)[index[:, None] // place % n_f]
         values = cmi_after_map_bits(p_abe, maps)
         k = int(np.argmin(values))

@@ -29,8 +29,6 @@ from .correlations import Correlation, CorrelationError, CorrelatorForm, Scenari
 # 100 x 1,024 and a binary 9x9 scenario 324 x 262,144
 VERTEX_GUARD = 10**7
 
-MEMBERSHIP_ATOL = 1e-9
-
 
 class LPError(RuntimeError):
     """The LP solver failed numerically (distinct from a 'nonlocal' verdict)."""
@@ -138,31 +136,31 @@ class LocalityResult:
     witness: FacetValue | None  # maximal violated CHSH-type facet when nonlocal
 
 
-def _local_content_lp(corr: Correlation) -> tuple[float, np.ndarray]:
+def _local_content_lp(corr: Correlation) -> tuple[bool, float, np.ndarray, np.ndarray]:
     """Maximal q with corr >= q * (convex mixture of vertices), entrywise.
 
-    Returns (q, m) where m are the unnormalized vertex weights summing to q.
+    Returns (member, q, m, V m): the membership verdict q >= 1 - LP_SLACK,
+    the unnormalized vertex weights m summing to q, and their raveled table.
     """
     mat = vertex_matrix(corr.scenario)
-    b = corr.table.ravel().copy()
-    obj = np.ones(mat.shape[1])
-    status, q, m = kernels.simplex_maximize(mat, b, obj, 1e-11, 20000)
+    b = corr.table.ravel()
+    status, q, m = kernels.simplex_maximize(mat, b, np.ones(mat.shape[1]), 1e-11, 20000)
     if status != kernels.SIMPLEX_OPTIMAL:
         raise LPError(f"simplex did not reach an optimum (status {status})")
-    if not -1e-9 <= q <= 1.0 + 1e-9:
-        raise LPError(f"local content {q!r} outside [0, 1]; LP is inconsistent")
     # primal self-check: V m <= corr, m >= 0 and sum(m) = q
+    q = float(q)
+    local_flat = mat @ m
     _check_primal({
-        "max(V m - corr)": float((mat @ m - b).max()),
+        "max(V m - corr)": float((local_flat - b).max()),
         "-min(m)": float(-m.min()),
-        "|sum(m) - q|": abs(float(m.sum()) - float(q)),
+        "|sum(m) - q|": abs(float(m.sum()) - q),
     })
-    return float(q), m
+    return q >= 1.0 - kernels.LP_SLACK, q, m, local_flat
 
 
 def _check_primal(residuals: dict[str, float]) -> None:
-    """Raise LPError naming every residual of an LP solution above 1e-9."""
-    failed = [f"{name} = {value!r}" for name, value in residuals.items() if not value <= 1e-9]
+    """Raise LPError naming every residual of an LP solution above LP_SLACK."""
+    failed = [f"{name} = {value!r}" for name, value in residuals.items() if not value <= kernels.LP_SLACK]
     if failed:
         raise LPError(f"LP solution fails its primal check: {', '.join(failed)}")
 
@@ -174,8 +172,8 @@ def is_local_lp(corr: Correlation) -> LocalityResult:
     nonlocal verdicts on binary scenarios come with the maximally violated
     CHSH-type facet as a witness (first by index order on ties).
     """
-    q, m = _local_content_lp(corr)
-    if q >= 1.0 - MEMBERSHIP_ATOL:
+    member, q, m, _ = _local_content_lp(corr)
+    if member:
         return LocalityResult(True, q, m, None)
     witness = None
     if corr.scenario.binary:
@@ -190,7 +188,8 @@ def is_local_lp(corr: Correlation) -> LocalityResult:
 
 @dataclass(frozen=True)
 class NSLocalWeight:
-    """Maximal-q decomposition corr = q*local + (1-q)*nonsignaling rest."""
+    """Maximal-q decomposition corr = q*local + (1-q)*nonsignaling rest;
+    ``rest`` is None for a local corr, ``local`` when q <= 1e-12."""
 
     q: float
     weights: np.ndarray
@@ -202,25 +201,20 @@ def max_local_weight_ns(corr: Correlation) -> NSLocalWeight:
     """Largest q such that corr = q*p_local + (1-q)*p_ns with p_ns nonsignaling.
 
     Single LP over vertex weights; the remainder corr - q*p_local is
-    automatically nonsignaling whenever corr is.
+    automatically nonsignaling whenever corr is.  A local corr (q >= 1 -
+    LP_SLACK) gets no remainder; otherwise the primal check bounds corr - V m
+    below by -LP_SLACK, and its clipped (x, y) blocks are scaled to sum 1.
     """
-    q, m = _local_content_lp(corr)
+    member, q, m, local_flat = _local_content_lp(corr)
     q = min(max(q, 0.0), 1.0)
-    mat = vertex_matrix(corr.scenario)
-    local_flat = mat @ m
+    shape = corr.scenario.table_shape
     local = None
     rest = None
     if q > 1e-12:
-        local_table = (local_flat / q).reshape(corr.scenario.table_shape)
-        local = Correlation(corr.scenario, np.clip(local_table, 0.0, None))
-    if q < 1.0 - 1e-12:
-        rest_flat = (corr.table.ravel() - local_flat) / (1.0 - q)
-        if rest_flat.min() < -1e-8:
-            raise LPError(f"LP remainder has negative mass {float(rest_flat.min())!r}")
-        rest_table = np.clip(rest_flat, 0.0, None).reshape(corr.scenario.table_shape)
-        # renormalize away simplex rounding before the 1e-12 construction check
-        rest_table = rest_table / rest_table.sum(axis=(0, 1), keepdims=True)
-        rest = Correlation(corr.scenario, rest_table)
+        local = Correlation(corr.scenario, np.clip((local_flat / q).reshape(shape), 0.0, None))
+    if not member:
+        rest_table = np.clip(corr.table.ravel() - local_flat, 0.0, None).reshape(shape)
+        rest = Correlation(corr.scenario, rest_table / rest_table.sum(axis=(0, 1), keepdims=True))
     return NSLocalWeight(q, m, local, rest)
 
 
@@ -243,11 +237,11 @@ def max_local_weight_along(corr: Correlation, target: Correlation) -> SegmentLoc
     q = 1 with corr itself; when the LP is infeasible no decomposition along
     the target exists and the result is q = 0 with on_segment False.  The
     solution is re-checked: |V m + r*target - corr|, -min(m, r) and
-    |sum(m) + r - 1| must each be <= 1e-9, else LPError.
+    |sum(m) + r - 1| must each be <= LP_SLACK, else LPError.
     """
     if corr.scenario != target.scenario:
         raise CorrelationError("correlation and target have mismatched scenarios")
-    if is_local_lp(corr).is_local:
+    if _local_content_lp(corr)[0]:
         return SegmentLocalWeight(1.0, corr, True)
 
     vertices = vertex_matrix(corr.scenario)

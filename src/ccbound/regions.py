@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-ATOL = 1e-12
+from ._jsondoc import ATOL
 
 # points per block of the grid: bounds the Python float lists of
 # classify_arrays and the byte rows of write_region_csv.  region_grid and

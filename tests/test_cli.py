@@ -642,6 +642,27 @@ def test_oversized_inputs_fail_in_one_line(tmp_path, argv, document, message):
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith(message)
 
 
+@pytest.mark.parametrize(
+    "argv,document",
+    [
+        (["intrinsic", "--restarts", "0"], {"alphabets": [2, 2, 2], "p": np.full((2, 2, 2), 1e308).tolist()}),
+        (["localweight", "--ns"], {**_uniform_binary_correlation(2), "table": np.full((2, 2, 2, 2), 1e308).tolist()}),
+        (["bound"], {**_uniform_binary_correlation(2), "table": np.full((2, 2, 2, 2), 1e308).tolist()}),
+    ],
+    ids=["intrinsic", "localweight", "bound"],
+)
+def test_overflowing_table_sums_fail_in_one_line(tmp_path, argv, document):
+    # the sums overflow to inf; numpy's overflow warning stays off stderr
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(document))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ccbound", argv[0], str(path), *argv[1:]],
+        capture_output=True, env=CHILD_ENV, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr == b"error: probabilities must sum to 1 within 1e-12; worst deviation inf\n"
+
+
 def test_memory_error_is_one_line(capsys, monkeypatch):
     # an allocation no guard foresaw: a bare MemoryError has no message
     def exhausted(parser, args):

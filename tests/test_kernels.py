@@ -7,6 +7,7 @@ LPs shaped like the locality LPs."""
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -425,3 +426,20 @@ def test_kernel_flags_exported():
 
     assert isinstance(_jit.JIT_ENABLED, bool)
     assert isinstance(_jit.HAVE_NUMBA, bool)
+
+
+def test_sweep_batches_shrink_for_wide_tables():
+    # a 100x100x3 table: 256 maps per call would make temporaries of
+    # 256 x 30,000 entries (61 MB) each; map_batch gives 4 maps per call
+    p = np.random.default_rng(3).dirichlet(np.ones(30_000)).reshape(100, 100, 3)
+    tracemalloc.start()
+    try:
+        best, assign = kernels.sweep_deterministic_maps(p, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+    assert (kernels.map_batch(20), kernels.map_batch(21), kernels.map_batch(30_000)) == (256, 243, 4)
+    maps = np.eye(3)[[i // 3 ** np.arange(3) % 3 for i in range(27)]]
+    values = [kernels.cmi_after_map_bits(p, rows) for rows in maps]
+    assert best == min(values) and tuple(assign) == tuple(maps[int(np.argmin(values))].argmax(axis=1))

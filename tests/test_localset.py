@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from ccbound import kernels
+from ccbound import kernels, localset
 from ccbound.correlations import (
     Correlation,
     CorrelationError,
@@ -367,6 +367,19 @@ def test_segment_weight_keeps_the_membership_tolerance():
     assert status == kernels.SIMPLEX_INFEASIBLE
 
 
+def test_segment_weight_skips_the_witness_of_a_nonlocal_input(monkeypatch):
+    # the membership pre-pass reads the LP verdict alone: no correlator form
+    # and no facet values are built for a nonlocal corr
+    def unused(*args):
+        raise AssertionError("the segment weight builds no CHSH witness")
+
+    theta = math.pi / 4
+    monkeypatch.setattr(localset, "to_correlators", unused)
+    monkeypatch.setattr(localset, "facet_values", unused)
+    result = max_local_weight_along(chsh_protocol_correlation(theta, 0.85), chsh_protocol_correlation(theta, 1.0))
+    assert result.on_segment and 0.0 < result.q < 1.0
+
+
 def test_segment_weight_primal_check_rejects_perturbed_solution(monkeypatch):
     solve = kernels.simplex_maximize
 
@@ -440,6 +453,42 @@ def test_ns_weight_matches_highs():
         if result.rest is not None:
             assert result.rest.is_nonsignaling(atol=1e-8)
     assert min(qs) < 0.5 and max(qs) > 0.9
+
+
+@pytest.mark.parametrize("band", [(1e-12, 1e-9), (1e-9, 3e-9), (3e-9, 1e-8)])
+def test_ns_weight_just_outside_the_local_square(band):
+    # slice points a relative eps outside the facet |s| + |t| = 1: dividing
+    # the LP's rounding by 1 - q once made their remainder "negative"; a
+    # member (1 - q <= LP_SLACK) has no remainder, and a nonmember's split
+    # reproduces corr
+    rng = np.random.default_rng(1)
+    phis = rng.uniform(0.05, math.pi / 2 - 0.05, 300)
+    epss = np.exp(rng.uniform(math.log(band[0]), math.log(band[1]), 300))
+    for phi, eps in zip(phis.tolist(), epss.tolist()):
+        radius = (1 + eps) / (math.cos(phi) + math.sin(phi))
+        corr = slice_correlation(radius * math.cos(phi), radius * math.sin(phi))
+        result = max_local_weight_ns(corr)
+        if is_local_lp(corr).is_local:
+            assert result.rest is None
+        else:
+            recon = result.q * result.local.table + (1 - result.q) * result.rest.table
+            assert np.abs(recon - corr.table).max() <= 1e-12
+
+
+def test_ns_weight_primal_check_rejects_perturbed_solution(monkeypatch):
+    # raising a support vertex's weight by 1e-6 lifts V m above corr on its
+    # tight row; the remainder is refused by the primal residual
+    solve = kernels.simplex_maximize
+
+    def perturbed(A, b, c, tol, maxiter):
+        status, q, m = solve(A, b, c, tol, maxiter)
+        m = m.copy()
+        m[np.argmax(m)] += 1e-6
+        return status, q + 1e-6, m
+
+    monkeypatch.setattr(kernels, "simplex_maximize", perturbed)
+    with pytest.raises(LPError, match=r"primal check: max\(V m - corr\) = [0-9.e-]+$"):
+        max_local_weight_ns(chsh_protocol_correlation(math.pi / 4, 0.8))
 
 
 def test_ns_weight_decomposition_reconstructs():
