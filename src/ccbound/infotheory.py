@@ -136,11 +136,13 @@ class MinimizerRecord(NamedTuple):
 
     ``maps`` and ``calls`` count everything passed to
     ``kernels.cmi_after_map_bits``: the identity map, the deterministic
-    sweep, the Nelder-Mead points and the final self-check.
+    sweep, the Nelder-Mead points and the final self-check.  When the
+    identity or the sweep gives a value <= 0.0, Nelder-Mead does not run:
+    ``starts`` and ``lanes`` are 0 and ``iterations`` is empty.
     """
 
-    starts: int  # Nelder-Mead starts: the polish run plus the restarts
-    lanes: int  # starts run in lockstep per block: a quarter of kernels.map_batch, at most 64
+    starts: int  # Nelder-Mead starts: the polish run plus the restarts, or 0
+    lanes: int  # starts run in lockstep per block: a quarter of kernels.map_batch, at most 64; or 0
     iterations: tuple[int, ...]  # Nelder-Mead iterations of each start, in start order
     maps: int
     calls: int
@@ -156,13 +158,12 @@ class IntrinsicResult(NamedTuple):
 def _rows_from_squares(z: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     """Row-stochastic matrices from unconstrained parameter vectors z[..., k].
 
-    Entries are the squares of the parameters, normalized per row; an
-    all-zero row falls back to the uniform row.
+    Entries are the squares of the parameters, normalized per row; a row
+    whose squares sum to at most 1e-300 falls back to the uniform row.
     """
     sq = (z * z).reshape(*z.shape[:-1], *shape)
-    sums = sq.sum(axis=-1, keepdims=True)
-    positive = sums > 1e-300
-    return np.where(positive, sq / np.where(positive, sums, 1.0), 1.0 / shape[1])
+    sums = np.add.reduce(sq, axis=-1, keepdims=True)
+    return np.divide(sq, sums, out=np.full(sq.shape, 1.0 / shape[1]), where=sums > 1e-300)
 
 
 def _nelder_mead(fn, starts, max_iter=4000, fatol=1e-13, xatol=1e-10, initial_step=0.25):
@@ -291,9 +292,13 @@ def minimize_intrinsic(
     deterministic map.  Each restart is seeded independently so results are
     reproducible.  The starts run in lockstep, in blocks of a quarter of
     kernels.map_batch (64 lanes, fewer for wide tables); the result's
-    ``record`` holds the work counts and the winning candidate.  An |E|
-    whose Nelder-Mead state would exceed NELDER_MEAD_GUARD entries raises
-    ValueError before anything is built.
+    ``record`` holds the work counts and the winning candidate.
+
+    The bound reported is max(best, 0.0), so no candidate can lower a best
+    value <= 0.0: an identity value <= 0.0 returns without the sweep, and a
+    sweep value <= 0.0 returns without Nelder-Mead (then the record's starts
+    and lanes are 0).  An |E| whose Nelder-Mead state would exceed
+    NELDER_MEAD_GUARD entries raises ValueError before anything is built.
     """
     if restarts < 0:
         raise ValueError(f"restarts must be >= 0, got {restarts}")
@@ -312,8 +317,9 @@ def minimize_intrinsic(
     winner = "identity"
     calls = maps = 1
 
+    # a best <= 0.0 is final: the bound is max(best, 0.0)
     batch = kernels.map_batch(p.shape[0] * p.shape[1] * n_f)
-    if n_f**n_e <= SWEEP_GUARD:
+    if best > 0.0 and n_f**n_e <= SWEEP_GUARD:
         sweep_best, sweep_assign = kernels.sweep_deterministic_maps(p, n_f)
         calls += -(-(n_f**n_e) // batch)
         maps += n_f**n_e
@@ -321,6 +327,8 @@ def minimize_intrinsic(
             best = float(sweep_best)
             best_rows = StochasticMap.deterministic(sweep_assign, n_f).rows.copy()
             winner = "sweep"
+    if best <= 0.0:
+        return _checked_result(p, best, best_rows, MinimizerRecord(0, 0, (), maps + 1, calls + 1, winner))
 
     shape = (n_e, n_f)
 
@@ -351,13 +359,21 @@ def minimize_intrinsic(
                 best_rows = _rows_from_squares(z_opt, shape)
                 winner = f"restart {i - 1}" if i else "polish"
 
-    if best <= 0.0:  # rounding can leave a tiny negative (or -0.0) sum
-        best = 0.0
     record = MinimizerRecord(len(starts), lanes, tuple(iterations), maps + 1, calls + 1, winner)
-    result = IntrinsicResult(best, StochasticMap(best_rows), record)
-    # self-check: the bound is the value of the map returned, recomputed by
-    # the same kernel (batched and single calls agree bit for bit)
+    return _checked_result(p, best, best_rows, record)
+
+
+def _checked_result(p, best, best_rows, record):
+    """The result of bound max(best, 0.0) for the map ``best_rows`` of value ``best``.
+
+    Self-check: the bound is the value of the map returned, recomputed by
+    the same kernel (batched and single calls agree bit for bit); a
+    mismatch raises MinimizerError.
+    """
+    # rounding can leave a tiny negative (or -0.0) sum
+    bound = 0.0 if best <= 0.0 else best
+    result = IntrinsicResult(bound, StochasticMap(best_rows), record)
     check = float(kernels.cmi_after_map_bits(p, result.map.rows))
-    if max(check, 0.0) != best:
-        raise MinimizerError(f"reported bound {best!r} != {check!r} recomputed from the returned map")
+    if max(check, 0.0) != bound:
+        raise MinimizerError(f"reported bound {bound!r} != {check!r} recomputed from the returned map")
     return result

@@ -155,19 +155,24 @@ def conditional_mutual_information_bits(p_abf):
     """
     p = np.asarray(p_abf, dtype=float)
     *batch, na, nb, nf = p.shape
-    pa = p.sum(axis=-2, keepdims=True)
-    pb = p.sum(axis=-3, keepdims=True)
+    # np.add.reduce is what .sum calls, in the same order, without its wrapper
+    pa = np.add.reduce(p, axis=-2, keepdims=True)
+    pb = np.add.reduce(p, axis=-3, keepdims=True)
     # p(f) sums the (a, b) entries in row-major order
-    pf = p.reshape(*batch, na * nb, 1, nf).sum(axis=-3, keepdims=True)
+    pf = np.add.reduce(p.reshape(*batch, na * nb, 1, nf), axis=-3, keepdims=True)
     # p(f) >= p(a,b,f) for nonnegative tables, so the per-entry floor also
-    # prunes every branch with p(f) <= PROB_FLOOR
+    # prunes every branch with p(f) <= PROB_FLOOR.  A pruned entry keeps
+    # ratio 1, so its term is p * 0.0: +0.0, or -0.0 for an entry of -0.0,
+    # which leaves the sum as it is because every table has an entry above
+    # the floor.
     keep = p > PROB_FLOOR
-    ratio = np.divide(p * pf, pa * pb, out=np.ones_like(p), where=keep)
-    terms = np.where(keep, p * np.log2(ratio), 0.0)
+    terms = np.divide(p * pf, pa * pb, out=np.ones(p.shape), where=keep)
+    np.log2(terms, out=terms)
+    terms *= p
     # left-to-right sum in (f, a, b) order: the value does not depend on the
     # batch shape, so a batched sweep and single calls agree bit for bit
     ordered = terms.reshape(*batch, na * nb, nf).swapaxes(-1, -2).reshape(*batch, nf * na * nb)
-    total = np.cumsum(ordered, axis=-1)[..., -1]
+    total = ordered.cumsum(axis=-1)[..., -1]
     return total if batch else float(total)
 
 

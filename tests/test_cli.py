@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 from ccbound import cli
 from ccbound.cli import main
 from ccbound.correlations import chsh_protocol_correlation, dump_correlation
-from ccbound.infotheory import JointDistribution
+from ccbound.infotheory import JointDistribution, minimize_intrinsic
 
 PI4_STR = repr(math.pi / 4)
 # one BLAS thread, so that a child's address space does not grow with the
@@ -431,6 +431,126 @@ def test_intrinsic_attack_distribution_reaches_zero(capsys, tmp_path):
     assert "bound = 0.000000" in out
 
 
+# sha256 of `ccbound intrinsic` stdout (text, then --json) on three attack
+# inputs and the three criterion-7 inputs, as the minimizer wrote them
+# before it stopped at a zero bound and before its kernel passes were
+# trimmed: the minimizer's bound, map and Nelder-Mead path stay bit for bit
+INTRINSIC_INPUTS = {
+    "attack_below": (math.pi / 4, 0.73),  # below v_crit(pi/4) = 0.7445
+    "attack_above": (math.pi / 4, 0.85),
+    "attack_pi6": (math.pi / 6, 0.8),
+    "crit7_attack": (math.pi / 4, 0.72),
+}
+INTRINSIC_SHA256 = {
+    ("attack_below", 0): (
+        "90afbb208cf9b067690da3448a2726c40175d56fd2f1cd8d446dc39a7a47cfae",
+        "d2401b67de41fb5fb1e818d31fff36f1be062b1208feae52525301087735cf16",
+    ),
+    ("attack_below", 4): (
+        "ffa53d24e06e8083f78200e968e03126673133693ae47783feb3e98af4ca1694",
+        "ca02f3f5b9fd8e92ea2eef980cc5298aa3efa37bac6da5a3a3260ae43077c04d",
+    ),
+    ("attack_below", 32): (
+        "b4d06b5a3a4487288569f023b476db863d2434f37c7e8ac755b5569bc2407fe3",
+        "a631ccdb7d712f5a62956ca40ec1c7f83168f785e940a51a3e7952bc842a3205",
+    ),
+    ("attack_above", 0): (
+        "0d05d6af6e0fad4e15771245c0c410c49005981086b818295b5a5bd7d695b13c",
+        "6f3dabfc8a2f7f3f5476b5cde5f7086ed12bcb690e10c26e3080f927b88b1d55",
+    ),
+    ("attack_above", 4): (
+        "0d05d6af6e0fad4e15771245c0c410c49005981086b818295b5a5bd7d695b13c",
+        "6f3dabfc8a2f7f3f5476b5cde5f7086ed12bcb690e10c26e3080f927b88b1d55",
+    ),
+    ("attack_above", 32): (
+        "0d05d6af6e0fad4e15771245c0c410c49005981086b818295b5a5bd7d695b13c",
+        "6f3dabfc8a2f7f3f5476b5cde5f7086ed12bcb690e10c26e3080f927b88b1d55",
+    ),
+    ("attack_pi6", 0): (
+        "b90bf4804ff5c2e8e101ab9e65c8e7913fe7b1ac79507c609084b43e5f2e61d2",
+        "326481e28e4cd79dcf3754dd13569807b98749063621d86a43a1ff03ca1a8e5e",
+    ),
+    ("attack_pi6", 4): (
+        "b90bf4804ff5c2e8e101ab9e65c8e7913fe7b1ac79507c609084b43e5f2e61d2",
+        "326481e28e4cd79dcf3754dd13569807b98749063621d86a43a1ff03ca1a8e5e",
+    ),
+    ("attack_pi6", 32): (
+        "b90bf4804ff5c2e8e101ab9e65c8e7913fe7b1ac79507c609084b43e5f2e61d2",
+        "326481e28e4cd79dcf3754dd13569807b98749063621d86a43a1ff03ca1a8e5e",
+    ),
+    ("crit7_attack", 0): (
+        "561e856ecfdd04340362d65360549826cc61eab8543e26a221b168086a39fb59",
+        "d890da5f7fee5ec9e6830f0d3d59c514add917c5b07534f9ba7b0bf3ad49f2a9",
+    ),
+    ("crit7_attack", 4): (
+        "66938aa68beed4a285a3083083a7ef672168b5c5c966d57adad96ca6ce994217",
+        "3958d10de107fb917a113bf273e198014110bcfa26ae2595586f3b4bafb3fb4f",
+    ),
+    ("crit7_attack", 32): (
+        "42fe5c1a89f3aa4c0cb5f43e7ebca1b7dd6dbd139d4882e0e32069d2b2cf16a8",
+        "2bf7511841ccbadaa2c8902d25776a50403cc0ffa83532c1063c0bfa4f8f5f1b",
+    ),
+    ("crit7_independent", 0): (
+        "3d8091d4e9595e4bce14b58fb00b0ca20a6fbe1937e6bd2a71b01adf06f0ede0",
+        "f37c1ed62bd483f6dc9f39bdee8c59b946f6ef3311a0f5eb5b2a1a7da76e2678",
+    ),
+    ("crit7_independent", 4): (
+        "3d8091d4e9595e4bce14b58fb00b0ca20a6fbe1937e6bd2a71b01adf06f0ede0",
+        "f37c1ed62bd483f6dc9f39bdee8c59b946f6ef3311a0f5eb5b2a1a7da76e2678",
+    ),
+    ("crit7_independent", 32): (
+        "3d8091d4e9595e4bce14b58fb00b0ca20a6fbe1937e6bd2a71b01adf06f0ede0",
+        "f37c1ed62bd483f6dc9f39bdee8c59b946f6ef3311a0f5eb5b2a1a7da76e2678",
+    ),
+    ("crit7_copy", 0): (
+        "d05718baab055d207e65244f1ef2c286664c90332d4133cf986558fd51aaf4e7",
+        "8a59c02b597fcf1ba76259a43fc3aaa2d5b4dc4277079f5dcb0e41f4f4415237",
+    ),
+    ("crit7_copy", 4): (
+        "d05718baab055d207e65244f1ef2c286664c90332d4133cf986558fd51aaf4e7",
+        "8a59c02b597fcf1ba76259a43fc3aaa2d5b4dc4277079f5dcb0e41f4f4415237",
+    ),
+    ("crit7_copy", 32): (
+        "d05718baab055d207e65244f1ef2c286664c90332d4133cf986558fd51aaf4e7",
+        "8a59c02b597fcf1ba76259a43fc3aaa2d5b4dc4277079f5dcb0e41f4f4415237",
+    ),
+}
+
+
+def _intrinsic_input(name):
+    from ccbound.attack import cc_chsh, tripartite
+
+    if name in INTRINSIC_INPUTS:
+        return tripartite(cc_chsh(*INTRINSIC_INPUTS[name]), 0, 2)
+    pab = np.array([[0.4, 0.1], [0.2, 0.3]])
+    if name == "crit7_independent":
+        return JointDistribution(np.einsum("ab,e->abe", pab, np.full(4, 0.25)))
+    copy = np.zeros((2, 2, 4))
+    copy[0, 0, 0], copy[0, 1, 1], copy[1, 0, 2], copy[1, 1, 3] = pab.ravel()
+    return JointDistribution(copy)
+
+
+@pytest.mark.parametrize("name, restarts", sorted(INTRINSIC_SHA256))
+def test_intrinsic_outputs_pinned(capsys, tmp_path, monkeypatch, name, restarts):
+    path = tmp_path / "dist.json"
+    path.write_text(json.dumps(_intrinsic_input(name).to_json_dict()))
+    # both formats print one minimization, run once
+    results = []
+
+    def once(dist, restarts, seed):
+        if not results:
+            results.append(minimize_intrinsic(dist, restarts=restarts, seed=seed))
+        return results[0]
+
+    monkeypatch.setattr(cli, "minimize_intrinsic", once)
+    digests = []
+    for extra in ([], ["--json"]):
+        code, out, _ = run(capsys, ["intrinsic", str(path), "--restarts", str(restarts), *extra])
+        assert code == 0
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == INTRINSIC_SHA256[name, restarts]
+
+
 def test_intrinsic_seed_env_override(capsys, tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     p = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
@@ -499,8 +619,6 @@ def test_intrinsic_rejects_negative_seed(capsys, tmp_path, monkeypatch, restarts
 
 def test_intrinsic_json_matches_text(capsys, tmp_path):
     from ccbound.attack import cc_chsh, tripartite
-    from ccbound.infotheory import minimize_intrinsic
-
     joint = tripartite(cc_chsh(math.pi / 6, 0.8), 0, 2)
     path = tmp_path / "dist.json"
     path.write_text(json.dumps(joint.to_json_dict()))

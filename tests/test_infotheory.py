@@ -587,7 +587,8 @@ def test_minimizer_runs_more_starts_than_one_block_like_single_starts():
 )
 def test_minimizer_record_on_criterion_7_inputs(monkeypatch, index, restarts, winner):
     # the record's counts equal those of a wrapped kernel, and the winner is
-    # the candidate whose map is returned
+    # the candidate whose map is returned.  The copy input's identity value
+    # is 0.0, which no candidate can lower, so it stops before Nelder-Mead
     dist = list(_self_check_inputs())[index]
     evaluate = kernels.cmi_after_map_bits
     seen = {"calls": 0, "maps": 0}
@@ -601,10 +602,81 @@ def test_minimizer_record_on_criterion_7_inputs(monkeypatch, index, restarts, wi
     result = minimize_intrinsic(dist, restarts=restarts, seed=0)
     record = result.record
     assert (record.calls, record.maps) == (seen["calls"], seen["maps"])
-    assert record.starts == restarts + 1 == record.lanes == len(record.iterations)
+    if winner == "identity":
+        assert (record.starts, record.lanes, record.iterations, record.calls) == (0, 0, (), 2)
+    else:
+        assert record.starts == restarts + 1 == record.lanes == len(record.iterations)
     assert record.winner == winner
     n = dist.p.shape[2]
     if winner == "identity":
         assert np.array_equal(result.map.rows, np.eye(n))
     elif winner == "sweep":
         assert set(result.map.rows.ravel().tolist()) <= {0.0, 1.0}
+
+
+# ---------------------------------------------------------- stop at a zero bound
+
+
+def _copy_input(seed):
+    """A seeded 2x2x4 input whose E copies the pair (a, b): I(A:B|E) = 0."""
+    p = np.zeros((2, 2, 4))
+    p.reshape(4, 4)[np.arange(4), np.arange(4)] = np.random.default_rng([41, seed]).dirichlet(np.ones(4))
+    return JointDistribution(p)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_minimizer_stops_at_the_identity_of_a_copy_input(monkeypatch, seed):
+    # the identity gives 0.0 on a copy input.  Nelder-Mead from the 33 starts
+    # of restarts 32 never gets below -1e-15, the margin a start must beat
+    # the best by, so it could not replace the identity, and it no longer runs
+    dist = _copy_input(seed)
+    assert kernels.cmi_after_map_bits(dist.p, np.eye(4)) == 0.0
+    _, values, _ = infotheory._nelder_mead(_objectives(dist.p)[0], _starts(dist.p, 32))
+    assert min(values) >= -1e-15
+
+    def fail(*args):
+        raise AssertionError("Nelder-Mead ran after a zero bound")
+
+    monkeypatch.setattr(infotheory, "_nelder_mead", fail)
+    result = minimize_intrinsic(dist, restarts=32, seed=0)
+    assert result.bound == 0.0 and np.array_equal(result.map.rows, np.eye(4))
+    assert result.record == infotheory.MinimizerRecord(0, 0, (), 2, 2, "identity")
+
+
+def _conditionally_independent(seed):
+    """p(e) p(a|e) p(b|e) over three symbols of E, from a seeded draw."""
+    rng = np.random.default_rng([seed, 3])
+    p_e = rng.dirichlet(np.ones(3))
+    p_a, p_b = rng.dirichlet(np.ones(2), size=3), rng.dirichlet(np.ones(2), size=3)
+    return np.einsum("e,ea,eb->abe", p_e, p_a, p_b)
+
+
+def test_minimizer_stops_at_an_identity_value_below_zero():
+    # A and B are independent given E, and the identity's rounded value is
+    # below 0: the bound is 0.0 from the identity, without the sweep
+    p = _conditionally_independent(0)
+    assert kernels.cmi_after_map_bits(p, np.eye(3)) < 0.0
+    result = minimize_intrinsic(JointDistribution(p), restarts=4, seed=0)
+    assert result.bound == 0.0 and np.array_equal(result.map.rows, np.eye(3))
+    assert result.record == infotheory.MinimizerRecord(0, 0, (), 2, 2, "identity")
+
+
+def test_minimizer_stops_at_a_sweep_value_below_zero():
+    # E's symbols 0 and 1 hide a correlated and an anticorrelated bit of
+    # equal weight, so the identity's value is positive; merging them leaves
+    # the seeded conditionally independent rest, whose rounded sweep value
+    # is below 0: the bound is 0.0 from the sweep, without Nelder-Mead
+    rng = np.random.default_rng([0, 7])
+    w = rng.uniform(0.1, 0.4)
+    p = np.zeros((2, 2, 4))
+    p[:, :, 0] = np.eye(2) * w / 2
+    p[:, :, 1] = (1 - np.eye(2)) * w / 2
+    p_e = rng.dirichlet(np.ones(2)) * (1 - 2 * w)
+    p_a, p_b = rng.dirichlet(np.ones(2), size=2), rng.dirichlet(np.ones(2), size=2)
+    p[:, :, 2:] = np.einsum("e,ea,eb->abe", p_e, p_a, p_b)
+    sweep_best, assign = kernels.sweep_deterministic_maps(p, 4)
+    assert kernels.cmi_after_map_bits(p, np.eye(4)) > 0.1 and sweep_best < 0.0
+    result = minimize_intrinsic(JointDistribution(p), restarts=4, seed=0)
+    assert result.bound == 0.0
+    assert np.array_equal(result.map.rows, StochasticMap.deterministic(assign, 4).rows)
+    assert result.record == infotheory.MinimizerRecord(0, 0, (), 1 + 4**4 + 1, 1 + 1 + 1, "sweep")

@@ -382,6 +382,81 @@ def test_cmi_kernel_branch_weighting():
     assert abs(kernels.conditional_mutual_information_bits(p) - expected) < 1e-12
 
 
+def _frozen_cmi_bits(p_abf):
+    """conditional_mutual_information_bits as it was written with .sum,
+    ones_like and a final np.where: the oracle of the leaner kernel."""
+    p = np.asarray(p_abf, dtype=float)
+    *batch, na, nb, nf = p.shape
+    pa = p.sum(axis=-2, keepdims=True)
+    pb = p.sum(axis=-3, keepdims=True)
+    pf = p.reshape(*batch, na * nb, 1, nf).sum(axis=-3, keepdims=True)
+    keep = p > kernels.PROB_FLOOR
+    ratio = np.divide(p * pf, pa * pb, out=np.ones_like(p), where=keep)
+    terms = np.where(keep, p * np.log2(ratio), 0.0)
+    ordered = terms.reshape(*batch, na * nb, nf).swapaxes(-1, -2).reshape(*batch, nf * na * nb)
+    total = np.cumsum(ordered, axis=-1)[..., -1]
+    return total if batch else float(total)
+
+
+def _frozen_rows_from_squares(z, shape):
+    """infotheory._rows_from_squares as it was written with two np.where."""
+    sq = (z * z).reshape(*z.shape[:-1], *shape)
+    sums = sq.sum(axis=-1, keepdims=True)
+    positive = sums > 1e-300
+    return np.where(positive, sq / np.where(positive, sums, 1.0), 1.0 / shape[1])
+
+
+def _sparse_tables(rng, shape):
+    """Normalized tables of ``shape`` with about 30% zero entries, some
+    entries of 1e-17 (below the pruning floor) and some of -0.0."""
+    p = rng.random(shape) * (rng.random(shape) > 0.3)
+    p /= p.sum(axis=(-3, -2, -1), keepdims=True)
+    p[rng.random(shape) < 0.1] = 1e-17
+    p[(p == 0.0) & (rng.random(shape) < 0.5)] = -0.0
+    return p
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 5), (2, 2, 1), (3, 3, 4), (4, 4, 2), (2, 5, 3), (6, 4, 1)])
+def test_cmi_kernel_equals_frozen_reference_bit_for_bit(shape):
+    # single and batched calls on sparse tables, |F| = 1 and |A|*|B| >= 8,
+    # where numpy's reduction order could differ, all as the oracle's bytes
+    rng = np.random.default_rng([17, *shape])
+    batched = _sparse_tables(rng, (3, 5, *shape))
+    assert kernels.conditional_mutual_information_bits(batched).tobytes() == _frozen_cmi_bits(batched).tobytes()
+    for p in batched.reshape(-1, *shape):
+        value = kernels.conditional_mutual_information_bits(p)
+        assert isinstance(value, float)
+        assert np.float64(value).tobytes() == np.float64(_frozen_cmi_bits(p)).tobytes()
+    if shape[2] == 1:
+        for p in batched.reshape(-1, *shape[:2]):
+            assert np.float64(kernels.mutual_information_bits(p)).tobytes() == (
+                np.float64(_frozen_cmi_bits(p[..., None])).tobytes()
+            )
+    n_e = shape[2]
+    p = np.abs(batched[0, 0])
+    maps = _frozen_rows_from_squares(rng.normal(size=(64, n_e * n_e)), (n_e, n_e))
+    ours = kernels.cmi_after_map_bits(p, maps)
+    assert ours.tobytes() == _frozen_cmi_bits(np.einsum("abe,...ef->...abf", p, maps)).tobytes()
+
+
+def test_rows_from_squares_equals_frozen_reference_bit_for_bit():
+    # single and batched parameter vectors, with rows of zeros and of
+    # squares that sum to at most 1e-300 (the uniform fallback)
+    from ccbound.infotheory import _rows_from_squares
+
+    rng = np.random.default_rng(29)
+    for n_e in (1, 2, 4, 5):
+        z = rng.normal(size=(7, 3, n_e * n_e))
+        rows = z.reshape(7, 3, n_e, n_e)
+        rows[0, 0, 0] = 0.0
+        rows[1, :, -1] = -0.0
+        rows[2, 1, 0] = 0.0
+        rows[2, 1, 0, 0] = 1e-160  # squares to a subnormal
+        rows[3, 2] = 0.0
+        for zz in (z, z[4, 1], z[3, 2], z[2, 1]):
+            assert _rows_from_squares(zz, (n_e, n_e)).tobytes() == _frozen_rows_from_squares(zz, (n_e, n_e)).tobytes()
+
+
 def test_sweep_covers_identity_and_constants():
     rng = np.random.default_rng(5)
     p = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)
