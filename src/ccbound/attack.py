@@ -303,7 +303,7 @@ def chsh_keyrate_bound(theta: float, visibility: float) -> float:
     if not 0.0 <= visibility <= 1.0:
         raise AttackError(f"visibility must lie in [0, 1], got {visibility!r}")
     v_l = local_visibility(theta)
-    if visibility <= critical_visibility(theta):
+    if visibility <= zero_key_visibility(1.0, v_l):
         return 0.0
     s = 0.5 * (1.0 + v_l)
     q = (1.0 - visibility) / (1.0 - v_l)

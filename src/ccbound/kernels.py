@@ -19,23 +19,25 @@ SIMPLEX_ITERATION_LIMIT = 1
 SIMPLEX_UNBOUNDED = 2
 SIMPLEX_INFEASIBLE = 3
 
-# the one rounding slack of every LP answer: phase 1's infeasibility test
-# here, and localset's membership verdict and primal residuals
+# the one rounding slack of every LP answer: phase 1's infeasibility test here,
+# localset's membership verdict and primal residuals, and regions' LOCAL label
 LP_SLACK = 1e-9
+PIVOT_TOL = 1e-11  # the simplex's one pivot tolerance; see simplex_maximize
 
 
-def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
+def simplex_maximize(A, b, c, maxiter=None, equalities=0):
     """Maximize c.x subject to A x <= b, x >= 0, for finite b >= 0, where the
     first ``equalities`` rows hold with equality.
 
     Tableau simplex from the slack basis (feasible because b >= 0; a negative
     or non-finite entry of b raises ValueError).  Entering column by Dantzig's
-    rule, switching to Bland's rule after 50*(m+n) pivots to rule out
-    cycling; leaving row by minimum ratio with a 1e-12 hysteresis and
-    smallest-basis-index tie break.  Each pivot is a few whole-array
-    operations; the row update skips rows whose pivot-column entry is zero,
-    so the tableau equals an element-by-element pivot's bit for bit, signed
-    zeros included.
+    rule, switching to Bland's rule after 50*(m+n) pivots, half the default
+    ``maxiter``, to rule out cycling; leaving row by minimum ratio with a
+    1e-12 hysteresis and smallest-basis-index tie break.  A reduced cost
+    above -PIVOT_TOL is optimal; a column entry <= PIVOT_TOL never pivots.
+    Each pivot is a few whole-array operations; the row update skips rows
+    whose pivot-column entry is zero, so the tableau equals an
+    element-by-element pivot's bit for bit, signed zeros included.
 
     With equality rows the slacks of those rows are artificial variables and
     a first phase maximizes the sum of those rows of A x from the same
@@ -54,6 +56,7 @@ def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
     if bad.any():
         raise ValueError(f"right-hand side must be finite and >= 0, got {float(b[bad].min())!r}")
     m, n = np.shape(A)
+    maxiter = 100 * (m + n) if maxiter is None else maxiter
     # row m is the objective; with equality rows, row m + 1 is phase 1's
     T = np.zeros((m + 1 + (equalities > 0), n + m + 1))
     T[:m, :n] = A
@@ -65,7 +68,7 @@ def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
     pivots = 0
     if equalities:
         T[m + 1, :n] = -T[:equalities, :n].sum(axis=0)
-        status, pivots = _pivot_until_optimal(T, basis, m + 1, tol, 0, maxiter)
+        status, pivots = _pivot_until_optimal(T, basis, m + 1, 0, maxiter)
         if status != SIMPLEX_OPTIMAL:
             return status, 0.0, np.zeros(n)
         artificial = [i for i in range(m) if n <= basis[i] < n + equalities]
@@ -74,14 +77,14 @@ def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
         allowed = np.r_[0:n, n + equalities : n + m]
         for row in artificial:
             entries = np.abs(T[row, allowed])
-            if entries.max() > tol:
+            if entries.max() > PIVOT_TOL:
                 col = int(allowed[entries.argmax()])
                 _pivot(T, row, col)
                 basis[row] = col
         T[:, n : n + equalities] = 0.0
         T = T[: m + 1]
 
-    status, _ = _pivot_until_optimal(T, basis, m, tol, pivots, maxiter)
+    status, _ = _pivot_until_optimal(T, basis, m, pivots, maxiter)
     if status != SIMPLEX_OPTIMAL:
         return status, 0.0, np.zeros(n)
     basis = np.array(basis)
@@ -90,8 +93,8 @@ def simplex_maximize(A, b, c, tol, maxiter, equalities=0):
     return SIMPLEX_OPTIMAL, T[m, -1], x
 
 
-def _pivot_until_optimal(T, basis, cost_row, tol, first, maxiter):
-    """Pivot T until row ``cost_row`` has no entry below -tol.
+def _pivot_until_optimal(T, basis, cost_row, first, maxiter):
+    """Pivot T until row ``cost_row`` has no entry below -PIVOT_TOL.
 
     The constraint rows are the first len(basis); pivots are counted from
     ``first``.  Returns (status, pivots made so far).
@@ -105,17 +108,17 @@ def _pivot_until_optimal(T, basis, cost_row, tol, first, maxiter):
         # entering column: first most negative cost (Dantzig), first negative (Bland)
         if it < bland_after:
             col = int(cost.argmin())
-            if not cost[col] < -tol:
+            if not cost[col] < -PIVOT_TOL:
                 col = -1
         else:
-            negative = (cost < -tol).nonzero()[0]
+            negative = (cost < -PIVOT_TOL).nonzero()[0]
             col = int(negative[0]) if negative.size else -1
         if col < 0:
             return SIMPLEX_OPTIMAL, it
 
         # leaving row by minimum ratio, scanned in row order: the hysteresis is order-dependent
         column = T[:m, col]
-        eligible = (column > tol).nonzero()[0]
+        eligible = (column > PIVOT_TOL).nonzero()[0]
         ratios = rhs[eligible] / column[eligible]
         row = -1
         best_ratio = np.inf

@@ -144,7 +144,7 @@ def _local_content_lp(corr: Correlation) -> tuple[bool, float, np.ndarray, np.nd
     """
     mat = vertex_matrix(corr.scenario)
     b = corr.table.ravel()
-    status, q, m = kernels.simplex_maximize(mat, b, np.ones(mat.shape[1]), 1e-11, 20000)
+    status, q, m = kernels.simplex_maximize(mat, b, np.ones(mat.shape[1]))
     if status != kernels.SIMPLEX_OPTIMAL:
         raise LPError(f"simplex did not reach an optimum (status {status})")
     # primal self-check: V m <= corr, m >= 0 and sum(m) = q
@@ -249,7 +249,7 @@ def max_local_weight_along(corr: Correlation, target: Correlation) -> SegmentLoc
     b = corr.table.ravel()
     obj = np.zeros(mat.shape[1])
     obj[-1] = -1.0
-    status, _, x = kernels.simplex_maximize(mat, b, obj, 1e-11, 20000, equalities=mat.shape[0])
+    status, _, x = kernels.simplex_maximize(mat, b, obj, equalities=mat.shape[0])
     if status == kernels.SIMPLEX_INFEASIBLE:
         return SegmentLocalWeight(0.0, None, False)
     if status != kernels.SIMPLEX_OPTIMAL:

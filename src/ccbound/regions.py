@@ -11,6 +11,7 @@ from enum import Enum
 import numpy as np
 
 from ._jsondoc import ATOL
+from .kernels import LP_SLACK
 
 # points per block of the grid: bounds the Python float lists of
 # classify_arrays and the byte rows of write_region_csv.  region_grid and
@@ -48,7 +49,8 @@ def classify_arrays(s, t):
     """Label the slice points (s[i], t[i]) of two 1-D arrays.
 
     Returns (visibility, theta, codes), where codes index ``LABELS``.
-    LOCAL when |s| + |t| <= 1 (the four relabelled facets, closed set);
+    LOCAL when |s| + |t| <= 1 + LP_SLACK (the four relabelled facets, closed
+    set, within the membership LP's slack: its 1 - q is |s| + |t| - 1 here);
     OUTSIDE_QUANTUM when s^2 + t^2 > 1; otherwise RED_ZERO_KEY up to and
     including the critical visibility of the polar angle, BLUE_POSITIVE_BOUND
     above it.  Points outside the first quadrant are folded onto |s|, |t|.
@@ -67,7 +69,7 @@ def classify_arrays(s, t):
     visibility = np.fromiter(map(math.hypot, xs, ys), float, n)
     theta = np.fromiter(map(math.atan2, ys, xs), float, n)
 
-    local = fs + ft <= 1.0 + ATOL
+    local = fs + ft <= 1.0 + LP_SLACK
     outside = ~local & (visibility > 1.0 + ATOL)
     annulus = np.flatnonzero(~(local | outside))
     angles = theta[annulus].tolist()

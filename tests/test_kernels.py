@@ -24,7 +24,7 @@ def test_simplex_known_optimum():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0, 2.5])
     c = np.ones(2)
-    status, obj, x = kernels.simplex_maximize(A, b, c, 1e-11, 1000)
+    status, obj, x = kernels.simplex_maximize(A, b, c, 1000)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 2.5) < 1e-12
     assert abs(x.sum() - 2.5) < 1e-12
@@ -36,7 +36,7 @@ def test_simplex_degenerate_rhs():
     A = np.array([[1.0, 1.0], [1.0, -1.0]])
     b = np.array([0.0, 0.0])
     c = np.array([1.0, 0.0])
-    status, obj, x = kernels.simplex_maximize(A, b, c, 1e-11, 1000)
+    status, obj, x = kernels.simplex_maximize(A, b, c, 1000)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj) < 1e-12
 
@@ -45,7 +45,7 @@ def test_simplex_unbounded_detected():
     A = np.array([[-1.0, 0.0]])
     b = np.array([0.0])
     c = np.array([1.0, 0.0])
-    status, _, _ = kernels.simplex_maximize(A, b, c, 1e-11, 1000)
+    status, _, _ = kernels.simplex_maximize(A, b, c, 1000)
     assert status == kernels.SIMPLEX_UNBOUNDED
 
 
@@ -56,7 +56,7 @@ def test_simplex_random_vs_vertex_enumeration():
         A = rng.uniform(0.1, 1.0, size=(4, 2))
         b = rng.uniform(0.5, 2.0, size=4)
         c = rng.uniform(0.1, 1.0, size=2)
-        status, obj, x = kernels.simplex_maximize(A, b, c, 1e-11, 1000)
+        status, obj, x = kernels.simplex_maximize(A, b, c, 1000)
         assert status == kernels.SIMPLEX_OPTIMAL
         best = 0.0
         candidates = [np.zeros(2)]
@@ -82,11 +82,11 @@ def test_simplex_rejects_negative_or_non_finite_rhs(bad):
     # the slack basis is infeasible for such a b; max x st x <= -1 used to
     # return x = [-1] as optimal, and a NaN b was reported as unbounded
     with pytest.raises(ValueError, match=re.escape(f"got {bad!r}") + "$"):
-        kernels.simplex_maximize(np.ones((2, 1)), np.array([1.0, bad]), np.ones(1), 1e-11, 100)
+        kernels.simplex_maximize(np.ones((2, 1)), np.array([1.0, bad]), np.ones(1), 100)
 
 
 def test_simplex_accepts_negative_zero_rhs():
-    status, obj, x = kernels.simplex_maximize(np.ones((1, 1)), np.array([-0.0]), np.ones(1), 1e-11, 100)
+    status, obj, x = kernels.simplex_maximize(np.ones((1, 1)), np.array([-0.0]), np.ones(1), 100)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert obj == 0.0 and x.tolist() == [0.0]
 
@@ -100,12 +100,29 @@ BEALE_C = np.array([0.75, -20.0, 0.5, -6.0])
 
 
 def test_simplex_cycles_until_bland_rule():
-    status, _, _ = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 1e-11, 354)
+    status, _, _ = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 354)
     assert status == kernels.SIMPLEX_ITERATION_LIMIT
-    status, obj, x = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 1e-11, 1000)
+    status, obj, x = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 1000)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 1.25) < 1e-12
     assert np.allclose(x, [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("size", [400, 1028])
+def test_simplex_default_budget_reaches_bland_rule(size):
+    # Beale's LP padded with zero columns to m + n = size still cycles under
+    # Dantzig's rule; Bland's rule takes over at pivot 50*(m+n), within the
+    # default budget of 100*(m+n) pivots.  From m + n = 400 on, a fixed
+    # budget of 20,000 pivots ends before Bland's rule starts
+    A = np.hstack([BEALE_A, np.zeros((3, size - 7))])
+    c = np.r_[BEALE_C, np.zeros(size - 7)]
+    if size == 400:
+        status, _, _ = kernels.simplex_maximize(A, BEALE_B, c, 20000)
+        assert status == kernels.SIMPLEX_ITERATION_LIMIT
+    status, obj, x = kernels.simplex_maximize(A, BEALE_B, c)
+    assert status == kernels.SIMPLEX_OPTIMAL
+    assert abs(obj - 1.25) < 1e-12
+    assert np.allclose(x[:4], [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12) and not x[4:].any()
 
 
 def test_simplex_tied_ratio_leaves_smallest_basis_index():
@@ -116,9 +133,9 @@ def test_simplex_tied_ratio_leaves_smallest_basis_index():
     A = np.array([[1.0, 1.0, 0.0], [2.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
     b = np.array([1.0, 1.0, 2.0])
     c = np.ones(3)
-    status, _, _ = kernels.simplex_maximize(A, b, c, 1e-11, 2)
+    status, _, _ = kernels.simplex_maximize(A, b, c, 2)
     assert status == kernels.SIMPLEX_ITERATION_LIMIT
-    status, obj, x = kernels.simplex_maximize(A, b, c, 1e-11, 3)
+    status, obj, x = kernels.simplex_maximize(A, b, c, 3)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert obj == 1.0
     assert x.tolist() == [0.0, 1.0, 0.0]
@@ -199,7 +216,7 @@ def test_simplex_equals_elementwise_pivot_bit_for_bit():
     statuses = set()
     for A, b, c, maxiter in cases:
         expected = _result_bytes(_elementwise_simplex(A, b, c, 1e-11, maxiter))
-        assert _result_bytes(kernels.simplex_maximize(A, b, c, 1e-11, maxiter)) == expected
+        assert _result_bytes(kernels.simplex_maximize(A, b, c, maxiter)) == expected
         statuses.add(expected[0])
     assert statuses == {kernels.SIMPLEX_OPTIMAL, kernels.SIMPLEX_ITERATION_LIMIT, kernels.SIMPLEX_UNBOUNDED}
 
@@ -228,7 +245,7 @@ def test_simplex_matches_highs_on_local_content_lps(case):
     mat = vertex_matrix(scenario)
     b = np.array(b)
     c = np.ones(mat.shape[1])
-    status, obj, x = kernels.simplex_maximize(mat, b, c, 1e-11, 20000)
+    status, obj, x = kernels.simplex_maximize(mat, b, c)
     assert status == kernels.SIMPLEX_OPTIMAL
     reference = optimize.linprog(
         -c, A_ub=mat, b_ub=b, bounds=(0, None), method="highs",
@@ -242,22 +259,22 @@ def test_simplex_matches_highs_on_local_content_lps(case):
 def test_simplex_equality_rows_known_optima():
     # max x + 2y st x + y = 1 (equality), y <= 0.4
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    status, obj, x = kernels.simplex_maximize(A, [1.0, 0.4], [1.0, 2.0], 1e-11, 100, equalities=1)
+    status, obj, x = kernels.simplex_maximize(A, [1.0, 0.4], [1.0, 2.0], 100, equalities=1)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 1.4) < 1e-12 and np.abs(x - [0.6, 0.4]).max() < 1e-12
     # a redundant copy of the equality (twice the row) leaves an artificial
     # basic at level zero with no real entry in its row
     A = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
-    status, obj, x = kernels.simplex_maximize(A, [1.0, 2.0, 0.4], [1.0, 2.0], 1e-11, 100, equalities=2)
+    status, obj, x = kernels.simplex_maximize(A, [1.0, 2.0, 0.4], [1.0, 2.0], 100, equalities=2)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 1.4) < 1e-12
     # an inconsistent copy is infeasible
-    status, obj, x = kernels.simplex_maximize(A, [1.0, 2.5, 0.4], [1.0, 2.0], 1e-11, 100, equalities=2)
+    status, obj, x = kernels.simplex_maximize(A, [1.0, 2.5, 0.4], [1.0, 2.0], 100, equalities=2)
     assert status == kernels.SIMPLEX_INFEASIBLE
     assert obj == 0.0 and not x.any()
     # artificials never re-enter: max -x - y st x + y = 1 is -1; were the
     # artificial free to enter, the row would act as x + y <= 1 and give 0
-    status, obj, x = kernels.simplex_maximize([[1.0, 1.0]], [1.0], [-1.0, -1.0], 1e-11, 100, equalities=1)
+    status, obj, x = kernels.simplex_maximize([[1.0, 1.0]], [1.0], [-1.0, -1.0], 100, equalities=1)
     assert status == kernels.SIMPLEX_OPTIMAL and obj == -1.0
 
 
@@ -303,7 +320,7 @@ def test_simplex_equality_rows_match_highs():
     seen = set()
     for _ in range(300):
         A, b, c, eq, kind = _random_equality_lp(rng)
-        status, obj, x = kernels.simplex_maximize(A, b, c, 1e-11, 20000, equalities=eq)
+        status, obj, x = kernels.simplex_maximize(A, b, c, equalities=eq)
         reference = optimize.linprog(
             -c, A_ub=A[eq:], b_ub=b[eq:], A_eq=A[:eq], b_eq=b[:eq], bounds=(0, None), method="highs",
             options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},

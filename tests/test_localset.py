@@ -217,8 +217,8 @@ def test_lp_primal_check_rejects_perturbed_solution(monkeypatch, shift_support, 
     # weight pushes V m above the correlation
     solve = kernels.simplex_maximize
 
-    def perturbed(A, b, c, tol, maxiter):
-        status, q, m = solve(A, b, c, tol, maxiter)
+    def perturbed(A, b, c):
+        status, q, m = solve(A, b, c)
         m = m.copy()
         m[np.argmax(m)] += shift_support
         m[np.flatnonzero(m == 0.0)[0]] += shift_zero
@@ -349,6 +349,34 @@ def test_segment_weight_matches_highs():
     assert seen == {"local", "off segment", "on segment"}
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_large_lps_match_highs(n):
+    # the membership and segment LPs of noisy singlets on three random
+    # arrangements with n settings a side: m + n = 320 and 321 on 4422, and
+    # 1,124 and 1,125 on 5522, past the m + n = 400 from which a fixed
+    # budget of 20,000 pivots would end before Bland's rule starts
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2103 + n)
+    for _ in range(3):
+        vectors = rng.normal(size=(2 * n, 3))
+        vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+        arrangement = MeasurementArrangement(tuple(vectors[:n]), tuple(vectors[n:]))
+        corr, target = werner_correlation(0.95, arrangement), werner_correlation(1.0, arrangement)
+        mat = vertex_matrix(corr.scenario)
+        b = corr.table.ravel()
+        q = is_local_lp(corr).local_content
+        assert q < 1.0 - kernels.LP_SLACK
+        reference = _highs(optimize, -np.ones(mat.shape[1]), A_ub=mat, b_ub=b)
+        assert reference.status == 0 and abs(q + reference.fun) < 1e-9
+        segment = np.column_stack([mat, target.table.ravel()])
+        cost = np.zeros(segment.shape[1])
+        cost[-1] = 1.0
+        reference = _highs(optimize, cost, A_eq=segment, b_eq=b)
+        result = max_local_weight_along(corr, target)
+        assert reference.status == 0 and result.on_segment
+        assert abs(result.q - (1.0 - reference.fun)) < 1e-9
+
+
 def test_segment_weight_keeps_the_membership_tolerance():
     # a slice point 3e-10 outside the local square, along polar angle 0.5:
     # local within the membership LP's 1e-9, but the segment LP alone (no
@@ -363,7 +391,7 @@ def test_segment_weight_keeps_the_membership_tolerance():
     mat = np.column_stack([vertex_matrix(corr.scenario), target.table.ravel()])
     obj = np.zeros(mat.shape[1])
     obj[-1] = -1.0
-    status, _, _ = kernels.simplex_maximize(mat, corr.table.ravel(), obj, 1e-11, 20000, equalities=mat.shape[0])
+    status, _, _ = kernels.simplex_maximize(mat, corr.table.ravel(), obj, equalities=mat.shape[0])
     assert status == kernels.SIMPLEX_INFEASIBLE
 
 
@@ -383,8 +411,8 @@ def test_segment_weight_skips_the_witness_of_a_nonlocal_input(monkeypatch):
 def test_segment_weight_primal_check_rejects_perturbed_solution(monkeypatch):
     solve = kernels.simplex_maximize
 
-    def perturbed(A, b, c, tol, maxiter, equalities=0):
-        status, value, x = solve(A, b, c, tol, maxiter, equalities)
+    def perturbed(A, b, c, equalities=0):
+        status, value, x = solve(A, b, c, equalities=equalities)
         x = x.copy()
         if equalities:
             x[np.flatnonzero(x == 0.0)[0]] = 1e-6
@@ -480,8 +508,8 @@ def test_ns_weight_primal_check_rejects_perturbed_solution(monkeypatch):
     # tight row; the remainder is refused by the primal residual
     solve = kernels.simplex_maximize
 
-    def perturbed(A, b, c, tol, maxiter):
-        status, q, m = solve(A, b, c, tol, maxiter)
+    def perturbed(A, b, c):
+        status, q, m = solve(A, b, c)
         m = m.copy()
         m[np.argmax(m)] += 1e-6
         return status, q + 1e-6, m

@@ -102,6 +102,18 @@ def test_red_points_are_nonlocal_by_lp():
         assert not is_local_lp(slice_correlation(p.s, p.t)).is_local
 
 
+@pytest.mark.parametrize("phi", [0.1, 0.4, math.pi / 4, 1.2])
+def test_classify_agrees_with_the_lp_next_to_the_facet(phi):
+    # points delta outside the facet |s| + |t| = 1, where the LP's 1 - q is
+    # delta: local within the one LP slack of 1e-9 by both rules, red beyond
+    # it.  delta = 1e-9 itself is left out, as the LP's q rounds to either side
+    for delta, local in [(1e-11, True), (1e-10, True), (5e-10, True), (2e-9, False), (1e-8, False)]:
+        radius = (1 + delta) / (math.cos(phi) + math.sin(phi))
+        s, t = radius * math.cos(phi), radius * math.sin(phi)
+        assert is_local_lp(slice_correlation(s, t)).is_local == local, delta
+        assert classify(s, t).label == (RegionLabel.LOCAL if local else RegionLabel.RED_ZERO_KEY), delta
+
+
 def test_csv_format():
     stream = io.StringIO()
     write_region_csv(region_grid(3), stream)
