@@ -1,105 +1,7 @@
 """Upper bounds on device-independent QKD key rates from convex-combination
-eavesdropping attacks on nonlocal correlations."""
+eavesdropping attacks on nonlocal correlations.
 
-from .attack import (
-    AttackModel,
-    CCDecomposition,
-    WERNER_LOCAL_VISIBILITY,
-    WERNER_NONLOCAL_VISIBILITY,
-    cc_chsh,
-    cc_werner,
-    chsh_attack,
-    chsh_keyrate_bound,
-    critical_visibility,
-    critical_visibility_werner,
-    eve_map,
-    keyrate_bound,
-    setting_information,
-    solve_unknown_fraction,
-    tripartite,
-    zero_key_visibility,
-)
-from .correlations import (
-    Correlation,
-    CorrelationError,
-    CorrelatorForm,
-    MeasurementArrangement,
-    Scenario,
-    chsh_arrangement,
-    chsh_protocol_correlation,
-    from_correlators,
-    slice_correlation,
-    to_correlators,
-    werner_correlation,
-)
-from .infotheory import (
-    JointDistribution,
-    StochasticMap,
-    apply_map,
-    conditional_mutual_information,
-    minimize_intrinsic,
-    mutual_information,
-)
-from .localset import (
-    DeterministicVertex,
-    FacetValue,
-    enumerate_vertices,
-    facet_values,
-    is_local_lp,
-    local_visibility,
-    max_local_weight_along,
-    max_local_weight_ns,
-)
-from .regions import RegionGrid, RegionLabel, RegionPoint, classify, classify_arrays, region_grid
+Each public name lives in its own module, for example
+``ccbound.attack.chsh_attack``; the package re-exports none of them."""
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AttackModel",
-    "CCDecomposition",
-    "Correlation",
-    "CorrelationError",
-    "CorrelatorForm",
-    "DeterministicVertex",
-    "FacetValue",
-    "JointDistribution",
-    "MeasurementArrangement",
-    "RegionGrid",
-    "RegionLabel",
-    "RegionPoint",
-    "Scenario",
-    "StochasticMap",
-    "WERNER_LOCAL_VISIBILITY",
-    "WERNER_NONLOCAL_VISIBILITY",
-    "apply_map",
-    "cc_chsh",
-    "cc_werner",
-    "chsh_arrangement",
-    "chsh_attack",
-    "chsh_keyrate_bound",
-    "chsh_protocol_correlation",
-    "classify",
-    "classify_arrays",
-    "conditional_mutual_information",
-    "critical_visibility",
-    "critical_visibility_werner",
-    "enumerate_vertices",
-    "eve_map",
-    "facet_values",
-    "from_correlators",
-    "is_local_lp",
-    "keyrate_bound",
-    "local_visibility",
-    "max_local_weight_along",
-    "max_local_weight_ns",
-    "minimize_intrinsic",
-    "mutual_information",
-    "region_grid",
-    "setting_information",
-    "slice_correlation",
-    "solve_unknown_fraction",
-    "to_correlators",
-    "tripartite",
-    "werner_correlation",
-    "zero_key_visibility",
-]

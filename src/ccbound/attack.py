@@ -122,11 +122,11 @@ def cc_werner(
     """
     if not 0.0 <= visibility <= 1.0:
         raise AttackError(f"visibility must lie in [0, 1], got {visibility!r}")
-    ideal = werner_correlation(1.0, arrangement)
-    if visibility <= local_visibility_value:
-        return CCDecomposition(1.0, werner_correlation(visibility, arrangement), ideal)
-    q = local_weight(visibility, local_visibility_value)
-    return CCDecomposition(q, werner_correlation(local_visibility_value, arrangement), ideal)
+    return CCDecomposition(
+        local_weight(visibility, local_visibility_value),
+        werner_correlation(min(visibility, local_visibility_value), arrangement),
+        werner_correlation(1.0, arrangement),
+    )
 
 
 def cc_chsh(theta: float, visibility: float) -> CCDecomposition:
@@ -154,7 +154,7 @@ def tripartite(decomposition: CCDecomposition, x: int, y: int) -> JointDistribut
 
 def ideal_agreement(arrangement: MeasurementArrangement, x: int, y: int) -> float:
     """Probability of equal outcomes at visibility 1 for the setting pair (x, y)."""
-    return 0.5 * (1.0 - float(arrangement.alice[x] @ arrangement.bob[y]))
+    return 0.5 * (1.0 - float(np.add.reduce(arrangement.alice[x] * arrangement.bob[y])))
 
 
 def eve_map(agreement: float, unknown_fraction: float) -> StochasticMap:
@@ -219,14 +219,12 @@ def solve_unknown_fraction(
     if folded == 0.5:
         return 0.0
     threshold = zero_key_visibility(folded, local_visibility_value)
-    if visibility > threshold + 1e-12:
+    if visibility > threshold + ATOL:
         raise BalanceInfeasibleError(
             f"visibility {visibility} exceeds the zero-key threshold {threshold} "
             f"for agreement {agreement}"
         )
     q = local_weight(visibility, local_visibility_value)
-    if q >= 1.0:
-        return 0.0
     # probability of equal outcomes in the local part for this setting pair
     s_local = 0.5 * (1.0 - local_visibility_value * (1.0 - 2.0 * agreement))
     if agreement >= 0.5:

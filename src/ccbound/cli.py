@@ -30,18 +30,10 @@ from .correlations import (
     load_correlation,
     to_correlators,
 )
-from .infotheory import (
-    DistributionError,
-    MinimizerError,
-    load_distribution,
-    minimize_intrinsic,
-)
+from .infotheory import MinimizerError, load_distribution, minimize_intrinsic
 from .localset import LPError, local_visibility, max_local_weight_along, max_local_weight_ns
 
-USER_ERRORS = (
-    CorrelationError, DistributionError, atk.AttackError, LPError, MinimizerError, ValueError, OSError,
-    MemoryError,
-)
+USER_ERRORS = (LPError, MinimizerError, ValueError, OSError, MemoryError)
 
 
 def _default_seed() -> int:

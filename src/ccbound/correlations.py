@@ -54,8 +54,9 @@ def unit_vector(components) -> np.ndarray:
     v = np.asarray(components, dtype=float)
     if v.shape != (3,):
         raise CorrelationError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    if abs(float(np.linalg.norm(v)) - 1.0) > ATOL:
-        raise CorrelationError(f"Bloch vector must be unit norm, got |v| = {float(np.linalg.norm(v))!r}")
+    norm = math.hypot(*v.tolist())
+    if abs(norm - 1.0) > ATOL:
+        raise CorrelationError(f"Bloch vector must be unit norm, got |v| = {norm!r}")
     v.setflags(write=False)
     return v
 
@@ -197,10 +198,12 @@ def werner_correlation(visibility: float, arrangement: MeasurementArrangement) -
     if not 0.0 <= visibility <= 1.0:
         raise CorrelationError(f"visibility must lie in [0, 1], got {visibility!r}")
     scenario = arrangement.scenario
+    # a.b summed by numpy, not BLAS, so the table does not depend on the BLAS kernel
+    dots = np.add.reduce(np.array(arrangement.alice)[:, None] * np.array(arrangement.bob), axis=-1).tolist()
     table = np.empty(scenario.table_shape)
-    for x, alpha in enumerate(arrangement.alice):
-        for y, beta in enumerate(arrangement.bob):
-            s = 0.5 * (1.0 - visibility * float(alpha @ beta))
+    for x, row in enumerate(dots):
+        for y, dot in enumerate(row):
+            s = 0.5 * (1.0 - visibility * dot)
             table[0, 0, x, y] = table[1, 1, x, y] = 0.5 * s
             table[0, 1, x, y] = table[1, 0, x, y] = 0.5 * (1.0 - s)
     return Correlation(scenario, table)

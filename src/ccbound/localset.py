@@ -149,7 +149,8 @@ def _local_content_lp(corr: Correlation) -> tuple[bool, float, np.ndarray, np.nd
         raise LPError(f"simplex did not reach an optimum (status {status})")
     # primal self-check: V m <= corr, m >= 0 and sum(m) = q
     q = float(q)
-    local_flat = mat @ m
+    # V m summed by numpy, not BLAS, so the output does not depend on the BLAS kernel
+    local_flat = np.add.reduce(mat * m, axis=1)
     _check_primal({
         "max(V m - corr)": float((local_flat - b).max()),
         "-min(m)": float(-m.min()),
@@ -255,7 +256,7 @@ def max_local_weight_along(corr: Correlation, target: Correlation) -> SegmentLoc
     if status != kernels.SIMPLEX_OPTIMAL:
         raise LPError(f"simplex did not reach an optimum (status {status})")
     _check_primal({
-        "max|V m + r t - corr|": float(np.abs(mat @ x - b).max()),
+        "max|V m + r t - corr|": float(np.abs(np.add.reduce(mat * x, axis=1) - b).max()),
         "-min(m, r)": float(-x.min()),
         "|sum(m) + r - 1|": abs(float(x.sum()) - 1.0),
     })
@@ -263,5 +264,6 @@ def max_local_weight_along(corr: Correlation, target: Correlation) -> SegmentLoc
     q = 1.0 - float(x[-1])
     local = None
     if m.sum() > 1e-12:
-        local = Correlation(corr.scenario, (vertices @ m / m.sum()).reshape(corr.scenario.table_shape))
+        local_flat = np.add.reduce(vertices * m, axis=1) / m.sum()
+        local = Correlation(corr.scenario, local_flat.reshape(corr.scenario.table_shape))
     return SegmentLocalWeight(q, local, True)

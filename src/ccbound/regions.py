@@ -55,6 +55,12 @@ def classify_arrays(s, t):
     including the critical visibility of the polar angle, BLUE_POSITIVE_BOUND
     above it.  Points outside the first quadrant are folded onto |s|, |t|.
 
+    This LOCAL test and the LP's verdict round |s| + |t| - 1 and 1 - q
+    differently, so they can disagree within rounding of the slack itself:
+    of 200 points exactly 1e-9 outside the facet, 134 are LOCAL here and
+    nonlocal to the LP, and 1 the other way round; at 9.9e-10 and 1.01e-9
+    outside it all 200 agree.
+
     The polar form and the critical visibility use the ``math`` functions
     point by point, so every value equals the scalar formulas bit for bit;
     numpy's hypot and arctan2 differ from them in the last bit on 3,735 and

@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import platform
 import resource
 import subprocess
 import sys
@@ -19,7 +20,9 @@ from hypothesis import strategies as st
 
 from ccbound import cli
 from ccbound.cli import main
-from ccbound.correlations import chsh_protocol_correlation, dump_correlation
+from ccbound.correlations import (
+    MeasurementArrangement, chsh_protocol_correlation, dump_correlation, werner_correlation,
+)
 from ccbound.infotheory import JointDistribution, minimize_intrinsic
 
 PI4_STR = repr(math.pi / 4)
@@ -67,6 +70,22 @@ def test_python_m_ccbound_runs_the_cli():
     ]
     assert [proc.returncode for proc in procs] == [0, 0]
     assert procs[0].stdout == procs[1].stdout != b""
+
+
+def test_importing_a_module_loads_only_what_it_uses():
+    probe = "import importlib, sys; importlib.import_module(sys.argv[1]); print(*sorted(sys.modules))"
+    loaded = {
+        module: set(subprocess.run(
+            [sys.executable, "-c", probe, module], capture_output=True, check=True, env=CHILD_ENV, timeout=60,
+        ).stdout.decode().split())
+        for module in ("ccbound.localset", "ccbound.attack")
+    }
+    assert "ccbound.localset" in loaded["ccbound.localset"]
+    assert loaded["ccbound.localset"].isdisjoint(
+        {"ccbound.attack", "ccbound.infotheory", "ccbound.regions", "ccbound.cli"}
+    )
+    assert "ccbound.attack" in loaded["ccbound.attack"]
+    assert "ccbound.regions" not in loaded["ccbound.attack"]
 
 
 # ---------------------------------------------------------------- constants
@@ -727,6 +746,25 @@ def test_localweight_off_segment_note(capsys, tmp_path):
     dump_correlation(slice_correlation(-0.7, 0.7), target_path)
     code, out, _ = run(capsys, ["localweight", str(corr_path), "--target", str(target_path)])
     assert (code, out) == (0, "q_max = 0.000000\nnote: no local decomposition along this target\n")
+
+
+@pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64 kernels")
+@pytest.mark.parametrize("mode", ["--target=target.json", "--ns"])
+def test_localweight_out_is_the_same_on_every_blas_kernel(tmp_path, mode):
+    # a seeded 5522 Werner correlation and its v = 1 target, whose table and
+    # local components a BLAS product would round differently per kernel
+    rng = np.random.default_rng(5522)
+    vectors = [[x / math.hypot(*v) for x in v] for v in rng.normal(size=(10, 3)).tolist()]
+    arrangement = MeasurementArrangement(tuple(vectors[:5]), tuple(vectors[5:]))
+    dump_correlation(werner_correlation(0.9, arrangement), tmp_path / "corr.json")
+    dump_correlation(werner_correlation(1.0, arrangement), tmp_path / "target.json")
+    default = {key: value for key, value in CHILD_ENV.items() if key != "OPENBLAS_CORETYPE"}
+    files = []
+    for env in (default, {**default, "OPENBLAS_CORETYPE": "Sandybridge"}):
+        argv = [sys.executable, "-m", "ccbound", "localweight", "corr.json", mode, "--out", "local.json"]
+        subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120)
+        files.append((tmp_path / "local.json").read_bytes())
+    assert files[0] == files[1] != b""
 
 
 # -------------------------------------------------------- oversized inputs
