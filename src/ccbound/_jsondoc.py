@@ -8,6 +8,7 @@ read from a file or built in code, passes :func:`probability_table`.
 """
 
 import json
+from dataclasses import fields
 
 import numpy as np
 
@@ -62,3 +63,9 @@ def probability_table(values, sum_axes, error: type[Exception]) -> np.ndarray:
         raise error(f"probabilities must sum to 1 within {ATOL}; worst deviation {float(deviation.max())!r}")
     arr.setflags(write=False)
     return arr
+
+
+def constructor_reduce(obj):
+    """A dataclass's ``__reduce__``: its class and field values, so that copies
+    and unpickled objects are rebuilt, checked and frozen by the constructor."""
+    return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsondoc import ATOL, json_document, json_int, json_table, probability_table
+from ._jsondoc import ATOL, constructor_reduce, json_document, json_int, json_table, probability_table
 
 
 class CorrelationError(ValueError):
@@ -55,7 +55,7 @@ def unit_vector(components) -> np.ndarray:
     if v.shape != (3,):
         raise CorrelationError(f"Bloch vector must have 3 components, got shape {v.shape}")
     norm = math.hypot(*v.tolist())
-    if abs(norm - 1.0) > ATOL:
+    if not abs(norm - 1.0) <= ATOL:
         raise CorrelationError(f"Bloch vector must be unit norm, got |v| = {norm!r}")
     v.setflags(write=False)
     return v
@@ -68,6 +68,8 @@ class MeasurementArrangement:
     alice: tuple
     bob: tuple
 
+    __reduce__ = constructor_reduce
+
     def __post_init__(self):
         object.__setattr__(self, "alice", tuple(unit_vector(v) for v in self.alice))
         object.__setattr__(self, "bob", tuple(unit_vector(v) for v in self.bob))
@@ -79,6 +81,7 @@ class MeasurementArrangement:
         return Scenario(len(self.alice), len(self.bob), 2, 2)
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class Correlation:
     """Immutable conditional probability table p(a,b|x,y).
 
@@ -87,17 +90,15 @@ class Correlation:
     checkable through :meth:`is_nonsignaling` but not enforced.
     """
 
-    __slots__ = ("scenario", "table")
+    scenario: Scenario
+    table: np.ndarray
 
-    def __init__(self, scenario: Scenario, table):
-        arr = np.asarray(table, dtype=float)
-        if arr.shape != scenario.table_shape:
-            raise CorrelationError(f"table shape {arr.shape} does not match scenario {scenario.table_shape}")
-        object.__setattr__(self, "scenario", scenario)
-        object.__setattr__(self, "table", probability_table(arr, (0, 1), CorrelationError))
+    __reduce__ = constructor_reduce
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Correlation is immutable")
+    def __post_init__(self):
+        if np.shape(self.table) != self.scenario.table_shape:
+            raise CorrelationError(f"table shape {np.shape(self.table)} does not match scenario {self.scenario.table_shape}")
+        object.__setattr__(self, "table", probability_table(self.table, (0, 1), CorrelationError))
 
     def block(self, x: int, y: int) -> np.ndarray:
         """The 2D outcome table p(.,.|x,y)."""
@@ -147,10 +148,6 @@ class Correlation:
             )
         return cls(scenario, np.transpose(nested, (2, 3, 0, 1)))
 
-    def __repr__(self):
-        s = self.scenario
-        return f"Correlation(({s.n_a},{s.n_b},{s.k_a},{s.k_b}) scenario)"
-
 
 def load_correlation(path) -> Correlation:
     return Correlation.from_json_dict(json_document(path, CorrelationError))
@@ -170,22 +167,21 @@ class CorrelatorForm:
     bob_marginals: np.ndarray
     correlators: np.ndarray
 
+    __reduce__ = constructor_reduce
+
     def __post_init__(self):
-        am = np.asarray(self.alice_marginals, dtype=float)
-        bm = np.asarray(self.bob_marginals, dtype=float)
-        co = np.asarray(self.correlators, dtype=float)
+        am = np.array(self.alice_marginals, dtype=float)
+        bm = np.array(self.bob_marginals, dtype=float)
+        co = np.array(self.correlators, dtype=float)
         if co.shape != (am.shape[0], bm.shape[0]):
             raise CorrelationError(
                 f"correlator matrix shape {co.shape} inconsistent with marginals"
             )
         for name, arr in (("alice_marginals", am), ("bob_marginals", bm), ("correlators", co)):
-            if np.any(np.abs(arr) > 1.0 + ATOL):
+            if not np.all(np.abs(arr) <= 1.0 + ATOL):
                 raise CorrelationError(f"{name} entries must lie in [-1, 1]")
-        for arr in (am, bm, co):
             arr.setflags(write=False)
-        object.__setattr__(self, "alice_marginals", am)
-        object.__setattr__(self, "bob_marginals", bm)
-        object.__setattr__(self, "correlators", co)
+            object.__setattr__(self, name, arr)
 
 
 def werner_correlation(visibility: float, arrangement: MeasurementArrangement) -> Correlation:
@@ -282,9 +278,9 @@ def slice_correlation(s: float, t: float) -> Correlation:
     are representable.
     """
     radius_sq = s * s + t * t
-    if radius_sq > 1.0 + ATOL:
+    if not radius_sq <= 1.0 + ATOL:
         raise OutsideQuantumDiscError(
-            f"(s, t) = ({s}, {t}) has s^2 + t^2 = {radius_sq} > 1"
+            f"(s, t) = ({s}, {t}) has s^2 + t^2 = {radius_sq}, not <= 1"
         )
     v = math.sqrt(min(radius_sq, 1.0))
     scenario = Scenario(2, 3, 2, 2)

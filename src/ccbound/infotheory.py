@@ -11,12 +11,12 @@ optimality is not required and not claimed.
 from __future__ import annotations
 
 import bisect
-from typing import NamedTuple
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from ._jsondoc import json_document, json_int, json_table, probability_table
+from ._jsondoc import constructor_reduce, json_document, json_int, json_table, probability_table
 
 SWEEP_GUARD = 10**7
 
@@ -33,19 +33,18 @@ class MinimizerError(RuntimeError):
     """The minimizer's bound differs from the value of the map it returns."""
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class JointDistribution:
     """Immutable joint distribution p(a, b, e) over three finite alphabets."""
 
-    __slots__ = ("p",)
+    p: np.ndarray
 
-    def __init__(self, p):
-        arr = np.asarray(p, dtype=float)
-        if arr.ndim != 3:
-            raise DistributionError(f"expected a rank-3 tensor, got shape {arr.shape}")
-        object.__setattr__(self, "p", probability_table(arr, None, DistributionError))
+    __reduce__ = constructor_reduce
 
-    def __setattr__(self, name, value):
-        raise AttributeError("JointDistribution is immutable")
+    def __post_init__(self):
+        if np.ndim(self.p) != 3:
+            raise DistributionError(f"expected a rank-3 tensor, got shape {np.shape(self.p)}")
+        object.__setattr__(self, "p", probability_table(self.p, None, DistributionError))
 
     def marginal_ab(self) -> np.ndarray:
         return self.p.sum(axis=2)
@@ -64,29 +63,26 @@ class JointDistribution:
             raise DistributionError(f"tensor shape {arr.shape} != declared alphabets {sizes}")
         return cls(arr)
 
-    def __repr__(self):
-        return f"JointDistribution(alphabets={self.p.shape})"
-
 
 def load_distribution(path) -> JointDistribution:
     return JointDistribution.from_json_dict(json_document(path, DistributionError))
 
 
+@dataclass(frozen=True, eq=False, slots=True)
 class StochasticMap:
     """Row-stochastic matrix sending symbol e to symbol f, with |F| <= |E|."""
 
-    __slots__ = ("rows",)
+    rows: np.ndarray
 
-    def __init__(self, rows):
-        arr = np.asarray(rows, dtype=float)
+    __reduce__ = constructor_reduce
+
+    def __post_init__(self):
+        arr = np.asarray(self.rows, dtype=float)
         if arr.ndim != 2:
             raise DistributionError(f"expected a matrix, got shape {arr.shape}")
         if arr.shape[1] > arr.shape[0]:
             raise DistributionError(f"output alphabet {arr.shape[1]} exceeds input alphabet {arr.shape[0]}")
         object.__setattr__(self, "rows", probability_table(arr, 1, DistributionError))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("StochasticMap is immutable")
 
     @classmethod
     def identity(cls, n: int) -> "StochasticMap":
@@ -104,9 +100,6 @@ class StochasticMap:
         rows = np.zeros((assignment.shape[0], n_f))
         rows[np.arange(assignment.shape[0]), assignment] = 1.0
         return cls(rows)
-
-    def __repr__(self):
-        return f"StochasticMap({self.rows.shape[0]}->{self.rows.shape[1]})"
 
 
 def mutual_information(p_ab) -> float:
@@ -131,7 +124,8 @@ def conditional_mutual_information(dist: JointDistribution) -> float:
     return float(kernels.conditional_mutual_information_bits(dist.p))
 
 
-class MinimizerRecord(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class MinimizerRecord:
     """Work counts of one :func:`minimize_intrinsic` call.
 
     ``maps`` and ``calls`` count everything passed to
@@ -149,7 +143,8 @@ class MinimizerRecord(NamedTuple):
     winner: str  # 'identity', 'sweep', 'polish' or 'restart i'
 
 
-class IntrinsicResult(NamedTuple):
+@dataclass(frozen=True, slots=True)
+class IntrinsicResult:
     bound: float
     map: StochasticMap
     record: MinimizerRecord

@@ -10,7 +10,7 @@ from enum import Enum
 
 import numpy as np
 
-from ._jsondoc import ATOL
+from ._jsondoc import ATOL, constructor_reduce
 from .kernels import LP_SLACK
 
 # points per block of the grid: bounds the Python float lists of
@@ -118,6 +118,8 @@ class RegionGrid(Sequence):
     theta: np.ndarray
     codes: np.ndarray
     axis: np.ndarray
+
+    __reduce__ = constructor_reduce
 
     def __post_init__(self):
         size = len(self.axis) ** 2

@@ -2,12 +2,14 @@
 
 import math
 
+import hypothesis
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from ccbound import attack as atk
 from ccbound.correlations import chsh_arrangement, chsh_protocol_correlation, werner_correlation
-from ccbound.infotheory import StochasticMap, apply_map, conditional_mutual_information
+from ccbound.infotheory import StochasticMap, apply_map, conditional_mutual_information, minimize_intrinsic
 from ccbound.localset import is_local_lp, local_visibility
 
 PI4 = math.pi / 4
@@ -418,6 +420,45 @@ def test_closed_form_range_checks():
         atk.chsh_keyrate_bound(PI4, 1.1)
     with pytest.raises(ValueError):
         atk.chsh_keyrate_bound(0.0, 0.5)
+
+
+# ------------------------------------------- device-independent key floor
+# Pironio et al., New J. Phys. 11, 045021 (2009): a CHSH value S > 2 and a key
+# error rate Q guarantee r = 1 - h(Q) - h((1 + sqrt((S/2)^2 - 1))/2) bits per
+# round, so no upper bound may lie below r.  On the theta protocol S is its
+# largest CHSH facet, 2v(cos theta + sin theta), and Q = (1 - v)/2 on the
+# (0, 2) key pair: closed forms that share no code with ccbound.
+
+
+def _binary_entropy(p):
+    return 0.0 if p <= 0.0 or p >= 1.0 else -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)
+
+
+def _di_floor(theta, v):
+    chsh = 2.0 * v * (math.cos(theta) + math.sin(theta))
+    if chsh <= 2.0:
+        return 0.0
+    return 1.0 - _binary_entropy((1.0 - v) / 2.0) - _binary_entropy((1.0 + math.sqrt((chsh / 2.0) ** 2 - 1.0)) / 2.0)
+
+
+@hypothesis.settings(max_examples=300, deadline=None)
+@hypothesis.given(st.floats(0.05, math.pi / 2 - 0.05), st.floats(0.6, 1.0))
+def test_closed_form_never_below_the_device_independent_floor(theta, v):
+    assert atk.chsh_keyrate_bound(theta, v) >= _di_floor(theta, v) - 1e-12
+
+
+@pytest.mark.parametrize("theta, v", [(PI4, 0.9), (math.pi / 6, 0.95), (math.pi / 3, 0.97), (0.3, 0.99)])
+def test_minimized_bound_never_below_the_device_independent_floor(theta, v):
+    floor = _di_floor(theta, v)
+    assert floor > 0.2
+    assert minimize_intrinsic(atk.tripartite(atk.cc_chsh(theta, v), 0, 2), restarts=0).bound >= floor - 1e-9
+
+
+def test_device_independent_floor_anchors():
+    # at theta = pi/4 the floor is positive only above v = 0.8570
+    assert _di_floor(PI4, 0.8570) < 0.0 < _di_floor(PI4, 0.8571)
+    assert _di_floor(PI4, 0.9) == pytest.approx(0.2250, abs=5e-5)
+    assert atk.chsh_keyrate_bound(PI4, 0.9) == pytest.approx(0.4478, abs=5e-5)
 
 
 # --------------------------------------------------------- pipeline equality

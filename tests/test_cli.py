@@ -570,6 +570,55 @@ def test_intrinsic_outputs_pinned(capsys, tmp_path, monkeypatch, name, restarts)
     assert tuple(digests) == INTRINSIC_SHA256[name, restarts]
 
 
+# sha256 of `ccbound constants` and `ccbound bound` stdout on protocol
+# correlations, as printed while Correlation, JointDistribution and
+# StochasticMap still hand-rolled their immutability
+CONSTANTS_OPTIONS = {"text": [], "json": ["--json"], "theta": ["--theta", "0.3"]}
+CONSTANTS_SHA256 = {
+    "text": "426eba0c5f528c749ad4267ed1d0c5ca590736140c782b4a1bf827869ebb6ff0",
+    "json": "13dd4b04685f7ff13e93064895eb18fb40d40b2599268ef432c6dd505511a67f",
+    "theta": "1fec63181ee002e28504bf7289c1c54f801f97342a334db82d1c4dfcc9f1fe3b",
+}
+BOUND_INPUTS = {"pi4_073": (math.pi / 4, 0.73), "pi6_08": (math.pi / 6, 0.8), "pi4_09": (math.pi / 4, 0.9)}
+BOUND_OPTIONS = {
+    "text": [],
+    "json": ["--json"],
+    "settings": ["--setting", "0,2", "--setting", "1,1"],
+    "lambda": ["--lambda", "0.5"],
+}
+BOUND_SHA256 = {
+    ("pi4_073", "text"): "7089e179592fe46f0d24a077fe98a0ae37ad72c5c0a2f3bb1bf8ea2e02108f9f",
+    ("pi4_073", "json"): "85d92223d5de71da391594cc9c8c510ae363ab93bdfeca2e46144d7638e14a73",
+    ("pi4_073", "settings"): "c4eb4621b4ae2d766df112a14416056727298fc13f16126ce77e46426c3f3642",
+    ("pi4_073", "lambda"): "574f31b37d3738463a210e7135c795e12888fb9e4a5ba163eb031fc2d4ef968e",
+    ("pi6_08", "text"): "da6639da3501b9838ed44189057661907e245e22d0907852bd3ba7ad8d294115",
+    ("pi6_08", "json"): "1cf8ef52f67b0797f57e3f4ae8f72f4081cca12dce930f62876e1d81692bd022",
+    ("pi6_08", "settings"): "b4cfb2b3db780b113095714c753275e4c6879cebd0a62dcf624877a357e2c641",
+    ("pi6_08", "lambda"): "68c0073972df419f1abed22121cfb4c30f4a2338d71ef27fd79dff55dfb14f59",
+    ("pi4_09", "text"): "2572ddef16004233afad9c449aef1b3fe6657fb935acc31f7ca74e5be955964e",
+    ("pi4_09", "json"): "497ace3f7a220fc94a8183dd68e42461a85ffc249b8349e57e53a339c692dfd3",
+    ("pi4_09", "settings"): "e46a773939849d0ecec746cf1d9a0a289172bc528d0482ab009e02d4693cf233",
+    ("pi4_09", "lambda"): "84ff7fd4bd914573661777b1f7b49bcdd99a57f2019a153844cc00a0b59db644",
+}
+
+
+@pytest.mark.parametrize("options", sorted(CONSTANTS_SHA256))
+def test_constants_outputs_pinned(capsys, options):
+    code, out, _ = run(capsys, ["constants", *CONSTANTS_OPTIONS[options]])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CONSTANTS_SHA256[options]
+
+
+@pytest.mark.parametrize("name, options", sorted(BOUND_SHA256))
+def test_bound_outputs_pinned(capsys, tmp_path, name, options):
+    theta, v = BOUND_INPUTS[name]
+    path = tmp_path / "corr.json"
+    dump_correlation(chsh_protocol_correlation(theta, v), path)
+    code, out, _ = run(capsys, ["bound", str(path), "--theta", repr(theta), *BOUND_OPTIONS[options]])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_SHA256[name, options]
+
+
 def test_intrinsic_seed_env_override(capsys, tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     p = rng.dirichlet(np.ones(12)).reshape(2, 2, 3)

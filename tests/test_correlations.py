@@ -189,6 +189,21 @@ def test_slice_rejects_points_outside_disc():
         slice_correlation(1.0, 0.5)
 
 
+# each range check fails NaN itself, before any probability table is built
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: MeasurementArrangement(((math.nan, 0.0, 0.0),), ((0.0, 0.0, 1.0),)), CorrelationError, "unit norm"),
+        (lambda: CorrelatorForm([math.nan, 0.0], np.zeros(3), np.zeros((2, 3))), CorrelationError, "alice_marginals"),
+        (lambda: slice_correlation(math.nan, 0.5), OutsideQuantumDiscError, "= nan, not <= 1"),
+    ],
+    ids=["unit_vector", "correlator_form", "slice_correlation"],
+)
+def test_nan_is_rejected_where_it_arrives(build, error, message):
+    with pytest.raises(error, match=message):
+        build()
+
+
 # -------------------------------------------------------- correlator round trip
 
 
