@@ -115,9 +115,8 @@ def cmd_region(parser, args) -> int:
         parser.error("--resolution must be at least 2")
     if args.resolution**2 > MAX_ROWS:
         parser.error(f"--resolution is too large: more than {MAX_ROWS} rows")
-    grid = regions.region_grid(args.resolution)
     with _output(args.out) as stream:
-        regions.write_region_csv(grid, stream)
+        regions.stream_region_csv(args.resolution, stream)
     return 0
 
 

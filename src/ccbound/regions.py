@@ -3,6 +3,7 @@ zero-key, positive-bound and non-quantum regions."""
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -13,10 +14,11 @@ import numpy as np
 from ._jsondoc import ATOL, constructor_reduce
 from .kernels import LP_SLACK
 
-# points per block of the grid: bounds the Python float lists of
-# classify_arrays and the byte rows of write_region_csv.  region_grid and
-# the writer both take blocks of the whole t rows that fit (at least one row)
-BLOCK_POINTS = 1 << 16
+# points per block of the grid: one block's Python float lists, its CSV byte
+# buffer and that buffer's translate and decode copies then stay near 1 MB.
+# region_grid, write_region_csv and stream_region_csv all take blocks of the
+# whole t rows that fit (at least one row)
+BLOCK_POINTS = 1 << 14
 
 
 class RegionLabel(str, Enum):
@@ -70,12 +72,16 @@ def classify_arrays(s, t):
     ft = np.abs(np.asarray(t, dtype=float))
     if np.isnan(fs).any() or np.isnan(ft).any():
         raise ValueError("slice coordinates must not be NaN")
-    n = fs.size
-    xs, ys = fs.tolist(), ft.tolist()
+    return _classify(fs.tolist(), ft.tolist(), fs + ft)
+
+
+def _classify(xs, ys, sums):
+    """``classify_arrays`` of the folded points as float lists, given |s| + |t|."""
+    n = len(xs)
     visibility = np.fromiter(map(math.hypot, xs, ys), float, n)
     theta = np.fromiter(map(math.atan2, ys, xs), float, n)
 
-    local = fs + ft <= 1.0 + LP_SLACK
+    local = sums <= 1.0 + LP_SLACK
     outside = ~local & (visibility > 1.0 + ATOL)
     annulus = np.flatnonzero(~(local | outside))
     angles = theta[annulus].tolist()
@@ -99,9 +105,28 @@ def classify(s: float, t: float) -> RegionPoint:
     return RegionPoint(float(s), float(t), float(visibility[0]), float(theta[0]), LABELS[codes[0]])
 
 
-def _row_blocks(n: int) -> range:
-    """First t row of each block of a grid with n points per axis."""
-    return range(0, n, max(1, BLOCK_POINTS // n))
+def _row_blocks(n: int) -> list[slice]:
+    """The t rows of each block of a grid with n points per axis."""
+    step = max(1, BLOCK_POINTS // n)
+    return [slice(first, min(first + step, n)) for first in range(0, n, step)]
+
+
+def _classified_blocks(axis: np.ndarray):
+    """Yield (visibility, theta, codes) of each ``_row_blocks`` block of the
+    grid over the non-negative axis, each of shape (rows, len(axis)).
+
+    The s list repeats the axis list and the t list repeats each row's value,
+    so a block makes no float object per point for its coordinates.  Adding
+    t + s gives the bits of s + t, so every value is that of
+    ``classify_arrays``.
+    """
+    n = len(axis)
+    xs = axis.tolist()
+    for rows in _row_blocks(n):
+        ts = axis[rows]
+        ys = list(itertools.chain.from_iterable(itertools.repeat(t, n) for t in ts.tolist()))
+        values = _classify(xs * len(ts), ys, np.add.outer(ts, axis).ravel())
+        yield tuple(array.reshape(len(ts), n) for array in values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -122,11 +147,14 @@ class RegionGrid(Sequence):
     __reduce__ = constructor_reduce
 
     def __post_init__(self):
+        # read-only copies: the caller's arrays stay theirs, and writeable
+        for name in ("visibility", "theta", "codes", "axis"):
+            array = np.array(getattr(self, name))
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
         size = len(self.axis) ** 2
         if any(array.shape != (size,) for array in (self.visibility, self.theta, self.codes)):
             raise ValueError(f"visibility, theta and codes must each hold len(axis)**2 = {size} points")
-        for array in (self.visibility, self.theta, self.codes, self.axis):
-            array.setflags(write=False)
 
     def __len__(self):
         return len(self.codes)
@@ -142,28 +170,26 @@ class RegionGrid(Sequence):
         )
 
 
+def _grid_axis(resolution: int) -> np.ndarray:
+    """The coordinates shared by s and t on the uniform grid over [0, 1]^2."""
+    if resolution < 2:
+        raise ValueError(f"resolution must be at least 2, got {resolution}")
+    return np.arange(resolution) * (1.0 / (resolution - 1))
+
+
 def region_grid(resolution: int) -> RegionGrid:
     """Classified points of the uniform grid over [0, 1]^2.
 
     Row-major with t as the outer loop and s as the inner loop.  The points
-    are classified in the blocks of whole t rows that ``write_region_csv``
+    are classified in the blocks of whole t rows that ``stream_region_csv``
     writes.
     """
-    if resolution < 2:
-        raise ValueError(f"resolution must be at least 2, got {resolution}")
-    n = resolution
-    axis = np.arange(n) * (1.0 / (n - 1))
-    visibility = np.empty(n * n)
-    theta = np.empty(n * n)
-    codes = np.empty(n * n, dtype=np.int8)
-    blocks = _row_blocks(n)
-    for first in blocks:
-        rows = axis[first : first + blocks.step]
-        block = slice(first * n, (first + len(rows)) * n)
-        visibility[block], theta[block], codes[block] = classify_arrays(
-            np.tile(axis, len(rows)), np.repeat(rows, n)
-        )
-    return RegionGrid(visibility, theta, codes, axis)
+    axis = _grid_axis(resolution)
+    n = len(axis)
+    visibility, theta, codes = np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=np.int8)
+    for rows, block in zip(_row_blocks(n), _classified_blocks(axis)):
+        visibility[rows], theta[rows], codes[rows] = block
+    return RegionGrid(visibility.ravel(), theta.ravel(), codes.ravel(), axis)
 
 
 REGION_COMMENT = "# grid ordering: row-major, t outer loop, s inner loop"
@@ -224,20 +250,39 @@ def write_region_csv(grid: RegionGrid, stream) -> None:
     row) each, one ``stream.write`` per block.  The s and t fields are
     broadcast from the grid's axis, formatted once.
     """
-    stream.write(f"{REGION_COMMENT}\n{CSV_HEADER}\n")
     n = len(grid.axis)
+    arrays = [array.reshape(n, n) for array in (grid.visibility, grid.theta, grid.codes)]
+    _write_blocks(grid.axis, ([array[rows] for array in arrays] for rows in _row_blocks(n)), stream)
+
+
+def stream_region_csv(resolution: int, stream) -> None:
+    """Write the CSV of ``region_grid(resolution)``, classifying one block
+    of whole t rows at a time and holding only that block.
+
+    The resolution is checked before anything is written.  The bytes are
+    those of ``write_region_csv(region_grid(resolution), stream)``.
+    """
+    axis = _grid_axis(resolution)
+    _write_blocks(axis, _classified_blocks(axis), stream)
+
+
+def _write_blocks(axis: np.ndarray, blocks, stream) -> None:
+    """Write the CSV of the grid over axis from the (visibility, theta,
+    codes) of each of its ``_row_blocks`` blocks in turn, each of shape
+    (rows, len(axis))."""
+    stream.write(f"{REGION_COMMENT}\n{CSV_HEADER}\n")
+    n = len(axis)
     axis_fields = np.empty((n, 9), dtype=np.uint8)
-    axis_fields[:, :8] = fixed6_bytes(grid.axis)
+    axis_fields[:, :8] = fixed6_bytes(axis)
     axis_fields[:, 8] = ord(",")
-    blocks = _row_blocks(n)
-    buffer = np.empty((min(blocks.step, n), n, _ROW_WIDTH), dtype=np.uint8)
+    row_blocks = _row_blocks(n)
+    buffer = np.empty((row_blocks[0].stop, n, _ROW_WIDTH), dtype=np.uint8)
     buffer[..., 0:9] = axis_fields
     buffer[..., 26] = buffer[..., 35] = ord(",")
-    for first in blocks:
-        rows = buffer[: min(blocks.step, n - first)]
-        block = slice(first * n, (first + len(rows)) * n)
-        rows[..., 9:18] = axis_fields[first : first + len(rows), None]
-        rows[..., 18:26] = fixed6_bytes(grid.visibility[block]).reshape(len(rows), n, 8)
-        rows[..., 27:35] = fixed6_bytes(grid.theta[block]).reshape(len(rows), n, 8)
-        rows[..., 36:] = _LABEL_ROWS[grid.codes[block]].reshape(len(rows), n, -1)
-        stream.write(rows.tobytes().translate(None, b"\0").decode("ascii"))
+    for rows, (visibility, theta, codes) in zip(row_blocks, blocks):
+        out = buffer[: len(codes)]
+        out[..., 9:18] = axis_fields[rows, None]
+        out[..., 18:26] = fixed6_bytes(visibility)
+        out[..., 27:35] = fixed6_bytes(theta)
+        out[..., 36:] = _LABEL_ROWS[codes]
+        stream.write(out.tobytes().translate(None, b"\0").decode("ascii"))

@@ -24,6 +24,7 @@ from ccbound.correlations import (
     MeasurementArrangement, chsh_protocol_correlation, dump_correlation, werner_correlation,
 )
 from ccbound.infotheory import JointDistribution, minimize_intrinsic
+from ccbound.regions import region_grid, write_region_csv
 
 PI4_STR = repr(math.pi / 4)
 # one BLAS thread, so that a child's address space does not grow with the
@@ -270,6 +271,34 @@ def test_region_stdout_equals_file(capsys, tmp_path):
     code, out, err = run(capsys, ["region", "--resolution", "201", "--out", "-"])
     assert code == 0 and err == ""
     assert out.encode("ascii") == out_path.read_bytes()
+
+
+@pytest.mark.parametrize("resolution", [2, 128, 129, 300])
+def test_region_stream_equals_the_written_grid(capsys, resolution):
+    # 16,384-point blocks: 128 is exactly one block, 129 blocks of 127 and 2
+    # rows, 300 blocks of 54 rows with a last one of 30
+    code, out, _ = run(capsys, ["region", "--resolution", str(resolution)])
+    stream = io.StringIO()
+    write_region_csv(region_grid(resolution), stream)
+    assert code == 0 and out == stream.getvalue()
+
+
+def _region_peak(resolution):
+    tracemalloc.start()
+    try:
+        code = main(["region", "--resolution", str(resolution), "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    return peak
+
+
+def test_region_memory_does_not_grow_with_its_resolution():
+    # the whole grid holds 17 B per point: 10.9 MB at 801, 43.6 MB at 1601
+    small = _region_peak(201)
+    assert _region_peak(801) < 5_000_000
+    assert _region_peak(1601) < small + 1_000_000
 
 
 def test_region_into_closed_pipe_exits_quietly():

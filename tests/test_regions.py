@@ -15,6 +15,7 @@ from ccbound.localset import is_local_lp, local_visibility
 from ccbound.regions import (
     CSV_HEADER,
     LABELS,
+    RegionGrid,
     RegionLabel,
     classify,
     fixed6_bytes,
@@ -180,6 +181,15 @@ def test_grid_rejects_arrays_that_do_not_fit_its_axis():
         dataclasses.replace(grid, codes=grid.codes[:-1])
     with pytest.raises(ValueError):
         dataclasses.replace(grid, axis=grid.axis[:-1])
+
+
+def test_grid_keeps_read_only_copies_of_its_arrays():
+    visibility, theta, codes, axis = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int8), np.zeros(2)
+    grid = RegionGrid(visibility, theta, codes, axis)
+    assert all(array.flags.writeable for array in (visibility, theta, codes, axis))
+    assert not any(array.flags.writeable for array in (grid.visibility, grid.theta, grid.codes, grid.axis))
+    visibility[0] = 1.0
+    assert grid.visibility[0] == 0.0
 
 
 def test_classify_rejects_nan():
