@@ -5,6 +5,8 @@ size must be an integer (a bool is not one) and a table must nest lists of
 numbers, so that a typo fails instead of being truncated or coerced.  Every
 probability table (a correlation, a joint distribution, a stochastic map),
 read from a file or built in code, passes :func:`probability_table`.
+The value types stay frozen through copies with :func:`constructor_reduce`
+and :class:`FrozenDict`.
 """
 
 import json
@@ -69,3 +71,20 @@ def constructor_reduce(obj):
     """A dataclass's ``__reduce__``: its class and field values, so that copies
     and unpickled objects are rebuilt, checked and frozen by the constructor."""
     return type(obj), tuple(getattr(obj, f.name) for f in fields(obj))
+
+
+class FrozenDict(dict):
+    """A dict that refuses every change after construction.
+
+    It stays a ``dict``, so ``dataclasses.asdict`` rebuilds it from its
+    items; copies and unpickled ones are rebuilt by the constructor too.
+    """
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} is read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return type(self), (dict(self),)

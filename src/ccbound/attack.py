@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from ._jsondoc import ATOL
+from ._jsondoc import ATOL, FrozenDict
 from .correlations import Correlation, MeasurementArrangement, chsh_arrangement, werner_correlation
 from .infotheory import JointDistribution, StochasticMap
 from .localset import local_visibility
@@ -77,7 +77,11 @@ def _check_settings(scenario, setting_weights: dict, maps=()) -> None:
 @dataclass(frozen=True)
 class AttackModel:
     """A decomposition plus per-setting relabelling maps and setting weights,
-    and the unknown fractions the maps were built with (if recorded)."""
+    and the unknown fractions the maps were built with (if recorded).
+
+    The three mappings are stored as read-only copies, so the checks below
+    hold for the model's lifetime.
+    """
 
     decomposition: CCDecomposition
     maps: dict
@@ -85,6 +89,8 @@ class AttackModel:
     unknown_fractions: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        for name in ("maps", "setting_weights", "unknown_fractions"):
+            object.__setattr__(self, name, FrozenDict(getattr(self, name)))
         _check_settings(self.decomposition.scenario, self.setting_weights, self.maps)
         total = sum(self.setting_weights.values())
         if abs(total - 1.0) > ATOL:
@@ -287,7 +293,7 @@ def chsh_attack(
             fraction = float(unknown_fraction)
         maps[pair] = eve_map(agreement, fraction)
         fractions[pair] = fraction
-    return AttackModel(decomposition, maps, dict(settings), fractions)
+    return AttackModel(decomposition, maps, settings, fractions)
 
 
 def chsh_keyrate_bound(theta: float, visibility: float) -> float:

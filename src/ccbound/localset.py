@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
+from ._jsondoc import constructor_reduce
 from .correlations import Correlation, CorrelationError, CorrelatorForm, Scenario, to_correlators
 
 # entries (rows x vertices) of the largest vertex matrix built; 5522 has
@@ -126,14 +127,28 @@ def local_visibility(theta: float) -> float:
     return 1.0 / (math.cos(theta) + math.sin(theta))
 
 
+def _read_only(weights: np.ndarray | None) -> np.ndarray | None:
+    """A read-only copy of vertex weights (None stays None)."""
+    if weights is None:
+        return None
+    weights = np.array(weights)
+    weights.setflags(write=False)
+    return weights
+
+
 @dataclass(frozen=True)
 class LocalityResult:
     """Verdict of the local-polytope membership LP."""
 
     is_local: bool
     local_content: float
-    weights: np.ndarray | None  # vertex weights when local, in vertex order
+    weights: np.ndarray | None  # vertex weights when local, in vertex order (read-only)
     witness: FacetValue | None  # maximal violated CHSH-type facet when nonlocal
+
+    __reduce__ = constructor_reduce
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _read_only(self.weights))
 
 
 def _local_content_lp(corr: Correlation) -> tuple[bool, float, np.ndarray, np.ndarray]:
@@ -193,9 +208,14 @@ class NSLocalWeight:
     ``rest`` is None for a local corr, ``local`` when q <= 1e-12."""
 
     q: float
-    weights: np.ndarray
+    weights: np.ndarray  # read-only
     local: Correlation | None
     rest: Correlation | None
+
+    __reduce__ = constructor_reduce
+
+    def __post_init__(self):
+        object.__setattr__(self, "weights", _read_only(self.weights))
 
 
 def max_local_weight_ns(corr: Correlation) -> NSLocalWeight:

@@ -15,7 +15,7 @@ from ._jsondoc import ATOL, constructor_reduce
 from .kernels import LP_SLACK
 
 # points per block of the grid: one block's Python float lists, its CSV byte
-# buffer and that buffer's translate and decode copies then stay near 1 MB.
+# buffer and that buffer's joined and decoded copies then stay near 1 MB.
 # region_grid, write_region_csv and stream_region_csv all take blocks of the
 # whole t rows that fit (at least one row)
 BLOCK_POINTS = 1 << 14
@@ -63,10 +63,14 @@ def classify_arrays(s, t):
     nonlocal to the LP, and 1 the other way round; at 9.9e-10 and 1.01e-9
     outside it all 200 agree.
 
-    The polar form and the critical visibility use the ``math`` functions
-    point by point, so every value equals the scalar formulas bit for bit;
-    numpy's hypot and arctan2 differ from them in the last bit on 3,735 and
-    31,293 of the 641,601 points of the 801 grid (numpy 2.4, x86-64).
+    The polar form uses ``math.hypot`` and ``math.atan2`` point by point, so
+    every value equals the scalar formulas bit for bit; numpy's hypot and
+    arctan2 differ from them in the last bit on 3,735 and 31,293 of the
+    641,601 points of the 801 grid (numpy 2.4, x86-64).  The critical
+    visibility takes numpy's cos and sin, a few ulps (about 1e-15 after the
+    formula) from ``math.cos`` and ``math.sin``, and is recomputed with the
+    ``math`` functions for the points within 1e-12 of it, so every label is
+    that of the scalar formulas.
     """
     fs = np.abs(np.asarray(s, dtype=float))
     ft = np.abs(np.asarray(t, dtype=float))
@@ -84,19 +88,29 @@ def _classify(xs, ys, sums):
     local = sums <= 1.0 + LP_SLACK
     outside = ~local & (visibility > 1.0 + ATOL)
     annulus = np.flatnonzero(~(local | outside))
-    angles = theta[annulus].tolist()
-    cos = np.fromiter(map(math.cos, angles), float, len(angles))
-    sin = np.fromiter(map(math.sin, angles), float, len(angles))
-    # attack.critical_visibility in its operation order:
-    # zero_key_visibility(1.0, v_l) with v_l = localset.local_visibility(theta)
-    v_l = 1.0 / (cos + sin)
-    critical = (v_l * 1.0 + 1.0) / ((v_l * -1.0 + 4.0) - 1.0)
+    angles, radii = theta[annulus], visibility[annulus]
+    critical = _critical_visibility(np.cos(angles), np.sin(angles))
+    near = np.flatnonzero(np.abs(radii - critical) <= 1e-12)
+    if len(near):
+        exact = angles[near].tolist()
+        critical[near] = _critical_visibility(
+            np.fromiter(map(math.cos, exact), float, len(exact)),
+            np.fromiter(map(math.sin, exact), float, len(exact)),
+        )
 
     codes = np.full(n, _BLUE, dtype=np.int8)
     codes[local] = _LOCAL
     codes[outside] = _OUTSIDE
-    codes[annulus[visibility[annulus] <= critical]] = _RED
+    codes[annulus[radii <= critical]] = _RED
     return visibility, theta, codes
+
+
+def _critical_visibility(cos, sin):
+    """attack.critical_visibility from the cos and sin of each polar angle, in
+    its operation order: zero_key_visibility(1.0, v_l) with
+    v_l = localset.local_visibility(theta)."""
+    v_l = 1.0 / (cos + sin)
+    return (v_l * 1.0 + 1.0) / ((v_l * -1.0 + 4.0) - 1.0)
 
 
 def classify(s: float, t: float) -> RegionPoint:
@@ -211,8 +225,8 @@ def fixed6_bytes(x) -> np.ndarray:
     Every value must lie in [0, 9.9999995), where that text is d.dddddd.
     The digits come from the micro-units rint(v * 1e6).  That product is
     within 1e-9 of the exact v * 10^6, so it rounds as "%.6f" does except
-    within that distance of a tie; values near a tie are formatted by
-    Python instead.
+    within that distance of a tie; values near a tie (``fixed6_ties``) are
+    formatted by Python instead.
     """
     x = np.asarray(x, dtype=float)
     scaled = x * 1e6
@@ -225,21 +239,31 @@ def fixed6_bytes(x) -> np.ndarray:
     np.take(_HEAD_WORDS, head, out=words[..., 0])
     np.take(_TAIL_WORDS, units - head * 10000, out=words[..., 1])
     out = words.view(np.uint8)
-    near_tie = np.abs(scaled - micro) > 0.5 - 1e-6
+    near_tie = fixed6_ties(x)
     if near_tie.any():
         for index in map(tuple, np.argwhere(near_tie)):
             out[index] = np.frombuffer(("%.6f" % x[index]).encode("ascii"), dtype=np.uint8)
     return out
 
 
-# a label field: the label NUL-padded to the longest one, then the newline
-_LABEL_WIDTH = max(len(label.value) for label in LABELS)
+def fixed6_ties(x) -> np.ndarray:
+    """Where ``fixed6_bytes`` formats by Python: the values of x within 1e-12
+    of a ``"%.6f"`` rounding tie (1e-6 micro-units from a half-integer)."""
+    scaled = np.asarray(x, dtype=float) * 1e6
+    return np.abs(scaled - np.rint(scaled)) > 0.5 - 1e-6
+
+
+# a label field: the label and its newline, NUL-padded to the longest one;
+# a row of label k is the first _ROW_WIDTHS[k] bytes of its buffer row, so
+# the padding is never written
+_LABEL_WIDTH = max(len(label.value) for label in LABELS) + 1
 _LABEL_ROWS = np.array(
-    [np.frombuffer(label.value.encode("ascii").ljust(_LABEL_WIDTH, b"\0") + b"\n", dtype=np.uint8)
+    [np.frombuffer(f"{label.value}\n".encode("ascii").ljust(_LABEL_WIDTH, b"\0"), dtype=np.uint8)
      for label in LABELS]
 )
 # a CSV row: four 9-byte "d.dddddd," fields, then the label field
-_ROW_WIDTH = 4 * 9 + _LABEL_WIDTH + 1
+_ROW_WIDTH = 4 * 9 + _LABEL_WIDTH
+_ROW_WIDTHS = [4 * 9 + len(label.value) + 1 for label in LABELS]
 
 
 def write_region_csv(grid: RegionGrid, stream) -> None:
@@ -285,4 +309,12 @@ def _write_blocks(axis: np.ndarray, blocks, stream) -> None:
         out[..., 18:26] = fixed6_bytes(visibility)
         out[..., 27:35] = fixed6_bytes(theta)
         out[..., 36:] = _LABEL_ROWS[codes]
-        stream.write(out.tobytes().translate(None, b"\0").decode("ascii"))
+        stream.write(_cut_rows(out.reshape(-1, _ROW_WIDTH), codes.ravel()).decode("ascii"))
+
+
+def _cut_rows(rows: np.ndarray, codes: np.ndarray) -> bytes:
+    """The bytes of the buffer rows, each run of equal label codes cut to
+    its label's row width."""
+    bounds = [0, *(np.flatnonzero(codes[1:] != codes[:-1]) + 1).tolist(), len(codes)]
+    widths = [_ROW_WIDTHS[code] for code in codes[bounds[:-1]].tolist()]
+    return b"".join(rows[i:j, :width].tobytes() for i, j, width in zip(bounds, bounds[1:], widths))

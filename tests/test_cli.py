@@ -18,7 +18,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccbound import cli
+from ccbound import attack, cli
+from ccbound.attack import chsh_keyrate_bound, critical_visibility
 from ccbound.cli import main
 from ccbound.correlations import (
     MeasurementArrangement, chsh_protocol_correlation, dump_correlation, werner_correlation,
@@ -215,6 +216,76 @@ def test_curve_into_closed_pipe_exits_quietly():
     # meets the closed pipe after a few blocks
     line, code, err = _into_closed_pipe(["curve", "--v-min", "0", "--v-max", "0.999999", "--step", "1e-7"])
     assert (line, code, err) == (b"v,S,bound\n", 141, b"")
+
+
+def _scalar_curve(theta, v_min, v_max, step):
+    """The curve CSV row by row from the scalar definition: v = v_min + i * step
+    kept while <= v_max + 1e-12 and capped at 1."""
+    scale = 2.0 * (math.cos(theta) + math.sin(theta))
+    lines = ["v,S,bound\n"]
+    i = 0
+    while (v := v_min + i * step) <= v_max + 1e-12:
+        v = min(v, 1.0)
+        lines.append("%.6f,%.6f,%.6f\n" % (v, scale * v, chsh_keyrate_bound(theta, v)))
+        i += 1
+    return "".join(lines)
+
+
+@pytest.mark.parametrize("step", ["1e-3", "0.005"])
+@pytest.mark.parametrize("theta", [0.05, 0.3, math.pi / 4, 1.2, math.pi / 2 - 0.05])
+def test_curve_rows_equal_the_scalar_definition(capsys, theta, step):
+    code, out, _ = run(capsys, ["curve", "--theta", repr(theta), "--v-min", "0", "--v-max", "1", "--step", step])
+    assert code == 0 and out == _scalar_curve(theta, 0.0, 1.0, float(step))
+
+
+@pytest.mark.parametrize(
+    "v_min, v_max, step, rows",
+    [
+        # the last step overshoots v_max, or 1, by less than 1e-12
+        (0.1, 0.3, 0.1, 3), (0.09, 1.0, 0.07, 14),
+        # one whole block of 4096 rows, then 4097 and 10,001 rows
+        (0.0, 1.0, 1 / 4095, 4096), (0.0, 1.0, 1 / 4096, 4097), (0.0, 1.0, 1e-4, 10_001),
+    ],
+)
+def test_curve_rows_follow_the_step_rule(capsys, v_min, v_max, step, rows):
+    code, out, _ = run(capsys, ["curve", "--v-min", repr(v_min), "--v-max", repr(v_max), "--step", repr(step)])
+    assert code == 0 and out == _scalar_curve(math.pi / 4, v_min, v_max, step)
+    assert out.count("\n") == rows + 1
+
+
+def test_curve_step_rule_cases_overshoot_by_less_than_1e_12():
+    assert 0.3 < 0.1 + 2 * 0.1 <= 0.3 + 1e-12
+    assert 1.0 < 0.09 + 13 * 0.07 <= 1.0 + 1e-12
+
+
+def test_curve_row_near_a_rounding_tie_takes_the_scalar_text(capsys, monkeypatch):
+    # bisect v until the bound is within 1e-15 of 0.1234565, a "%.6f" tie,
+    # where a last-bit difference of numpy's log2 could change the text
+    theta, target = math.pi / 4, 123456.5
+    lo, hi = critical_visibility(theta), 1.0
+    while abs(error := chsh_keyrate_bound(theta, v := 0.5 * (lo + hi)) * 1e6 - target) > 1e-9:
+        assert lo < v < hi
+        lo, hi = (v, hi) if error < 0 else (lo, v)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return chsh_keyrate_bound(*args)
+
+    monkeypatch.setattr(attack, "chsh_keyrate_bound", counted)
+    code, out, _ = run(capsys, ["curve", "--theta", repr(theta), "--v-min", repr(v), "--v-max", repr(v)])
+    assert code == 0 and out == _scalar_curve(theta, v, v, 0.005)
+    assert calls == [(theta, v)]
+
+
+def test_curve_of_a_million_rows_is_pinned(tmp_path):
+    # the digest of the curve when every row was formatted from the scalar
+    # chsh_keyrate_bound
+    out_path = tmp_path / "curve.csv"
+    assert main(["curve", "--v-min", "0", "--v-max", "1", "--step", "1e-6", "--out", str(out_path)]) == 0
+    data = out_path.read_bytes()
+    assert data.count(b"\n") == 1_000_002
+    assert hashlib.sha256(data).hexdigest() == "fdd8e0112f9321c3949a988685fd9f6d979796f7d1295416a19e21b8413b57a3"
 
 
 # ------------------------------------------------------------------- region
@@ -843,6 +914,31 @@ def test_localweight_out_is_the_same_on_every_blas_kernel(tmp_path, mode):
         subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120)
         files.append((tmp_path / "local.json").read_bytes())
     assert files[0] == files[1] != b""
+
+
+def _numpy_cpu_features():
+    try:
+        from numpy._core._multiarray_umath import __cpu_features__
+    except ImportError:  # numpy 1.x
+        from numpy.core._multiarray_umath import __cpu_features__
+    return __cpu_features__
+
+
+@pytest.mark.skipif(not _numpy_cpu_features().get("X86_V4"), reason="numpy dispatches no AVX-512 kernels here")
+def test_csv_bytes_are_the_same_on_every_numpy_simd_target(tmp_path):
+    # numpy's AVX-512 log2, cos and sin differ from its AVX2 ones in the last
+    # bit on some inputs; the CSV commands must not depend on that
+    default = {key: value for key, value in CHILD_ENV.items() if key != "NPY_DISABLE_CPU_FEATURES"}
+    outputs = []
+    for env in (default, {**default, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
+        outputs.append([
+            subprocess.run(
+                [sys.executable, "-m", "ccbound", *argv], env=env, capture_output=True, check=True, timeout=120,
+            ).stdout
+            for argv in (["curve", "--step", "1e-5"], ["region", "--resolution", "401"])
+        ])
+    assert outputs[0] == outputs[1]
+    assert [out.count(b"\n") for out in outputs[0]] == [35_002, 401 * 401 + 2]
 
 
 # -------------------------------------------------------- oversized inputs

@@ -45,6 +45,7 @@ def _values():
         "CCDecomposition": decomposition,
         "AttackModel": attack.chsh_attack(PI4, 0.9),
         "NSLocalWeight": localset.max_local_weight_ns(corr),
+        "LocalityResult": localset.is_local_lp(correlations.chsh_protocol_correlation(PI4, 0.6)),
         "SegmentLocalWeight": localset.max_local_weight_along(corr, correlations.chsh_protocol_correlation(PI4, 1.0)),
         "DeterministicVertex": localset.enumerate_vertices(Scenario(2, 2, 2, 2))[5],
         "IntrinsicResult": infotheory.minimize_intrinsic(joint, restarts=0),
@@ -121,3 +122,55 @@ def test_table_types_keep_positional_forms_and_identity_equality():
         assert value == value and value != twin and len({value, twin}) == 2
     assert dataclasses.asdict(corr)["scenario"] == {"n_a": 2, "n_b": 3, "k_a": 2, "k_b": 2}
     assert np.array_equal(dataclasses.asdict(joint)["p"], joint.p)
+
+
+MUTATIONS = {
+    "setitem": lambda mapping: mapping.__setitem__((0, 2), 5.0),
+    "delitem": lambda mapping: mapping.__delitem__((0, 2)),
+    "ior": lambda mapping: mapping.__ior__({(0, 2): 5.0}),
+    "clear": lambda mapping: mapping.clear(),
+    "pop": lambda mapping: mapping.pop((0, 2)),
+    "popitem": lambda mapping: mapping.popitem(),
+    "setdefault": lambda mapping: mapping.setdefault((1, 2), 5.0),
+    "update": lambda mapping: mapping.update({(0, 2): 5.0}),
+}
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_attack_model_mappings_are_read_only_in_every_copy(how):
+    model = VALUES["AttackModel"]
+    observed = correlations.chsh_protocol_correlation(PI4, 0.9)
+    bound = attack.keyrate_bound(observed, model)
+    for value in (model, COPIES[how](model)):
+        for name in ("maps", "setting_weights", "unknown_fractions"):
+            mapping = getattr(value, name)
+            before = dict(mapping)
+            for mutate in MUTATIONS.values():
+                with pytest.raises(TypeError):
+                    mutate(mapping)
+            assert mapping.keys() == before.keys() == {(0, 2)}
+        assert attack.keyrate_bound(observed, value) == bound <= 1.0
+    assert dataclasses.asdict(model)["setting_weights"] == {(0, 2): 1.0}
+
+
+def test_attack_model_keeps_its_own_copies_of_the_callers_dicts():
+    model = VALUES["AttackModel"]
+    weights, fractions = {(0, 2): 1.0}, {(0, 2): 1.0}
+    maps = dict(model.maps)
+    rebuilt = attack.AttackModel(model.decomposition, maps, weights, fractions)
+    weights[(0, 2)], fractions[(0, 2)], maps[(1, 2)] = 5.0, 0.5, maps[(0, 2)]
+    assert (rebuilt.setting_weights, rebuilt.unknown_fractions) == ({(0, 2): 1.0}, {(0, 2): 1.0})
+    assert list(rebuilt.maps) == [(0, 2)]
+
+
+@pytest.mark.parametrize("name", ["LocalityResult", "NSLocalWeight"])
+def test_vertex_weights_are_read_only_copies(name):
+    result = VALUES[name]
+    assert not result.weights.flags.writeable
+    with pytest.raises(ValueError):
+        result.weights[0] = 1.0
+    caller = np.array(result.weights)
+    rebuilt = type(result)(*(caller if field.name == "weights" else getattr(result, field.name)
+                             for field in dataclasses.fields(result)))
+    assert caller.flags.writeable and rebuilt.weights is not caller
+    assert np.array_equal(rebuilt.weights, result.weights) and not rebuilt.weights.flags.writeable
