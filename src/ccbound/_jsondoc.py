@@ -5,8 +5,8 @@ size must be an integer (a bool is not one) and a table must nest lists of
 numbers, so that a typo fails instead of being truncated or coerced.  Every
 probability table (a correlation, a joint distribution, a stochastic map),
 read from a file or built in code, passes :func:`probability_table`.
-The value types stay frozen through copies with :func:`constructor_reduce`
-and :class:`FrozenDict`.
+The value types hold :func:`read_only_copy` arrays and stay frozen through
+copies with :func:`constructor_reduce` and :class:`FrozenDict`.
 """
 
 import json
@@ -56,13 +56,22 @@ def probability_table(values, sum_axes, error: type[Exception]) -> np.ndarray:
     Every entry must be >= 0 (so not NaN), and every sum over ``sum_axes``
     (None: all entries) must be 1 within ATOL, which an infinite entry fails.
     """
-    arr = np.array(values, dtype=float)
+    arr = read_only_copy(values, float)
     # the methods, not np.all and np.any: tables are small and built per task
     if not (arr >= 0.0).all():
         raise error(f"negative or NaN probability entry: min = {float(arr.min())!r}")
     deviation = abs(arr.sum(axis=sum_axes) - 1.0)
     if (deviation > ATOL).any():
         raise error(f"probabilities must sum to 1 within {ATOL}; worst deviation {float(deviation.max())!r}")
+    return arr
+
+
+def read_only_copy(values, dtype=None):
+    """A read-only array copy of ``values`` (None stays None): the value types
+    hold these, so the caller's array stays theirs, and writeable."""
+    if values is None:
+        return None
+    arr = np.array(values, dtype=dtype)
     arr.setflags(write=False)
     return arr
 

@@ -195,11 +195,12 @@ def zero_key_visibility(agreement: float, local_visibility_value: float) -> floa
     Equals [v_local (2s - 1) + 1] / [v_local (1 - 2s) + 4s - 1] for the
     ideal agreement s of the setting pair; monotonically decreasing in s,
     so the key-generating pair (s = 1) is the most favorable to the
-    eavesdropper.
+    eavesdropper.  An array of local visibilities gives an array.
     """
     if not 0.5 <= agreement <= 1.0:
         raise AttackError(f"agreement must lie in [1/2, 1], got {agreement!r}")
-    if not 0.0 < local_visibility_value < 1.0:
+    # the method, not np.all, which takes about 2.5 us more on a float
+    if not np.asarray((0.0 < local_visibility_value) & (local_visibility_value < 1.0)).all():
         raise AttackError(
             f"local visibility must lie in (0, 1), got {local_visibility_value!r}"
         )
@@ -296,27 +297,38 @@ def chsh_attack(
     return AttackModel(decomposition, maps, settings, fractions)
 
 
-def chsh_keyrate_bound(theta: float, visibility: float) -> float:
+def chsh_keyrate_bound(theta: float, visibility):
     """Closed-form key-rate upper bound for the theta protocol keyed on the
-    (0, 2) setting pair.
+    (0, 2) setting pair, at a float visibility or at each visibility of a
+    1-D array (giving an array).
 
     Zero at and below the critical visibility; above it,
     2(1 - s q) + (1-q) log2[(1-q)/(2(1-sq))] + q(1-s) log2[q(1-s)/(2(1-sq))]
-    with s = (1 + v_local)/2 and q = (1 - v)/(1 - v_local).
+    with s = (1 + v_local)/2 and q = (1 - v)/(1 - v_local).  Both cases run
+    the same numpy arithmetic and take ``math.log2`` point by point (numpy's
+    SIMD log2 may differ from it in the last bit), so every value of an
+    array is the float's bit for bit.
     """
-    if not 0.0 <= visibility <= 1.0:
+    v = np.atleast_1d(np.asarray(visibility, dtype=float))
+    if not ((0.0 <= v) & (v <= 1.0)).all():
         raise AttackError(f"visibility must lie in [0, 1], got {visibility!r}")
     v_l = local_visibility(theta)
-    if visibility <= zero_key_visibility(1.0, v_l):
-        return 0.0
+    above = v > zero_key_visibility(1.0, v_l)
     s = 0.5 * (1.0 + v_l)
-    q = (1.0 - visibility) / (1.0 - v_l)
+    q = (1.0 - v[above]) / (1.0 - v_l)
     z = 1.0 - s * q
-    value = 2.0 * z + (1.0 - q) * math.log2((1.0 - q) / (2.0 * z))
+    value = 2.0 * z + (1.0 - q) * _log2((1.0 - q) / (2.0 * z))
     hidden = q * (1.0 - s)
-    if hidden > 0.0:
-        value += hidden * math.log2(hidden / (2.0 * z))
-    return max(value, 0.0)
+    hides = hidden > 0.0
+    value[hides] += hidden[hides] * _log2(hidden[hides] / (2.0 * z[hides]))
+    bounds = np.zeros(len(v))
+    bounds[above] = np.maximum(value, 0.0)
+    return bounds if np.ndim(visibility) else float(bounds[0])
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """``math.log2`` of each value of x."""
+    return np.fromiter(map(math.log2, x.tolist()), float, len(x))
 
 
 def critical_visibility_werner() -> float:

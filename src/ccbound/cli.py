@@ -98,8 +98,6 @@ def cmd_curve(parser, args) -> int:
     if (args.v_max - args.v_min + 1e-12) / args.step > MAX_ROWS:
         parser.error(f"--step is too small for the range: more than {MAX_ROWS} rows")
     scale = 2.0 * (math.cos(theta) + math.sin(theta))
-    v_l = local_visibility(theta)
-    v_zero = atk.zero_key_visibility(1.0, v_l)
     # a row: three 8-byte "d.dddddd" fields joined by commas, then the newline
     rows = np.empty((CURVE_BLOCK, 27), dtype=np.uint8)
     rows[:, 8] = rows[:, 17] = ord(",")
@@ -111,41 +109,14 @@ def cmd_curve(parser, args) -> int:
         for first in itertools.count(0, CURVE_BLOCK):
             steps = args.v_min + np.arange(first, first + CURVE_BLOCK) * args.step
             vs = np.minimum(steps[steps <= args.v_max + 1e-12], 1.0)
-            bounds = _keyrate_bounds(vs, v_l, v_zero)
-            # near a rounding tie the text is that of the scalar definition
-            for i in np.flatnonzero(regions.fixed6_ties(bounds)).tolist():
-                bounds[i] = atk.chsh_keyrate_bound(theta, float(vs[i]))
             out = rows[: len(vs)]
             out[:, 0:8] = regions.fixed6_bytes(vs)
             out[:, 9:17] = regions.fixed6_bytes(scale * vs)
-            out[:, 18:26] = regions.fixed6_bytes(bounds)
+            out[:, 18:26] = regions.fixed6_bytes(atk.chsh_keyrate_bound(theta, vs))
             stream.write(out.tobytes().decode("ascii"))
             if len(vs) < CURVE_BLOCK:
                 break
     return 0
-
-
-def _keyrate_bounds(v: np.ndarray, v_l: float, v_zero: float) -> np.ndarray:
-    """attack.chsh_keyrate_bound at each visibility of v, in its operation
-    order, given v_l = local_visibility(theta) and the zero-key visibility
-    v_zero = zero_key_visibility(1.0, v_l).
-
-    numpy's AVX-512 log2 differs from math.log2 in the last bit on some
-    inputs, so a value is the scalar one to within a few ulps, not bit for
-    bit: on the 200,001 points of v = 0, 5e-6, ..., 1 at theta = pi/4, 28
-    bounds differ, by at most 2.2e-16 (none without AVX-512).
-    """
-    bounds = np.zeros(len(v))
-    above = v > v_zero
-    s = 0.5 * (1.0 + v_l)
-    q = (1.0 - v[above]) / (1.0 - v_l)
-    z = 1.0 - s * q
-    value = 2.0 * z + (1.0 - q) * np.log2((1.0 - q) / (2.0 * z))
-    hidden = q * (1.0 - s)
-    # the scalar adds this term only where hidden > 0.0; elsewhere it adds 0.0
-    value += hidden * np.log2(hidden / (2.0 * z), out=np.zeros(len(hidden)), where=hidden > 0.0)
-    bounds[above] = np.maximum(value, 0.0)
-    return bounds
 
 
 # ------------------------------------------------------------------- region

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsondoc import ATOL, constructor_reduce, json_document, json_int, json_table, probability_table
+from ._jsondoc import ATOL, constructor_reduce, json_document, json_int, json_table, probability_table, read_only_copy
 
 
 class CorrelationError(ValueError):
@@ -50,14 +50,13 @@ class Scenario:
 
 
 def unit_vector(components) -> np.ndarray:
-    """Validate and freeze a unit Bloch vector."""
-    v = np.asarray(components, dtype=float)
+    """A validated read-only copy of a unit Bloch vector."""
+    v = read_only_copy(components, float)
     if v.shape != (3,):
         raise CorrelationError(f"Bloch vector must have 3 components, got shape {v.shape}")
     norm = math.hypot(*v.tolist())
     if not abs(norm - 1.0) <= ATOL:
         raise CorrelationError(f"Bloch vector must be unit norm, got |v| = {norm!r}")
-    v.setflags(write=False)
     return v
 
 
@@ -170,9 +169,9 @@ class CorrelatorForm:
     __reduce__ = constructor_reduce
 
     def __post_init__(self):
-        am = np.array(self.alice_marginals, dtype=float)
-        bm = np.array(self.bob_marginals, dtype=float)
-        co = np.array(self.correlators, dtype=float)
+        am = read_only_copy(self.alice_marginals, float)
+        bm = read_only_copy(self.bob_marginals, float)
+        co = read_only_copy(self.correlators, float)
         if co.shape != (am.shape[0], bm.shape[0]):
             raise CorrelationError(
                 f"correlator matrix shape {co.shape} inconsistent with marginals"
@@ -180,7 +179,6 @@ class CorrelatorForm:
         for name, arr in (("alice_marginals", am), ("bob_marginals", bm), ("correlators", co)):
             if not np.all(np.abs(arr) <= 1.0 + ATOL):
                 raise CorrelationError(f"{name} entries must lie in [-1, 1]")
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 

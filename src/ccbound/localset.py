@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._jsondoc import constructor_reduce
+from ._jsondoc import constructor_reduce, read_only_copy
 from .correlations import Correlation, CorrelationError, CorrelatorForm, Scenario, to_correlators
 
 # entries (rows x vertices) of the largest vertex matrix built; 5522 has
@@ -127,15 +127,6 @@ def local_visibility(theta: float) -> float:
     return 1.0 / (math.cos(theta) + math.sin(theta))
 
 
-def _read_only(weights: np.ndarray | None) -> np.ndarray | None:
-    """A read-only copy of vertex weights (None stays None)."""
-    if weights is None:
-        return None
-    weights = np.array(weights)
-    weights.setflags(write=False)
-    return weights
-
-
 @dataclass(frozen=True)
 class LocalityResult:
     """Verdict of the local-polytope membership LP."""
@@ -148,7 +139,7 @@ class LocalityResult:
     __reduce__ = constructor_reduce
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _read_only(self.weights))
+        object.__setattr__(self, "weights", read_only_copy(self.weights))
 
 
 def _local_content_lp(corr: Correlation) -> tuple[bool, float, np.ndarray, np.ndarray]:
@@ -215,7 +206,7 @@ class NSLocalWeight:
     __reduce__ = constructor_reduce
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _read_only(self.weights))
+        object.__setattr__(self, "weights", read_only_copy(self.weights))
 
 
 def max_local_weight_ns(corr: Correlation) -> NSLocalWeight:

@@ -11,7 +11,8 @@ from enum import Enum
 
 import numpy as np
 
-from ._jsondoc import ATOL, constructor_reduce
+from ._jsondoc import ATOL, constructor_reduce, read_only_copy
+from .attack import critical_visibility, zero_key_visibility
 from .kernels import LP_SLACK
 
 # points per block of the grid: one block's Python float lists, its CSV byte
@@ -67,10 +68,10 @@ def classify_arrays(s, t):
     every value equals the scalar formulas bit for bit; numpy's hypot and
     arctan2 differ from them in the last bit on 3,735 and 31,293 of the
     641,601 points of the 801 grid (numpy 2.4, x86-64).  The critical
-    visibility takes numpy's cos and sin, a few ulps (about 1e-15 after the
-    formula) from ``math.cos`` and ``math.sin``, and is recomputed with the
-    ``math`` functions for the points within 1e-12 of it, so every label is
-    that of the scalar formulas.
+    visibility takes the local visibility 1/(cos theta + sin theta) as
+    r/(|s| + |t|), a few ulps from it, and is recomputed by
+    ``attack.critical_visibility`` for the points within 1e-12 of it, so
+    every label is that of the scalar formulas.
     """
     fs = np.abs(np.asarray(s, dtype=float))
     ft = np.abs(np.asarray(t, dtype=float))
@@ -88,29 +89,16 @@ def _classify(xs, ys, sums):
     local = sums <= 1.0 + LP_SLACK
     outside = ~local & (visibility > 1.0 + ATOL)
     annulus = np.flatnonzero(~(local | outside))
-    angles, radii = theta[annulus], visibility[annulus]
-    critical = _critical_visibility(np.cos(angles), np.sin(angles))
+    radii = visibility[annulus]
+    critical = zero_key_visibility(1.0, radii / sums[annulus])
     near = np.flatnonzero(np.abs(radii - critical) <= 1e-12)
-    if len(near):
-        exact = angles[near].tolist()
-        critical[near] = _critical_visibility(
-            np.fromiter(map(math.cos, exact), float, len(exact)),
-            np.fromiter(map(math.sin, exact), float, len(exact)),
-        )
+    critical[near] = [critical_visibility(angle) for angle in theta[annulus[near]].tolist()]
 
     codes = np.full(n, _BLUE, dtype=np.int8)
     codes[local] = _LOCAL
     codes[outside] = _OUTSIDE
     codes[annulus[radii <= critical]] = _RED
     return visibility, theta, codes
-
-
-def _critical_visibility(cos, sin):
-    """attack.critical_visibility from the cos and sin of each polar angle, in
-    its operation order: zero_key_visibility(1.0, v_l) with
-    v_l = localset.local_visibility(theta)."""
-    v_l = 1.0 / (cos + sin)
-    return (v_l * 1.0 + 1.0) / ((v_l * -1.0 + 4.0) - 1.0)
 
 
 def classify(s: float, t: float) -> RegionPoint:
@@ -161,11 +149,8 @@ class RegionGrid(Sequence):
     __reduce__ = constructor_reduce
 
     def __post_init__(self):
-        # read-only copies: the caller's arrays stay theirs, and writeable
         for name in ("visibility", "theta", "codes", "axis"):
-            array = np.array(getattr(self, name))
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
         size = len(self.axis) ** 2
         if any(array.shape != (size,) for array in (self.visibility, self.theta, self.codes)):
             raise ValueError(f"visibility, theta and codes must each hold len(axis)**2 = {size} points")
@@ -225,8 +210,8 @@ def fixed6_bytes(x) -> np.ndarray:
     Every value must lie in [0, 9.9999995), where that text is d.dddddd.
     The digits come from the micro-units rint(v * 1e6).  That product is
     within 1e-9 of the exact v * 10^6, so it rounds as "%.6f" does except
-    within that distance of a tie; values near a tie (``fixed6_ties``) are
-    formatted by Python instead.
+    within that distance of a tie; values within 1e-12 of a tie (1e-6
+    micro-units from a half-integer) are formatted by Python instead.
     """
     x = np.asarray(x, dtype=float)
     scaled = x * 1e6
@@ -239,18 +224,9 @@ def fixed6_bytes(x) -> np.ndarray:
     np.take(_HEAD_WORDS, head, out=words[..., 0])
     np.take(_TAIL_WORDS, units - head * 10000, out=words[..., 1])
     out = words.view(np.uint8)
-    near_tie = fixed6_ties(x)
-    if near_tie.any():
-        for index in map(tuple, np.argwhere(near_tie)):
-            out[index] = np.frombuffer(("%.6f" % x[index]).encode("ascii"), dtype=np.uint8)
+    for index in map(tuple, np.argwhere(np.abs(scaled - micro) > 0.5 - 1e-6)):
+        out[index] = np.frombuffer(("%.6f" % x[index]).encode("ascii"), dtype=np.uint8)
     return out
-
-
-def fixed6_ties(x) -> np.ndarray:
-    """Where ``fixed6_bytes`` formats by Python: the values of x within 1e-12
-    of a ``"%.6f"`` rounding tie (1e-6 micro-units from a half-integer)."""
-    scaled = np.asarray(x, dtype=float) * 1e6
-    return np.abs(scaled - np.rint(scaled)) > 0.5 - 1e-6
 
 
 # a label field: the label and its newline, NUL-padded to the longest one;

@@ -54,6 +54,15 @@ def test_unit_vector_validation():
         unit_vector((1.0, 0.0))
 
 
+def test_unit_vectors_are_read_only_copies_of_the_callers_array():
+    a = np.array([0.0, 0.0, 1.0])
+    stored = [unit_vector(a), *MeasurementArrangement((a,), (a,)).alice]
+    assert a.flags.writeable
+    assert not any(v.flags.writeable for v in stored)
+    a[2] = -1.0
+    assert all(v[2] == 1.0 for v in stored)
+
+
 def test_correlation_rejects_bad_tables():
     scenario = Scenario(1, 1, 2, 2)
     with pytest.raises(CorrelationError):
