@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import types
 
 import numpy as np
 
@@ -48,20 +49,29 @@ def _resolve_theta(parser: argparse.ArgumentParser, args) -> float:
     theta = args.theta if args.theta_deg is None else math.radians(args.theta_deg)
     if not 0.0 < theta < math.pi / 2:
         parser.error(f"theta must lie strictly between 0 and pi/2, got {theta}")
+    if local_visibility(theta) >= 1.0:
+        parser.error(f"theta is too close to 0: cos theta + sin theta rounds to 1, got {theta}")
     return theta
 
 
 def _output(path):
-    """The output as a context manager: stdout for '-' (left open), else the file (closed on exit)."""
-    if path == "-":
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="\n")
+    """The output as a context manager over a binary stream: the file opened "wb"
+    (closed on exit), or for '-' the byte stream under stdout, flushed first (left
+    open; a stdout with none, such as an ``io.StringIO``, is written the text)."""
+    if path != "-":
+        return open(path, "wb")
+    text = sys.stdout
+    text.flush()
+    decoding = types.SimpleNamespace(write=lambda data: text.write(data.decode("ascii")))
+    return contextlib.nullcontext(getattr(text, "buffer", decoding))
 
 
 # rows a CSV command may write: a larger curve or region is a usage error
 MAX_ROWS = 10**7
 # rows per block of a curve, computed and written together
 CURVE_BLOCK = 4096
+# a curve row: three "d.dddddd" fields as regions.fixed6_words, joined by commas, then the newline
+CURVE_ROW = np.dtype({"names": ["v", "S", "bound"], "formats": ["u8"] * 3, "offsets": [0, 9, 18], "itemsize": 27})
 
 
 # ---------------------------------------------------------------- constants
@@ -98,22 +108,22 @@ def cmd_curve(parser, args) -> int:
     if (args.v_max - args.v_min + 1e-12) / args.step > MAX_ROWS:
         parser.error(f"--step is too small for the range: more than {MAX_ROWS} rows")
     scale = 2.0 * (math.cos(theta) + math.sin(theta))
-    # a row: three 8-byte "d.dddddd" fields joined by commas, then the newline
-    rows = np.empty((CURVE_BLOCK, 27), dtype=np.uint8)
-    rows[:, 8] = rows[:, 17] = ord(",")
-    rows[:, 26] = ord("\n")
+    rows = np.empty(CURVE_BLOCK, dtype=CURVE_ROW)
+    text = rows.view(np.uint8).reshape(CURVE_BLOCK, CURVE_ROW.itemsize)
+    text[:, 8:26:9] = ord(",")
+    text[:, 26] = ord("\n")
     with _output(args.out) as stream:
-        stream.write("v,S,bound\n")
+        stream.write(b"v,S,bound\n")
         # blocks of rows, so that no more than one block is held in memory;
         # v_min + i * step is kept while <= v_max + 1e-12 and capped at 1
         for first in itertools.count(0, CURVE_BLOCK):
             steps = args.v_min + np.arange(first, first + CURVE_BLOCK) * args.step
             vs = np.minimum(steps[steps <= args.v_max + 1e-12], 1.0)
             out = rows[: len(vs)]
-            out[:, 0:8] = regions.fixed6_bytes(vs)
-            out[:, 9:17] = regions.fixed6_bytes(scale * vs)
-            out[:, 18:26] = regions.fixed6_bytes(atk.chsh_keyrate_bound(theta, vs))
-            stream.write(out.tobytes().decode("ascii"))
+            out["v"] = regions.fixed6_words(vs)
+            out["S"] = regions.fixed6_words(scale * vs)
+            out["bound"] = regions.fixed6_words(atk.chsh_keyrate_bound(theta, vs))
+            stream.write(out.tobytes())
             if len(vs) < CURVE_BLOCK:
                 break
     return 0

@@ -15,8 +15,8 @@ from ._jsondoc import ATOL, constructor_reduce, read_only_copy
 from .attack import critical_visibility, zero_key_visibility
 from .kernels import LP_SLACK
 
-# points per block of the grid: one block's Python float lists, its CSV byte
-# buffer and that buffer's joined and decoded copies then stay near 1 MB.
+# points per block of the grid: one block's Python float lists, its record
+# buffer and the joined bytes of its rows then stay near 1 MB.
 # region_grid, write_region_csv and stream_region_csv all take blocks of the
 # whole t rows that fit (at least one row)
 BLOCK_POINTS = 1 << 14
@@ -75,6 +75,8 @@ def classify_arrays(s, t):
     """
     fs = np.abs(np.asarray(s, dtype=float))
     ft = np.abs(np.asarray(t, dtype=float))
+    if fs.ndim != 1 or fs.shape != ft.shape:
+        raise ValueError(f"s and t must be 1-D arrays of one length, got shapes {fs.shape} and {ft.shape}")
     if np.isnan(fs).any() or np.isnan(ft).any():
         raise ValueError("slice coordinates must not be NaN")
     return _classify(fs.tolist(), ft.tolist(), fs + ft)
@@ -204,8 +206,9 @@ _TAIL_WORDS = _TAIL_BYTES.view(np.uint32).ravel()
 _HEAD_WORDS = np.insert(_TAIL_BYTES[:1000, 1:], 1, ord("."), axis=1).view(np.uint32).ravel()
 
 
-def fixed6_bytes(x) -> np.ndarray:
-    """The ASCII bytes of ``"%.6f" % v`` for each v of x, 8 per value.
+def fixed6_words(x) -> np.ndarray:
+    """The ASCII text of ``"%.6f" % v`` for each v of x, as one native
+    ``u8`` word per value whose 8 bytes, in memory order, are that text.
 
     Every value must lie in [0, 9.9999995), where that text is d.dddddd.
     The digits come from the micro-units rint(v * 1e6).  That product is
@@ -223,27 +226,32 @@ def fixed6_bytes(x) -> np.ndarray:
     words = np.empty(x.shape + (2,), dtype=np.uint32)
     np.take(_HEAD_WORDS, head, out=words[..., 0])
     np.take(_TAIL_WORDS, units - head * 10000, out=words[..., 1])
-    out = words.view(np.uint8)
-    for index in map(tuple, np.argwhere(np.abs(scaled - micro) > 0.5 - 1e-6)):
-        out[index] = np.frombuffer(("%.6f" % x[index]).encode("ascii"), dtype=np.uint8)
-    return out
+    text = words.view(np.uint8).reshape(-1, 8)
+    for i in np.flatnonzero(np.abs(scaled - micro).ravel() > 0.5 - 1e-6).tolist():
+        text[i] = np.frombuffer(("%.6f" % x.flat[i]).encode("ascii"), dtype=np.uint8)
+    return words.view(np.uint64).reshape(x.shape)
+
+
+def fixed6_bytes(x) -> np.ndarray:
+    """The bytes of ``fixed6_words(x)``, 8 per value along a last axis."""
+    return fixed6_words(x)[..., None].view(np.uint8)
 
 
 # a label field: the label and its newline, NUL-padded to the longest one;
-# a row of label k is the first _ROW_WIDTHS[k] bytes of its buffer row, so
-# the padding is never written
+# a row of label k is the first _ROW_WIDTHS[k] bytes of its record, so the
+# padding is never written
 _LABEL_WIDTH = max(len(label.value) for label in LABELS) + 1
-_LABEL_ROWS = np.array(
-    [np.frombuffer(f"{label.value}\n".encode("ascii").ljust(_LABEL_WIDTH, b"\0"), dtype=np.uint8)
-     for label in LABELS]
-)
-# a CSV row: four 9-byte "d.dddddd," fields, then the label field
-_ROW_WIDTH = 4 * 9 + _LABEL_WIDTH
-_ROW_WIDTHS = [4 * 9 + len(label.value) + 1 for label in LABELS]
+_LABEL_ROWS = np.array([f"{label.value}\n".encode("ascii") for label in LABELS], dtype=f"V{_LABEL_WIDTH}")
+# a CSV row as a record: four "d.dddddd" fields held as fixed6_words, each
+# followed by a comma, then the label field
+_ROW = np.dtype({"names": ["s", "t", "v", "theta", "label"], "formats": ["u8"] * 4 + [_LABEL_ROWS.dtype],
+                 "offsets": [0, 9, 18, 27, 36], "itemsize": 36 + _LABEL_WIDTH})
+_ROW_WIDTHS = [36 + len(label.value) + 1 for label in LABELS]
 
 
 def write_region_csv(grid: RegionGrid, stream) -> None:
-    """Write the slice classification as CSV (6-decimal fixed formatting).
+    """Write the slice classification as CSV (6-decimal fixed formatting) to
+    a text stream.
 
     The leading comment line records the grid ordering.  Rows are written
     in blocks of whole t rows, at most ``BLOCK_POINTS`` points (or one t
@@ -252,40 +260,43 @@ def write_region_csv(grid: RegionGrid, stream) -> None:
     """
     n = len(grid.axis)
     arrays = [array.reshape(n, n) for array in (grid.visibility, grid.theta, grid.codes)]
-    _write_blocks(grid.axis, ([array[rows] for array in arrays] for rows in _row_blocks(n)), stream)
+    blocks = ([array[rows] for array in arrays] for rows in _row_blocks(n))
+    _write_blocks(grid.axis, blocks, lambda data: stream.write(data.decode("ascii")))
 
 
 def stream_region_csv(resolution: int, stream) -> None:
-    """Write the CSV of ``region_grid(resolution)``, classifying one block
-    of whole t rows at a time and holding only that block.
+    """Write the CSV of ``region_grid(resolution)`` to a binary stream,
+    classifying one block of whole t rows at a time and holding only that
+    block.
 
     The resolution is checked before anything is written.  The bytes are
-    those of ``write_region_csv(region_grid(resolution), stream)``.
+    the text of ``write_region_csv(region_grid(resolution), stream)``.
     """
     axis = _grid_axis(resolution)
-    _write_blocks(axis, _classified_blocks(axis), stream)
+    _write_blocks(axis, _classified_blocks(axis), stream.write)
 
 
-def _write_blocks(axis: np.ndarray, blocks, stream) -> None:
-    """Write the CSV of the grid over axis from the (visibility, theta,
-    codes) of each of its ``_row_blocks`` blocks in turn, each of shape
-    (rows, len(axis))."""
-    stream.write(f"{REGION_COMMENT}\n{CSV_HEADER}\n")
+def _write_blocks(axis: np.ndarray, blocks, write) -> None:
+    """Pass the CSV bytes of the grid over axis to write: the header lines,
+    then the rows of each ``_row_blocks`` block from its (visibility, theta,
+    codes), each of shape (rows, len(axis)), as records of one buffer.
+
+    Each block's bytes are passed on as soon as they are cut, so none are
+    held while the next block is classified."""
+    write(f"{REGION_COMMENT}\n{CSV_HEADER}\n".encode("ascii"))
     n = len(axis)
-    axis_fields = np.empty((n, 9), dtype=np.uint8)
-    axis_fields[:, :8] = fixed6_bytes(axis)
-    axis_fields[:, 8] = ord(",")
+    axis_words = fixed6_words(axis)
     row_blocks = _row_blocks(n)
-    buffer = np.empty((row_blocks[0].stop, n, _ROW_WIDTH), dtype=np.uint8)
-    buffer[..., 0:9] = axis_fields
-    buffer[..., 26] = buffer[..., 35] = ord(",")
+    buffer = np.empty((row_blocks[0].stop, n), dtype=_ROW)
+    buffer.view(np.uint8).reshape(-1, _ROW.itemsize)[:, 8:36:9] = ord(",")
+    buffer["s"] = axis_words
     for rows, (visibility, theta, codes) in zip(row_blocks, blocks):
         out = buffer[: len(codes)]
-        out[..., 9:18] = axis_fields[rows, None]
-        out[..., 18:26] = fixed6_bytes(visibility)
-        out[..., 27:35] = fixed6_bytes(theta)
-        out[..., 36:] = _LABEL_ROWS[codes]
-        stream.write(_cut_rows(out.reshape(-1, _ROW_WIDTH), codes.ravel()).decode("ascii"))
+        out["t"] = axis_words[rows, None]
+        out["v"] = fixed6_words(visibility)
+        out["theta"] = fixed6_words(theta)
+        out["label"] = _LABEL_ROWS[codes]
+        write(_cut_rows(out.view(np.uint8).reshape(-1, _ROW.itemsize), codes.ravel()))
 
 
 def _cut_rows(rows: np.ndarray, codes: np.ndarray) -> bytes:

@@ -122,6 +122,27 @@ def test_constants_zero_theta_is_usage_error(capsys):
     assert excinfo.value.code != 0
 
 
+@pytest.mark.parametrize("command", ["constants", "curve", "bound"])
+@pytest.mark.parametrize("theta", [["--theta", "1e-17"], ["--theta", "1.1e-16"], ["--theta-deg", "1e-15"]])
+def test_theta_whose_local_visibility_rounds_to_one_is_usage_error(capsys, tmp_path, command, theta):
+    # cos theta + sin theta rounds to 1, so the local visibility is 1: refused
+    # before any output file is opened (or the correlation file is read)
+    out_path = tmp_path / "out.csv"
+    argv = {"constants": ["constants"], "curve": ["curve", "--out", str(out_path)],
+            "bound": ["bound", str(tmp_path / "missing.json")]}[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + theta)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2 and captured.out == "" and not out_path.exists()
+    assert captured.err.splitlines()[-1].startswith("ccbound: error: theta is too close to 0")
+
+
+def test_smallest_theta_above_the_rounding_is_accepted(capsys):
+    # 1.2e-16 is more than half an ulp of 1, so cos theta + sin theta > 1
+    code, out, _ = run(capsys, ["constants", "--theta", "1.2e-16"])
+    assert code == 0 and "protocol_local_visibility = 1.000000" in out
+
+
 def test_theta_options_are_exclusive(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["constants", "--theta", "0.3", "--theta-deg", "60"])
@@ -195,6 +216,14 @@ def test_curve_rejects_a_step_too_small_for_its_range(v_min, v_max, step):
     )
     assert proc.returncode == 2 and proc.stdout == b""
     assert proc.stderr.splitlines()[-1].startswith(b"ccbound: error: --step is too small for the range")
+
+
+def test_curve_record_layout():
+    # a record holds a row's text at the offsets of its fields: three
+    # "d.dddddd" words one comma apart, then the newline
+    assert cli.CURVE_ROW.itemsize == 27
+    assert dict(cli.CURVE_ROW.fields) == {name: (np.dtype(np.uint64), offset) for name, offset in
+                                          [("v", 0), ("S", 9), ("bound", 18)]}
 
 
 def test_curve_memory_does_not_grow_with_its_rows(tmp_path):
@@ -346,6 +375,19 @@ def test_region_stream_equals_the_written_grid(capsys, resolution):
     stream = io.StringIO()
     write_region_csv(region_grid(resolution), stream)
     assert code == 0 and out == stream.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv", [["region", "--resolution", "21"], ["curve", "--v-min", "0", "--v-max", "1", "--step", "1e-3"]]
+)
+def test_csv_on_a_stdout_without_a_byte_stream_is_the_file_text(tmp_path, argv):
+    # an io.StringIO stdout has no .buffer: it is written the same text
+    out_path = tmp_path / "out.csv"
+    assert main(argv + ["--out", str(out_path)]) == 0
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(argv + ["--out", "-"]) == 0
+    assert out.getvalue().encode("ascii") == out_path.read_bytes()
 
 
 def _region_peak(resolution):

@@ -3,6 +3,7 @@
 import dataclasses
 import io
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,14 +13,18 @@ from hypothesis import strategies as st
 from ccbound.attack import chsh_keyrate_bound, critical_visibility
 from ccbound.correlations import slice_correlation
 from ccbound.localset import is_local_lp, local_visibility
+from ccbound import regions
 from ccbound.regions import (
     CSV_HEADER,
     LABELS,
     RegionGrid,
     RegionLabel,
     classify,
+    classify_arrays,
     fixed6_bytes,
+    fixed6_words,
     region_grid,
+    stream_region_csv,
     write_region_csv,
 )
 
@@ -115,6 +120,15 @@ def test_classify_agrees_with_the_lp_next_to_the_facet(phi):
         assert classify(s, t).label == (RegionLabel.LOCAL if local else RegionLabel.RED_ZERO_KEY), delta
 
 
+@pytest.mark.parametrize(
+    "s, t", [([0.1, 0.2], [0.3]), ([0.3], [0.1, 0.2]), ([[0.1, 0.2]], [[0.3, 0.4]]), (0.1, 0.2), ([0.1], 0.2)]
+)
+def test_classify_arrays_rejects_arrays_that_are_not_one_dimensional_pairs(s, t):
+    shapes = f"got shapes {np.shape(s)} and {np.shape(t)}"
+    with pytest.raises(ValueError, match=re.escape(shapes)):
+        classify_arrays(s, t)
+
+
 def test_csv_format():
     stream = io.StringIO()
     write_region_csv(region_grid(3), stream)
@@ -162,6 +176,27 @@ def test_csv_rows_match_percent_format_of_the_grid(resolution):
         stream = io.StringIO()
         write_region_csv(case, stream)
         assert stream.getvalue().split("\n")[2:] == _percent6_lines(case) + [""]
+
+
+@pytest.mark.parametrize("resolution", [2, 21, 201])
+def test_streamed_csv_bytes_are_the_written_text(resolution):
+    binary, text = io.BytesIO(), io.StringIO()
+    stream_region_csv(resolution, binary)
+    write_region_csv(region_grid(resolution), text)
+    assert binary.getvalue() == text.getvalue().encode("ascii")
+
+
+def test_csv_record_layout():
+    # a record holds a row's text at the offsets of its fields: four
+    # "d.dddddd" words one comma apart, then the NUL-padded label
+    assert regions._ROW.itemsize == 56
+    assert dict(regions._ROW.fields) == {
+        "s": (np.dtype(np.uint64), 0), "t": (np.dtype(np.uint64), 9), "v": (np.dtype(np.uint64), 18),
+        "theta": (np.dtype(np.uint64), 27), "label": (np.dtype("V20"), 36),
+    }
+    assert [bytes(label) for label in regions._LABEL_ROWS] == [
+        f"{label.value}\n".encode("ascii").ljust(20, b"\0") for label in LABELS
+    ]
 
 
 def test_csv_rows_are_the_points_the_grid_indexes():
@@ -253,6 +288,28 @@ def test_fixed6_bytes_next_to_decimal_ties(k):
     below, above = np.nextafter(tie, 0.0), np.nextafter(tie, 10.0)
     values = [tie, below, np.nextafter(below, 0.0), above, np.nextafter(above, 10.0)]
     assert fixed6_bytes(np.array(values)).tobytes() == _percent6(values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(
+            st.floats(min_value=0.0, max_value=9.999999),
+            st.integers(min_value=0, max_value=9_999_998).map(lambda k: (k + 0.5) / 1e6),
+            st.integers(min_value=0, max_value=9_999_998).map(lambda k: np.nextafter((k + 0.5) / 1e6, 0.0)),
+            st.integers(min_value=0, max_value=9_999_998).map(lambda k: np.nextafter((k + 0.5) / 1e6, 10.0)),
+        ),
+        min_size=1, max_size=12,
+    ),
+    st.sampled_from(["0-d", "1-d", "2-d"]),
+)
+def test_fixed6_words_hold_the_percent_format_in_the_input_shape(values, ndim):
+    x = {"0-d": np.array(values[0]), "1-d": np.array(values), "2-d": np.array(values * 2).reshape(2, -1)}[ndim]
+    words = fixed6_words(x)
+    assert words.dtype == np.uint64 and words.shape == x.shape
+    assert words.tobytes() == _percent6(x.ravel().tolist())
+    text = fixed6_bytes(x)
+    assert text.shape == x.shape + (8,) and text.tobytes() == words.tobytes()
 
 
 def test_fixed6_bytes_exact_binary_ties_and_grid_steps():
