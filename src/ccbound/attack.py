@@ -74,7 +74,7 @@ def _check_settings(scenario, setting_weights: dict, maps=()) -> None:
             raise AttackError(f"setting weight for {pair} must be finite and >= 0, got {weight!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AttackModel:
     """A decomposition plus per-setting relabelling maps and setting weights,
     and the unknown fractions the maps were built with (if recorded).

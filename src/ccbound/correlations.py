@@ -60,7 +60,7 @@ def unit_vector(components) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MeasurementArrangement:
     """Projective binary measurements in Bloch form, one vector per setting."""
 
@@ -158,7 +158,7 @@ def dump_correlation(corr: Correlation, path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CorrelatorForm:
     """Marginal/correlator representation of a binary-output correlation."""
 

@@ -49,7 +49,11 @@ def simplex_maximize(A, b, c, maxiter=None, equalities=0):
     and the second phase maximizes c.  Both phases share ``maxiter``.
     Without equality rows only the second phase runs.
 
-    Returns (status, objective, x).
+    Returns (status, objective, x, duals).  ``duals`` is a copy of the final
+    objective row at the slack columns: the dual y of the rows, with
+    A^T y >= c - PIVOT_TOL and b.y equal to the objective up to rounding.
+    It is NaN at equality rows, whose artificial columns are zeroed, and
+    everywhere when the status is not optimal.
     """
     b = np.asarray(b, dtype=float)
     bad = ~(np.isfinite(b) & (b >= 0.0))
@@ -70,10 +74,10 @@ def simplex_maximize(A, b, c, maxiter=None, equalities=0):
         T[m + 1, :n] = -T[:equalities, :n].sum(axis=0)
         status, pivots = _pivot_until_optimal(T, basis, m + 1, 0, maxiter)
         if status != SIMPLEX_OPTIMAL:
-            return status, 0.0, np.zeros(n)
+            return status, 0.0, np.zeros(n), np.full(m, np.nan)
         artificial = [i for i in range(m) if n <= basis[i] < n + equalities]
         if T[artificial, -1].sum() > LP_SLACK:
-            return SIMPLEX_INFEASIBLE, 0.0, np.zeros(n)
+            return SIMPLEX_INFEASIBLE, 0.0, np.zeros(n), np.full(m, np.nan)
         allowed = np.r_[0:n, n + equalities : n + m]
         for row in artificial:
             entries = np.abs(T[row, allowed])
@@ -86,11 +90,13 @@ def simplex_maximize(A, b, c, maxiter=None, equalities=0):
 
     status, _ = _pivot_until_optimal(T, basis, m, pivots, maxiter)
     if status != SIMPLEX_OPTIMAL:
-        return status, 0.0, np.zeros(n)
+        return status, 0.0, np.zeros(n), np.full(m, np.nan)
     basis = np.array(basis)
     x = np.zeros(n)
     x[basis[basis < n]] = T[:m, -1][basis < n]
-    return SIMPLEX_OPTIMAL, T[m, -1], x
+    duals = T[m, n : n + m].copy()
+    duals[:equalities] = np.nan
+    return SIMPLEX_OPTIMAL, T[m, -1], x, duals
 
 
 def _pivot_until_optimal(T, basis, cost_row, first, maxiter):

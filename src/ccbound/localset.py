@@ -1,5 +1,6 @@
-"""Locality of finite correlations: deterministic strategies, CHSH-type
-facets, and local-weight maximization by linear programming.
+"""Locality of finite correlations: deterministic strategies, LP membership
+in the local polytope with a Bell functional for every nonlocal verdict, and
+local-weight maximization by linear programming.
 
 Membership in the local polytope is decided with a single dense LP that
 maximizes the local content q: the largest q such that the correlation
@@ -9,6 +10,9 @@ nonsignaling, the remainder of a nonsignaling correlation is automatically
 a valid nonsignaling correlation, and q = 1 exactly when the correlation
 is local.  That LP has only inequality rows with nonnegative right-hand
 sides, so the slack basis is feasible and the simplex needs no first phase.
+Its dual y, read off the final tableau, is a Bell functional in any
+scenario: y.v >= 1 on every deterministic strategy v, so on the whole local
+polytope, while y.corr = q < 1 for a nonlocal corr.
 The segment weight along a fixed target is one LP with equality rows,
 solved by the simplex's two-phase method.
 """
@@ -24,7 +28,7 @@ import numpy as np
 
 from . import kernels
 from ._jsondoc import constructor_reduce, read_only_copy
-from .correlations import Correlation, CorrelationError, CorrelatorForm, Scenario, to_correlators
+from .correlations import Correlation, CorrelationError, Scenario
 
 # entries (rows x vertices) of the largest vertex matrix built; 5522 has
 # 100 x 1,024 and a binary 9x9 scenario 324 x 262,144
@@ -39,26 +43,6 @@ class VertexGuardError(ValueError):
     """The vertex matrix of a scenario exceeds the enumeration guard."""
 
 
-@dataclass(frozen=True)
-class DeterministicVertex:
-    """A product deterministic strategy a(x), b(y) and its correlation."""
-
-    alice_outputs: tuple
-    bob_outputs: tuple
-    correlation: Correlation
-
-
-@dataclass(frozen=True)
-class FacetValue:
-    """A CHSH-type facet expression value for one ordered index pair."""
-
-    x0: int
-    x1: int
-    y0: int
-    y1: int
-    value: float
-
-
 def _assignments(scenario: Scenario):
     """(a_out, b_out) output tuples of every deterministic strategy, in vertex order."""
     return itertools.product(
@@ -67,26 +51,14 @@ def _assignments(scenario: Scenario):
     )
 
 
-def enumerate_vertices(scenario: Scenario) -> list[DeterministicVertex]:
-    """All k_a^n_a * k_b^n_b product deterministic strategies, in a fixed order.
-
-    Alice assignments iterate in the outer loop, Bob assignments in the
-    inner loop, each in lexicographic order of the output tuples.  The
-    tables are the columns of :func:`vertex_matrix`.
-    """
-    mat = vertex_matrix(scenario)
-    return [
-        DeterministicVertex(a_out, b_out, Correlation(scenario, column.reshape(scenario.table_shape)))
-        for (a_out, b_out), column in zip(_assignments(scenario), mat.T)
-    ]
-
-
 @functools.lru_cache(maxsize=32)
 def vertex_matrix(scenario: Scenario) -> np.ndarray:
-    """Dense matrix whose columns are the raveled vertex tables.
+    """Dense matrix whose columns are the raveled tables of the
+    k_a^n_a * k_b^n_b product deterministic strategies.
 
-    Row order matches Correlation.table.ravel(); column order matches
-    enumerate_vertices.
+    Row order matches Correlation.table.ravel().  Columns run over Alice's
+    output tuples a(x) in the outer loop and Bob's b(y) in the inner loop,
+    each in lexicographic order.
     """
     rows = math.prod(scenario.table_shape)
     count = scenario.k_a**scenario.n_a * scenario.k_b**scenario.n_b
@@ -102,23 +74,6 @@ def vertex_matrix(scenario: Scenario) -> np.ndarray:
     return mat
 
 
-def facet_values(form: CorrelatorForm) -> list[FacetValue]:
-    """CHSH-type facet expressions for every ordered pair x0 != x1, y0 != y1.
-
-    S = <A_x0 B_y0> + <A_x0 B_y1> + <A_x1 B_y0> - <A_x1 B_y1>.  A binary
-    correlation in the three- and four-setting scenarios studied here is
-    local exactly when all |S| <= 2.
-    """
-    co = form.correlators
-    n_a, n_b = co.shape
-    values = []
-    for x0, x1 in itertools.permutations(range(n_a), 2):
-        for y0, y1 in itertools.permutations(range(n_b), 2):
-            s = co[x0, y0] + co[x0, y1] + co[x1, y0] - co[x1, y1]
-            values.append(FacetValue(x0, x1, y0, y1, float(s)))
-    return values
-
-
 def local_visibility(theta: float) -> float:
     """Visibility threshold 1/(cos theta + sin theta) below which the
     theta-protocol correlation is local."""
@@ -127,30 +82,40 @@ def local_visibility(theta: float) -> float:
     return 1.0 / (math.cos(theta) + math.sin(theta))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LocalityResult:
-    """Verdict of the local-polytope membership LP."""
+    """Verdict of the local-polytope membership LP.
+
+    A nonlocal verdict carries the LP's dual y as ``bell_functional``, in
+    the row order of Correlation.table.ravel(): y.v >= 1 - LP_SLACK on every
+    deterministic strategy v, and y.corr lies within LP_SLACK of
+    ``local_content``, which is below 1 - LP_SLACK, so corr violates the
+    Bell inequality y.p >= 1 that every local correlation meets up to that
+    slack.
+    """
 
     is_local: bool
     local_content: float
     weights: np.ndarray | None  # vertex weights when local, in vertex order (read-only)
-    witness: FacetValue | None  # maximal violated CHSH-type facet when nonlocal
+    bell_functional: np.ndarray | None  # dual y when nonlocal (read-only)
 
     __reduce__ = constructor_reduce
 
     def __post_init__(self):
         object.__setattr__(self, "weights", read_only_copy(self.weights))
+        object.__setattr__(self, "bell_functional", read_only_copy(self.bell_functional))
 
 
-def _local_content_lp(corr: Correlation) -> tuple[bool, float, np.ndarray, np.ndarray]:
+def _local_content_lp(corr: Correlation) -> tuple[bool, float, np.ndarray, np.ndarray, np.ndarray]:
     """Maximal q with corr >= q * (convex mixture of vertices), entrywise.
 
-    Returns (member, q, m, V m): the membership verdict q >= 1 - LP_SLACK,
-    the unnormalized vertex weights m summing to q, and their raveled table.
+    Returns (member, q, m, V m, y): the membership verdict q >= 1 - LP_SLACK,
+    the unnormalized vertex weights m summing to q, their raveled table, and
+    the simplex's unchecked dual y of the rows.
     """
     mat = vertex_matrix(corr.scenario)
     b = corr.table.ravel()
-    status, q, m = kernels.simplex_maximize(mat, b, np.ones(mat.shape[1]))
+    status, q, m, y = kernels.simplex_maximize(mat, b, np.ones(mat.shape[1]))
     if status != kernels.SIMPLEX_OPTIMAL:
         raise LPError(f"simplex did not reach an optimum (status {status})")
     # primal self-check: V m <= corr, m >= 0 and sum(m) = q
@@ -162,7 +127,7 @@ def _local_content_lp(corr: Correlation) -> tuple[bool, float, np.ndarray, np.nd
         "-min(m)": float(-m.min()),
         "|sum(m) - q|": abs(float(m.sum()) - q),
     })
-    return q >= 1.0 - kernels.LP_SLACK, q, m, local_flat
+    return q >= 1.0 - kernels.LP_SLACK, q, m, local_flat, y
 
 
 def _check_primal(residuals: dict[str, float]) -> None:
@@ -175,25 +140,25 @@ def _check_primal(residuals: dict[str, float]) -> None:
 def is_local_lp(corr: Correlation) -> LocalityResult:
     """Decide membership in the local polytope by linear programming.
 
-    Local verdicts come with vertex weights reproducing the correlation;
-    nonlocal verdicts on binary scenarios come with the maximally violated
-    CHSH-type facet as a witness (first by index order on ties).
+    Local verdicts come with vertex weights reproducing the correlation.
+    Nonlocal verdicts, in any scenario, come with the LP's dual y as a Bell
+    functional, checked after the primal: min(V^T y) over the deterministic
+    strategies must be >= 1 - LP_SLACK and |y.corr - q| <= LP_SLACK, else
+    LPError names both numbers.
     """
-    member, q, m, _ = _local_content_lp(corr)
+    member, q, m, _, y = _local_content_lp(corr)
     if member:
         return LocalityResult(True, q, m, None)
-    witness = None
-    if corr.scenario.binary:
-        worst = None
-        for facet in facet_values(to_correlators(corr)):
-            if worst is None or abs(facet.value) > abs(worst.value) + 1e-15:
-                worst = facet
-        if worst is not None and abs(worst.value) > 2.0:
-            witness = worst
-    return LocalityResult(False, q, None, witness)
+    mat = vertex_matrix(corr.scenario)
+    # V^T y and y.corr summed by numpy, not BLAS, like the primal check
+    lowest = float(np.add.reduce(mat * y[:, None], axis=0).min())
+    value = float(np.add.reduce(y * corr.table.ravel()))
+    if not (lowest >= 1.0 - kernels.LP_SLACK and abs(value - q) <= kernels.LP_SLACK):
+        raise LPError(f"Bell functional fails its check: min(V^T y) = {lowest!r}, y.corr = {value!r} for q = {q!r}")
+    return LocalityResult(False, q, None, y)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NSLocalWeight:
     """Maximal-q decomposition corr = q*local + (1-q)*nonsignaling rest;
     ``rest`` is None for a local corr, ``local`` when q <= 1e-12."""
@@ -217,7 +182,7 @@ def max_local_weight_ns(corr: Correlation) -> NSLocalWeight:
     LP_SLACK) gets no remainder; otherwise the primal check bounds corr - V m
     below by -LP_SLACK, and its clipped (x, y) blocks are scaled to sum 1.
     """
-    member, q, m, local_flat = _local_content_lp(corr)
+    member, q, m, local_flat, _ = _local_content_lp(corr)
     q = min(max(q, 0.0), 1.0)
     shape = corr.scenario.table_shape
     local = None
@@ -261,7 +226,7 @@ def max_local_weight_along(corr: Correlation, target: Correlation) -> SegmentLoc
     b = corr.table.ravel()
     obj = np.zeros(mat.shape[1])
     obj[-1] = -1.0
-    status, _, x = kernels.simplex_maximize(mat, b, obj, equalities=mat.shape[0])
+    status, _, x, _ = kernels.simplex_maximize(mat, b, obj, equalities=mat.shape[0])
     if status == kernels.SIMPLEX_INFEASIBLE:
         return SegmentLocalWeight(0.0, None, False)
     if status != kernels.SIMPLEX_OPTIMAL:

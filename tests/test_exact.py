@@ -2,10 +2,12 @@
 
 At theta = atan2(b, a) for a Pythagorean triple (a, b, c), cos theta = a/c
 and sin theta = b/c, so the local visibility 1/(cos theta + sin theta) =
-c/(a + b) and the critical visibility (v_L + 1)/(3 - v_L) are rational.
+c/(a + b) and the critical visibility (v_L + 1)/(3 - v_L) are rational, and
+so is every entry of the protocol's correlation table at v_crit.
 These oracles share no code with ``attack``.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -13,7 +15,8 @@ import numpy as np
 import pytest
 
 from ccbound.attack import chsh_keyrate_bound, critical_visibility, zero_key_visibility
-from ccbound.localset import local_visibility
+from ccbound.correlations import chsh_protocol_correlation
+from ccbound.localset import is_local_lp, local_visibility
 from ccbound.regions import RegionLabel, classify
 
 # (a, b, c) with the exact local and critical visibilities
@@ -63,3 +66,40 @@ def test_slice_point_on_the_critical_curve_is_zero_key():
     # within 1e-12 of the bulk estimate r/(|s| + |t|), so the label takes the scalar critical visibility
     assert abs(0.75 - zero_key_visibility(1.0, 0.75 / (s + t))) <= 1e-12
     assert classify(s, t).label == RegionLabel.RED_ZERO_KEY
+
+
+def _exact_protocol_table(a, b, c, v):
+    """p(a,b|x,y) of the theta protocol at cos theta = a/c, sin theta = b/c
+    and visibility v, raveled in (a, b, x, y) order: each outcome block holds
+    s/2 on its diagonal and (1-s)/2 off it, s = (1 - v A_x.B_y)/2."""
+    cos, sin = Fraction(a, c), Fraction(b, c)
+    alice = [(0, 0, -1), (-1, 0, 0)]
+    bob = [(sin, 0, cos), (-cos, 0, sin), (0, 0, 1)]
+    table = {}
+    for x, y in itertools.product(range(2), range(3)):
+        s = (1 - v * sum(p * q for p, q in zip(alice[x], bob[y]))) / 2
+        for out_a, out_b in itertools.product(range(2), repeat=2):
+            table[out_a, out_b, x, y] = s / 2 if out_a == out_b else (1 - s) / 2
+    return [table[key] for key in sorted(table)]
+
+
+def _deterministic_tables():
+    """The raveled tables of all 32 deterministic strategies of 2 x 3 binary settings."""
+    for a_out, b_out in itertools.product(itertools.product(range(2), repeat=2), itertools.product(range(2), repeat=3)):
+        yield [int(a_out[x] == out_a and b_out[y] == out_b)
+               for out_a, out_b, x, y in itertools.product(range(2), range(2), range(2), range(3))]
+
+
+@pytest.mark.parametrize("triple, v_l, v_crit", ANCHORS)
+def test_correlation_at_the_critical_visibility_is_exactly_nonlocal(triple, v_l, v_crit):
+    # the float LP's Bell functional y, read as exact fractions, separates the
+    # exact correlation at v_crit from every deterministic strategy; with the
+    # zero bound at v_crit above, the point is certifiably nonlocal yet keyless
+    theta = math.atan2(triple[1], triple[0])
+    result = is_local_lp(chsh_protocol_correlation(theta, float(v_crit)))
+    assert not result.is_local
+    y = [Fraction(value) for value in result.bell_functional.tolist()]
+    value = sum(yi * p for yi, p in zip(y, _exact_protocol_table(*triple, v_crit)))
+    tables = list(_deterministic_tables())
+    assert len(tables) == 32
+    assert value < min(sum(yi * d for yi, d in zip(y, table)) for table in tables)

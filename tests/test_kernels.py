@@ -2,7 +2,7 @@
 formula and agree between batched and single calls, the sweep must match
 brute force, and the simplex must match brute-force answers on tiny
 problems, an element-by-element pivot bit for bit, and scipy's HiGHS on
-LPs shaped like the locality LPs."""
+LPs shaped like the locality LPs, in their optima and in their duals."""
 
 import itertools
 import math
@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccbound import kernels
-from ccbound.correlations import Scenario
+from ccbound.correlations import MeasurementArrangement, Scenario, chsh_arrangement, werner_correlation
 from ccbound.localset import vertex_matrix
 
 
@@ -24,7 +24,7 @@ def test_simplex_known_optimum():
     A = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     b = np.array([1.0, 2.0, 2.5])
     c = np.ones(2)
-    status, obj, x = kernels.simplex_maximize(A, b, c, 1000)
+    status, obj, x, _ = kernels.simplex_maximize(A, b, c, 1000)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 2.5) < 1e-12
     assert abs(x.sum() - 2.5) < 1e-12
@@ -36,7 +36,7 @@ def test_simplex_degenerate_rhs():
     A = np.array([[1.0, 1.0], [1.0, -1.0]])
     b = np.array([0.0, 0.0])
     c = np.array([1.0, 0.0])
-    status, obj, x = kernels.simplex_maximize(A, b, c, 1000)
+    status, obj, x, _ = kernels.simplex_maximize(A, b, c, 1000)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj) < 1e-12
 
@@ -45,7 +45,7 @@ def test_simplex_unbounded_detected():
     A = np.array([[-1.0, 0.0]])
     b = np.array([0.0])
     c = np.array([1.0, 0.0])
-    status, _, _ = kernels.simplex_maximize(A, b, c, 1000)
+    status, _, _, _ = kernels.simplex_maximize(A, b, c, 1000)
     assert status == kernels.SIMPLEX_UNBOUNDED
 
 
@@ -56,7 +56,7 @@ def test_simplex_random_vs_vertex_enumeration():
         A = rng.uniform(0.1, 1.0, size=(4, 2))
         b = rng.uniform(0.5, 2.0, size=4)
         c = rng.uniform(0.1, 1.0, size=2)
-        status, obj, x = kernels.simplex_maximize(A, b, c, 1000)
+        status, obj, x, _ = kernels.simplex_maximize(A, b, c, 1000)
         assert status == kernels.SIMPLEX_OPTIMAL
         best = 0.0
         candidates = [np.zeros(2)]
@@ -86,7 +86,7 @@ def test_simplex_rejects_negative_or_non_finite_rhs(bad):
 
 
 def test_simplex_accepts_negative_zero_rhs():
-    status, obj, x = kernels.simplex_maximize(np.ones((1, 1)), np.array([-0.0]), np.ones(1), 100)
+    status, obj, x, _ = kernels.simplex_maximize(np.ones((1, 1)), np.array([-0.0]), np.ones(1), 100)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert obj == 0.0 and x.tolist() == [0.0]
 
@@ -100,9 +100,9 @@ BEALE_C = np.array([0.75, -20.0, 0.5, -6.0])
 
 
 def test_simplex_cycles_until_bland_rule():
-    status, _, _ = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 354)
+    status, _, _, _ = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 354)
     assert status == kernels.SIMPLEX_ITERATION_LIMIT
-    status, obj, x = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 1000)
+    status, obj, x, _ = kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 1000)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 1.25) < 1e-12
     assert np.allclose(x, [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12)
@@ -117,9 +117,9 @@ def test_simplex_default_budget_reaches_bland_rule(size):
     A = np.hstack([BEALE_A, np.zeros((3, size - 7))])
     c = np.r_[BEALE_C, np.zeros(size - 7)]
     if size == 400:
-        status, _, _ = kernels.simplex_maximize(A, BEALE_B, c, 20000)
+        status, _, _, _ = kernels.simplex_maximize(A, BEALE_B, c, 20000)
         assert status == kernels.SIMPLEX_ITERATION_LIMIT
-    status, obj, x = kernels.simplex_maximize(A, BEALE_B, c)
+    status, obj, x, _ = kernels.simplex_maximize(A, BEALE_B, c)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 1.25) < 1e-12
     assert np.allclose(x[:4], [1.0, 0.0, 1.0, 0.0], rtol=0.0, atol=1e-12) and not x[4:].any()
@@ -133,9 +133,9 @@ def test_simplex_tied_ratio_leaves_smallest_basis_index():
     A = np.array([[1.0, 1.0, 0.0], [2.0, 1.0, 1.0], [0.0, 2.0, 1.0]])
     b = np.array([1.0, 1.0, 2.0])
     c = np.ones(3)
-    status, _, _ = kernels.simplex_maximize(A, b, c, 2)
+    status, _, _, _ = kernels.simplex_maximize(A, b, c, 2)
     assert status == kernels.SIMPLEX_ITERATION_LIMIT
-    status, obj, x = kernels.simplex_maximize(A, b, c, 3)
+    status, obj, x, _ = kernels.simplex_maximize(A, b, c, 3)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert obj == 1.0
     assert x.tolist() == [0.0, 1.0, 0.0]
@@ -171,7 +171,7 @@ def _elementwise_simplex(A, b, c, tol, maxiter):
             for i in range(m):
                 if basis[i] < n:
                     x[basis[i]] = T[i, width - 1]
-            return kernels.SIMPLEX_OPTIMAL, T[m, width - 1], x
+            return kernels.SIMPLEX_OPTIMAL, T[m, width - 1], x, T[m, n : n + m].copy()
         row = -1
         best_ratio = np.inf
         for i in range(m):
@@ -183,24 +183,24 @@ def _elementwise_simplex(A, b, c, tol, maxiter):
                 elif ratio < best_ratio + 1e-12 and row >= 0 and basis[i] < basis[row]:
                     row = i
         if row < 0:
-            return kernels.SIMPLEX_UNBOUNDED, 0.0, np.zeros(n)
+            return kernels.SIMPLEX_UNBOUNDED, 0.0, np.zeros(n), np.full(m, np.nan)
         T[row, :] /= T[row, col]
         for i in range(m + 1):
             if i != row and T[i, col] != 0.0:
                 T[i, :] -= T[i, col] * T[row, :]
         basis[row] = col
-    return kernels.SIMPLEX_ITERATION_LIMIT, 0.0, np.zeros(n)
+    return kernels.SIMPLEX_ITERATION_LIMIT, 0.0, np.zeros(n), np.full(m, np.nan)
 
 
 def _result_bytes(result):
-    status, obj, x = result
-    return status, np.float64(obj).tobytes(), np.asarray(x, dtype=float).tobytes()
+    status, obj, x, duals = result
+    return status, np.float64(obj).tobytes(), np.asarray(x, dtype=float).tobytes(), duals.tobytes()
 
 
 def test_simplex_equals_elementwise_pivot_bit_for_bit():
-    # random LPs with 30% zero entries, quarter-step entries (exact ties and
-    # degenerate pivots), -0.0 right-hand sides, every exit status, and
-    # Beale's LP through Bland's rule
+    # status, optimum, solution and duals on random LPs with 30% zero
+    # entries, quarter-step entries (exact ties and degenerate pivots), -0.0
+    # right-hand sides, every exit status, and Beale's LP through Bland's rule
     rng = np.random.default_rng(11)
     cases = [(BEALE_A, BEALE_B, BEALE_C, maxiter) for maxiter in (354, 1000)]
     for k in range(300):
@@ -245,7 +245,7 @@ def test_simplex_matches_highs_on_local_content_lps(case):
     mat = vertex_matrix(scenario)
     b = np.array(b)
     c = np.ones(mat.shape[1])
-    status, obj, x = kernels.simplex_maximize(mat, b, c)
+    status, obj, x, _ = kernels.simplex_maximize(mat, b, c)
     assert status == kernels.SIMPLEX_OPTIMAL
     reference = optimize.linprog(
         -c, A_ub=mat, b_ub=b, bounds=(0, None), method="highs",
@@ -259,22 +259,22 @@ def test_simplex_matches_highs_on_local_content_lps(case):
 def test_simplex_equality_rows_known_optima():
     # max x + 2y st x + y = 1 (equality), y <= 0.4
     A = np.array([[1.0, 1.0], [0.0, 1.0]])
-    status, obj, x = kernels.simplex_maximize(A, [1.0, 0.4], [1.0, 2.0], 100, equalities=1)
+    status, obj, x, _ = kernels.simplex_maximize(A, [1.0, 0.4], [1.0, 2.0], 100, equalities=1)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 1.4) < 1e-12 and np.abs(x - [0.6, 0.4]).max() < 1e-12
     # a redundant copy of the equality (twice the row) leaves an artificial
     # basic at level zero with no real entry in its row
     A = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
-    status, obj, x = kernels.simplex_maximize(A, [1.0, 2.0, 0.4], [1.0, 2.0], 100, equalities=2)
+    status, obj, x, _ = kernels.simplex_maximize(A, [1.0, 2.0, 0.4], [1.0, 2.0], 100, equalities=2)
     assert status == kernels.SIMPLEX_OPTIMAL
     assert abs(obj - 1.4) < 1e-12
     # an inconsistent copy is infeasible
-    status, obj, x = kernels.simplex_maximize(A, [1.0, 2.5, 0.4], [1.0, 2.0], 100, equalities=2)
+    status, obj, x, _ = kernels.simplex_maximize(A, [1.0, 2.5, 0.4], [1.0, 2.0], 100, equalities=2)
     assert status == kernels.SIMPLEX_INFEASIBLE
     assert obj == 0.0 and not x.any()
     # artificials never re-enter: max -x - y st x + y = 1 is -1; were the
     # artificial free to enter, the row would act as x + y <= 1 and give 0
-    status, obj, x = kernels.simplex_maximize([[1.0, 1.0]], [1.0], [-1.0, -1.0], 100, equalities=1)
+    status, obj, x, _ = kernels.simplex_maximize([[1.0, 1.0]], [1.0], [-1.0, -1.0], 100, equalities=1)
     assert status == kernels.SIMPLEX_OPTIMAL and obj == -1.0
 
 
@@ -320,7 +320,7 @@ def test_simplex_equality_rows_match_highs():
     seen = set()
     for _ in range(300):
         A, b, c, eq, kind = _random_equality_lp(rng)
-        status, obj, x = kernels.simplex_maximize(A, b, c, equalities=eq)
+        status, obj, x, _ = kernels.simplex_maximize(A, b, c, equalities=eq)
         reference = optimize.linprog(
             -c, A_ub=A[eq:], b_ub=b[eq:], A_eq=A[:eq], b_eq=b[:eq], bounds=(0, None), method="highs",
             options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
@@ -340,6 +340,81 @@ def test_simplex_equality_rows_match_highs():
         ("inconsistent", kernels.SIMPLEX_INFEASIBLE),
         ("overdetermined", kernels.SIMPLEX_INFEASIBLE),
     }
+
+
+def _highs_duals(optimize, A, b, c):
+    """max c.x st A x <= b, x >= 0 by scipy's HiGHS: (optimum, duals y = -marginals)."""
+    reference = optimize.linprog(
+        -c, A_ub=A, b_ub=b, bounds=(0, None), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert reference.status == 0
+    return -reference.fun, -reference.ineqlin.marginals
+
+
+def test_simplex_duals_match_highs_on_random_lps():
+    # dense positive A, b and c: a bounded LP whose optimum is, almost
+    # surely, nondegenerate, so its dual is unique
+    optimize = pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(2021)
+    for _ in range(100):
+        m, n = rng.integers(1, 15), rng.integers(1, 25)
+        A = rng.uniform(0.05, 1.0, size=(m, n))
+        b = rng.uniform(0.1, 1.0, size=m)
+        c = rng.uniform(0.1, 1.0, size=n)
+        status, obj, _, y = kernels.simplex_maximize(A, b, c)
+        assert status == kernels.SIMPLEX_OPTIMAL
+        optimum, duals = _highs_duals(optimize, A, b, c)
+        assert abs(obj - optimum) < 1e-9
+        assert np.abs(y - duals).max() < 1e-9
+        assert abs(y @ b - obj) < 1e-9
+        assert (A.T @ y - c).min() >= -kernels.PIVOT_TOL and y.min() >= -kernels.PIVOT_TOL
+
+
+def _werner_cases():
+    rng = np.random.default_rng(5522)
+    vectors = rng.normal(size=(10, 3))
+    vectors /= np.linalg.norm(vectors, axis=1, keepdims=True)
+    random_5522 = MeasurementArrangement(tuple(vectors[:5]), tuple(vectors[5:]))
+    cases = [werner_correlation(v, random_5522) for v in (0.75, 0.9, 1.0)]
+    for theta in (math.pi / 4, math.pi / 6, 1.2):
+        cases.append(werner_correlation(0.9, chsh_arrangement(theta, fourth_bob_setting=True)))
+    return cases
+
+
+def test_simplex_duals_match_highs_on_werner_membership_lps():
+    # max sum(m) st V m <= corr on nonlocal noisy singlets: the seeded 5522
+    # arrangement at three visibilities and the 2x4 protocol at three angles
+    optimize = pytest.importorskip("scipy.optimize")
+    for corr in _werner_cases():
+        mat = vertex_matrix(corr.scenario)
+        b = corr.table.ravel()
+        c = np.ones(mat.shape[1])
+        status, obj, _, y = kernels.simplex_maximize(mat, b, c)
+        assert status == kernels.SIMPLEX_OPTIMAL and obj < 1.0 - 1e-3
+        optimum, duals = _highs_duals(optimize, mat, b, c)
+        assert abs(obj - optimum) < 1e-9
+        assert np.abs(y - duals).max() < 1e-9
+        assert (mat.T @ y).min() >= 1.0 - 1e-12
+
+
+def test_simplex_duals_are_nan_at_equality_rows_and_off_optimum():
+    # max x + 2y st x + y = 1 (equality), y <= 0.4: raising the bound on y
+    # by d moves d from x to y and gains d, so the inequality's dual is 1
+    A = np.array([[1.0, 1.0], [0.0, 1.0]])
+    status, _, _, y = kernels.simplex_maximize(A, [1.0, 0.4], [1.0, 2.0], 100, equalities=1)
+    assert status == kernels.SIMPLEX_OPTIMAL
+    assert math.isnan(y[0]) and abs(y[1] - 1.0) < 1e-12
+    # infeasible, unbounded and out of pivots: no dual at all
+    A = np.array([[1.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
+    results = [
+        kernels.simplex_maximize(A, [1.0, 2.5, 0.4], [1.0, 2.0], 100, equalities=2),
+        kernels.simplex_maximize(np.array([[-1.0, 0.0]]), np.array([0.0]), np.array([1.0, 0.0]), 1000),
+        kernels.simplex_maximize(BEALE_A, BEALE_B, BEALE_C, 354),
+    ]
+    statuses = [kernels.SIMPLEX_INFEASIBLE, kernels.SIMPLEX_UNBOUNDED, kernels.SIMPLEX_ITERATION_LIMIT]
+    for (status, _, _, y), expected, rows in zip(results, statuses, (3, 1, 3)):
+        assert status == expected and y.shape == (rows,) and np.isnan(y).all()
 
 
 def _entropy_bits(p, keep):

@@ -1,12 +1,13 @@
-"""Local polytope membership, facets, and local-weight maximization."""
+"""Local polytope membership, its Bell functionals, and local-weight maximization."""
 
+import itertools
 import math
 import re
 
 import numpy as np
 import pytest
 
-from ccbound import kernels, localset
+from ccbound import kernels
 from ccbound.correlations import (
     Correlation,
     CorrelationError,
@@ -19,11 +20,8 @@ from ccbound.correlations import (
     werner_correlation,
 )
 from ccbound.localset import (
-    FacetValue,
     LPError,
     VertexGuardError,
-    enumerate_vertices,
-    facet_values,
     is_local_lp,
     local_visibility,
     max_local_weight_along,
@@ -48,6 +46,19 @@ def pr_box():
 # ----------------------------------------------------------------- vertices
 
 
+def _product_vertices(scenario):
+    """The table of every deterministic strategy, Alice's output tuples in
+    the outer loop and Bob's in the inner, built entry by entry."""
+    for a_out, b_out in itertools.product(
+        itertools.product(range(scenario.k_a), repeat=scenario.n_a),
+        itertools.product(range(scenario.k_b), repeat=scenario.n_b),
+    ):
+        table = np.zeros(scenario.table_shape)
+        for x, y in itertools.product(range(scenario.n_a), range(scenario.n_b)):
+            table[a_out[x], b_out[y], x, y] = 1.0
+        yield table
+
+
 @pytest.mark.parametrize(
     "scenario,count",
     [
@@ -57,42 +68,64 @@ def pr_box():
     ],
 )
 def test_vertex_counts(scenario, count):
-    vertices = enumerate_vertices(scenario)
-    assert len(vertices) == count
-    tables = {v.correlation.table.tobytes() for v in vertices}
-    assert len(tables) == count  # all distinct
+    mat = vertex_matrix(scenario)
+    assert mat.shape == (math.prod(scenario.table_shape), count)
+    assert len({column.tobytes() for column in mat.T}) == count  # all distinct
 
 
 def test_vertices_are_deterministic_products():
-    for vertex in enumerate_vertices(Scenario(1, 1, 2, 2)):
-        assert set(np.unique(vertex.correlation.table)) <= {0.0, 1.0}
-        assert vertex.correlation.is_nonsignaling()
+    # each column holds a single 1 per (x, y) block, at (a(x), b(y)) for
+    # output functions read off the first setting of the other side
+    for scenario in (Scenario(1, 1, 2, 2), Scenario(2, 3, 2, 2), Scenario(2, 2, 3, 3)):
+        x, y = np.arange(scenario.n_a)[:, None], np.arange(scenario.n_b)[None, :]
+        for column in vertex_matrix(scenario).T:
+            table = column.reshape(scenario.table_shape)
+            assert set(np.unique(table)) == {0.0, 1.0}
+            assert (table.sum(axis=(0, 1)) == 1.0).all()
+            a_out = table[:, :, :, 0].sum(axis=1).argmax(axis=0)
+            b_out = table[:, :, 0, :].sum(axis=0).argmax(axis=0)
+            product = np.zeros(scenario.table_shape)
+            product[a_out[:, None], b_out[None, :], x, y] = 1.0
+            assert np.array_equal(table, product)
+            assert Correlation(scenario, table).is_nonsignaling()
 
 
 def test_vertex_guard():
-    with pytest.raises(VertexGuardError):
-        enumerate_vertices(Scenario(10, 10, 4, 4))
+    with pytest.raises(VertexGuardError, match=r"^1600 x 1099511627776 vertex matrix entries exceed the guard of 10000000$"):
+        vertex_matrix(Scenario(10, 10, 4, 4))
     # 5 settings a side, 100 x 1,024 entries, is inside the guard
     assert vertex_matrix(Scenario(5, 5, 2, 2)).shape == (100, 1024)
 
 
 def test_vertex_matrix_consistent_with_enumeration():
-    scenario = Scenario(2, 3, 2, 2)
-    mat = vertex_matrix(scenario)
-    vertices = enumerate_vertices(scenario)
-    assert mat.shape == (2 * 2 * 2 * 3, 32)
-    for i in (0, 7, 31):
-        assert np.array_equal(mat[:, i], vertices[i].correlation.table.ravel())
+    for scenario, count in ((Scenario(2, 3, 2, 2), 32), (Scenario(2, 2, 3, 3), 81)):
+        mat = vertex_matrix(scenario)
+        tables = [table.ravel() for table in _product_vertices(scenario)]
+        assert mat.shape == (math.prod(scenario.table_shape), count) and len(tables) == count
+        assert all(np.array_equal(column, table) for column, table in zip(mat.T, tables))
 
 
-# ------------------------------------------------------------------- facets
+# ------------------------------------------------- CHSH expressions (oracle)
+
+
+def _chsh_values(corr):
+    """S = <A_x0 B_y0> + <A_x0 B_y1> + <A_x1 B_y0> - <A_x1 B_y1> of a binary
+    corr for every ordered pair x0 != x1, y0 != y1.  In the three- and
+    four-setting scenarios studied here a binary correlation is local
+    exactly when all |S| <= 2."""
+    co = to_correlators(corr).correlators
+    n_a, n_b = co.shape
+    return {
+        (x0, x1, y0, y1): float(co[x0, y0] + co[x0, y1] + co[x1, y0] - co[x1, y1])
+        for x0, x1 in itertools.permutations(range(n_a), 2)
+        for y0, y1 in itertools.permutations(range(n_b), 2)
+    }
 
 
 def test_facet_count_and_bound():
-    form = to_correlators(chsh_protocol_correlation(math.pi / 4, 1.0))
-    values = facet_values(form)
+    values = _chsh_values(chsh_protocol_correlation(math.pi / 4, 1.0))
     assert len(values) == 12
-    assert all(abs(f.value) <= 4.0 + 1e-12 for f in values)
+    assert all(abs(value) <= 4.0 + 1e-12 for value in values.values())
 
 
 def test_facets_of_ideal_protocol_match_closed_forms():
@@ -113,23 +146,22 @@ def test_facets_of_ideal_protocol_match_closed_forms():
             (1, 0, 2, 0): 1 - c + s,
             (1, 0, 2, 1): 1 - c - s,
         }
-        form = to_correlators(chsh_protocol_correlation(theta, 1.0))
-        for facet in facet_values(form):
-            key = (facet.x0, facet.x1, facet.y0, facet.y1)
-            assert facet.value == pytest.approx(expected[key], abs=1e-12), key
+        values = _chsh_values(chsh_protocol_correlation(theta, 1.0))
+        assert values.keys() == expected.keys()
+        for key, value in values.items():
+            assert value == pytest.approx(expected[key], abs=1e-12), key
 
 
 def test_facets_uniform_all_zero():
-    form = to_correlators(chsh_protocol_correlation(math.pi / 4, 0.0))
-    assert all(abs(f.value) < 1e-14 for f in facet_values(form))
+    values = _chsh_values(chsh_protocol_correlation(math.pi / 4, 0.0))
+    assert all(abs(value) < 1e-14 for value in values.values())
 
 
 def test_facets_scale_linearly_with_visibility():
     theta = 0.9
-    base = {(f.x0, f.x1, f.y0, f.y1): f.value for f in facet_values(to_correlators(chsh_protocol_correlation(theta, 1.0)))}
-    noisy = facet_values(to_correlators(chsh_protocol_correlation(theta, 0.6)))
-    for facet in noisy:
-        assert facet.value == pytest.approx(0.6 * base[(facet.x0, facet.x1, facet.y0, facet.y1)], abs=1e-12)
+    base = _chsh_values(chsh_protocol_correlation(theta, 1.0))
+    for key, value in _chsh_values(chsh_protocol_correlation(theta, 0.6)).items():
+        assert value == pytest.approx(0.6 * base[key], abs=1e-12)
 
 
 # -------------------------------------------------------- locality threshold
@@ -161,7 +193,7 @@ def test_membership_agrees_with_facets_on_grid():
         for v in np.linspace(0.60, 1.0, 9):
             corr = chsh_protocol_correlation(theta, float(v))
             by_lp = is_local_lp(corr).is_local
-            by_facets = all(abs(f.value) <= 2 + 1e-9 for f in facet_values(to_correlators(corr)))
+            by_facets = all(abs(value) <= 2 + 1e-9 for value in _chsh_values(corr).values())
             by_threshold = v <= v_l + 1e-12
             assert by_lp == by_facets == by_threshold, (theta, v)
 
@@ -176,20 +208,97 @@ def test_local_weights_reproduce_correlation():
 
 
 def test_vertex_correlation_is_local_with_unit_weight():
-    vertex = enumerate_vertices(Scenario(2, 3, 2, 2))[5]
-    result = is_local_lp(vertex.correlation)
-    assert result.is_local
+    scenario = Scenario(2, 3, 2, 2)
+    result = is_local_lp(Correlation(scenario, vertex_matrix(scenario)[:, 5].reshape(scenario.table_shape)))
+    assert result.is_local and result.bell_functional is None
     assert result.local_content == pytest.approx(1.0, abs=1e-9)
     assert np.count_nonzero(result.weights > 1e-9) == 1
 
 
-def test_nonlocal_witness_is_violated_facet():
+def _assert_certified(corr, result):
+    """y.v >= 1 - 1e-9 on every deterministic strategy, enumerated apart from
+    vertex_matrix, and y.corr = q < 1: corr violates the Bell inequality."""
+    y = result.bell_functional
+    assert not result.is_local and result.weights is None
+    assert y.shape == (corr.table.size,) and not y.flags.writeable
+    assert min(float(y @ table.ravel()) for table in _product_vertices(corr.scenario)) >= 1.0 - 1e-9
+    assert float(y @ corr.table.ravel()) == pytest.approx(result.local_content, abs=1e-9)
+    assert result.local_content < 1.0 - 1e-3
+
+
+def test_nonlocal_verdict_carries_a_violated_bell_functional():
     corr = chsh_protocol_correlation(math.pi / 4, 0.75)
     result = is_local_lp(corr)
-    assert not result.is_local
-    assert isinstance(result.witness, FacetValue)
-    assert abs(result.witness.value) > 2.0
-    assert result.witness.value == pytest.approx(0.75 * 2 * math.sqrt(2), abs=1e-9)
+    _assert_certified(corr, result)
+    # q = 2 - sqrt(2) v: 1 at the local visibility 1/sqrt(2), 2 - sqrt(2) at v = 1
+    assert result.local_content == pytest.approx(2 - math.sqrt(2) * 0.75, abs=1e-9)
+
+
+def _chained_3322(v):
+    """A noisy singlet on the three-setting chained arrangement: Alice's
+    settings at 0, 60 and 120 degrees in the xz plane, Bob's at 30, 90, 150."""
+    def vector(degrees):
+        return (math.sin(math.radians(degrees)), 0.0, math.cos(math.radians(degrees)))
+
+    arrangement = MeasurementArrangement(tuple(map(vector, (0, 60, 120))), tuple(map(vector, (30, 90, 150))))
+    return werner_correlation(v, arrangement)
+
+
+def _chained_box_3_outcomes(weight):
+    """weight * (p = 1/3 when b - a = x y mod 3) + (1 - weight) * white noise
+    on two settings and three outcomes a side: local content 2 (1 - weight)."""
+    scenario = Scenario(2, 2, 3, 3)
+    a, b, x, y = np.indices(scenario.table_shape)
+    box = ((b - a) % 3 == x * y) / 3.0
+    return Correlation(scenario, weight * box + (1.0 - weight) / 9.0)
+
+
+@pytest.mark.parametrize(
+    "corr,q",
+    [(_chained_3322(0.9), None), (_chained_box_3_outcomes(0.8), 0.4)],
+    ids=["werner-3322", "box-3-outcomes"],
+)
+def test_bell_functional_certifies_nonbinary_and_larger_scenarios(corr, q):
+    result = is_local_lp(corr)
+    _assert_certified(corr, result)
+    if q is not None:
+        assert result.local_content == pytest.approx(q, abs=1e-9)
+
+
+def _moved_within_a_block(y, corr):
+    """y plus 10 at row 0 and minus 10 corr_0/corr_6 at row 6, both in the
+    (x, y) = (0, 0) block: y.corr stays, and a strategy outputting (0, 1)
+    there loses 10 corr_0/corr_6 > 6 >= its y.v, so min(V^T y) falls below 1."""
+    moved = y.copy()
+    moved[0] += 10.0
+    moved[6] -= 10.0 * corr[0] / corr[6]
+    return moved
+
+
+@pytest.mark.parametrize(
+    "perturb",
+    [
+        _moved_within_a_block,
+        lambda y, corr: y + 1e-6 * (np.arange(y.size) == 4),
+        lambda y, corr: np.full(y.size, np.nan),
+    ],
+    ids=["invalid", "shifted", "nan"],
+)
+def test_bell_functional_check_rejects_perturbed_duals(monkeypatch, perturb):
+    # "invalid" breaks only y.v >= 1 on every strategy; raising one entry by
+    # 1e-6 keeps y valid but moves y.corr off q
+    solve = kernels.simplex_maximize
+
+    def perturbed(A, b, c):
+        status, q, m, y = solve(A, b, c)
+        return status, q, m, perturb(y, b)
+
+    corr = chsh_protocol_correlation(math.pi / 4, 0.9)
+    assert is_local_lp(corr).bell_functional is not None
+    monkeypatch.setattr(kernels, "simplex_maximize", perturbed)
+    with pytest.raises(LPError, match=r"^Bell functional fails its check: min\(V\^T y\) = \S+, y\.corr = \S+ for q = "):
+        is_local_lp(corr)
+    assert is_local_lp(chsh_protocol_correlation(math.pi / 4, 0.6)).is_local
 
 
 def test_fourth_setting_keeps_threshold():
@@ -218,11 +327,11 @@ def test_lp_primal_check_rejects_perturbed_solution(monkeypatch, shift_support, 
     solve = kernels.simplex_maximize
 
     def perturbed(A, b, c):
-        status, q, m = solve(A, b, c)
+        status, q, m, y = solve(A, b, c)
         m = m.copy()
         m[np.argmax(m)] += shift_support
         m[np.flatnonzero(m == 0.0)[0]] += shift_zero
-        return status, q + shift_zero + max(shift_support, 0.0), m
+        return status, q + shift_zero + max(shift_support, 0.0), m, y
 
     corr = chsh_protocol_correlation(math.pi / 4, 1.0)
     assert is_local_lp(corr).local_content < 0.95
@@ -391,32 +500,38 @@ def test_segment_weight_keeps_the_membership_tolerance():
     mat = np.column_stack([vertex_matrix(corr.scenario), target.table.ravel()])
     obj = np.zeros(mat.shape[1])
     obj[-1] = -1.0
-    status, _, _ = kernels.simplex_maximize(mat, corr.table.ravel(), obj, equalities=mat.shape[0])
+    status, _, _, _ = kernels.simplex_maximize(mat, corr.table.ravel(), obj, equalities=mat.shape[0])
     assert status == kernels.SIMPLEX_INFEASIBLE
 
 
 def test_segment_weight_skips_the_witness_of_a_nonlocal_input(monkeypatch):
-    # the membership pre-pass reads the LP verdict alone: no correlator form
-    # and no facet values are built for a nonlocal corr
-    def unused(*args):
-        raise AssertionError("the segment weight builds no CHSH witness")
+    # the segment weight's membership pre-pass and the NS weight read the LP
+    # verdict alone: with every dual NaN, only is_local_lp's check fails
+    solve = kernels.simplex_maximize
+
+    def no_duals(A, b, c, equalities=0):
+        status, value, x, y = solve(A, b, c, equalities=equalities)
+        return status, value, x, np.full(y.size, np.nan)
 
     theta = math.pi / 4
-    monkeypatch.setattr(localset, "to_correlators", unused)
-    monkeypatch.setattr(localset, "facet_values", unused)
-    result = max_local_weight_along(chsh_protocol_correlation(theta, 0.85), chsh_protocol_correlation(theta, 1.0))
+    corr = chsh_protocol_correlation(theta, 0.85)
+    monkeypatch.setattr(kernels, "simplex_maximize", no_duals)
+    result = max_local_weight_along(corr, chsh_protocol_correlation(theta, 1.0))
     assert result.on_segment and 0.0 < result.q < 1.0
+    assert 0.0 < max_local_weight_ns(corr).q < 1.0
+    with pytest.raises(LPError, match="Bell functional"):
+        is_local_lp(corr)
 
 
 def test_segment_weight_primal_check_rejects_perturbed_solution(monkeypatch):
     solve = kernels.simplex_maximize
 
     def perturbed(A, b, c, equalities=0):
-        status, value, x = solve(A, b, c, equalities=equalities)
+        status, value, x, y = solve(A, b, c, equalities=equalities)
         x = x.copy()
         if equalities:
             x[np.flatnonzero(x == 0.0)[0]] = 1e-6
-        return status, value, x
+        return status, value, x, y
 
     theta = math.pi / 4
     monkeypatch.setattr(kernels, "simplex_maximize", perturbed)
@@ -509,10 +624,10 @@ def test_ns_weight_primal_check_rejects_perturbed_solution(monkeypatch):
     solve = kernels.simplex_maximize
 
     def perturbed(A, b, c):
-        status, q, m = solve(A, b, c)
+        status, q, m, y = solve(A, b, c)
         m = m.copy()
         m[np.argmax(m)] += 1e-6
-        return status, q + 1e-6, m
+        return status, q + 1e-6, m, y
 
     monkeypatch.setattr(kernels, "simplex_maximize", perturbed)
     with pytest.raises(LPError, match=r"primal check: max\(V m - corr\) = [0-9.e-]+$"):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from ccbound import attack, correlations, infotheory, localset, regions
-from ccbound.correlations import Correlation, Scenario
+from ccbound.correlations import Correlation
 from ccbound.infotheory import JointDistribution, StochasticMap
 
 PI4 = math.pi / 4
@@ -46,8 +46,8 @@ def _values():
         "AttackModel": attack.chsh_attack(PI4, 0.9),
         "NSLocalWeight": localset.max_local_weight_ns(corr),
         "LocalityResult": localset.is_local_lp(correlations.chsh_protocol_correlation(PI4, 0.6)),
+        "LocalityResult(nonlocal)": localset.is_local_lp(corr),
         "SegmentLocalWeight": localset.max_local_weight_along(corr, correlations.chsh_protocol_correlation(PI4, 1.0)),
-        "DeterministicVertex": localset.enumerate_vertices(Scenario(2, 2, 2, 2))[5],
         "IntrinsicResult": infotheory.minimize_intrinsic(joint, restarts=0),
     }
 
@@ -88,6 +88,15 @@ def test_copies_hold_equal_arrays_frozen_as_before(name, how):
     for old, new in zip(before, after):
         assert old.dtype == new.dtype and np.array_equal(old, new)
         assert old.flags.writeable or not new.flags.writeable
+
+
+@pytest.mark.parametrize("name", sorted(VALUES))
+def test_equality_and_hash_do_not_raise(name):
+    # a dataclass's generated == compares its array fields as a tuple, whose
+    # truth value raises for arrays, and its hash hashes them
+    value = VALUES[name]
+    assert isinstance(value == copy.copy(value), bool) and value == value
+    assert isinstance(hash(value), int)
 
 
 @pytest.mark.parametrize("name", sorted(VALUES))
