@@ -148,6 +148,7 @@ def tripartite(decomposition: CCDecomposition, x: int, y: int) -> JointDistribut
     k_b*a + b); on nonlocal rounds it is the unknown symbol k_a*k_b, the last
     of the k_a*k_b + 1 symbols.
     """
+    _check_settings(decomposition.scenario, {}, [(x, y)])
     k_a, k_b = decomposition.scenario.k_a, decomposition.scenario.k_b
     q = decomposition.local_weight
     p = np.zeros((k_a, k_b, k_a * k_b + 1))
@@ -160,6 +161,7 @@ def tripartite(decomposition: CCDecomposition, x: int, y: int) -> JointDistribut
 
 def ideal_agreement(arrangement: MeasurementArrangement, x: int, y: int) -> float:
     """Probability of equal outcomes at visibility 1 for the setting pair (x, y)."""
+    _check_settings(arrangement.scenario, {}, [(x, y)])
     return 0.5 * (1.0 - float(np.add.reduce(arrangement.alice[x] * arrangement.bob[y])))
 
 
@@ -299,8 +301,8 @@ def chsh_attack(
 
 def chsh_keyrate_bound(theta: float, visibility):
     """Closed-form key-rate upper bound for the theta protocol keyed on the
-    (0, 2) setting pair, at a float visibility or at each visibility of a
-    1-D array (giving an array).
+    (0, 2) setting pair, at a float visibility or at each visibility of an
+    array of any shape (giving an array of that shape).
 
     Zero at and below the critical visibility; above it,
     2(1 - s q) + (1-q) log2[(1-q)/(2(1-sq))] + q(1-s) log2[q(1-s)/(2(1-sq))]
@@ -321,7 +323,7 @@ def chsh_keyrate_bound(theta: float, visibility):
     hidden = q * (1.0 - s)
     hides = hidden > 0.0
     value[hides] += hidden[hides] * _log2(hidden[hides] / (2.0 * z[hides]))
-    bounds = np.zeros(len(v))
+    bounds = np.zeros(v.shape)
     bounds[above] = np.maximum(value, 0.0)
     return bounds if np.ndim(visibility) else float(bounds[0])
 

@@ -29,7 +29,6 @@ from .correlations import (
     chsh_protocol_correlation,
     dump_correlation,
     load_correlation,
-    to_correlators,
 )
 from .infotheory import MinimizerError, load_distribution, minimize_intrinsic
 from .localset import LPError, local_visibility, max_local_weight_along, max_local_weight_ns
@@ -160,8 +159,9 @@ def cmd_bound(parser, args) -> int:
         raise CorrelationError(
             f"correlation scenario {observed.scenario} does not match the theta protocol"
         )
-    form = to_correlators(observed)
-    visibility = float(form.correlators[0, 2])
+    # the key pair's correlator <A_0 B_2> is the protocol's visibility
+    key = observed.block(0, 2)
+    visibility = float(key[0, 0] + key[1, 1] - key[0, 1] - key[1, 0])
     if not 0.0 <= visibility <= 1.0:
         raise atk.AttackError(
             f"inferred visibility {visibility!r} outside [0, 1]; not a protocol correlation"

@@ -41,10 +41,6 @@ class Scenario:
                 raise CorrelationError(f"{name} must be a positive integer, got {value!r}")
 
     @property
-    def binary(self) -> bool:
-        return self.k_a == 2 and self.k_b == 2
-
-    @property
     def table_shape(self) -> tuple[int, int, int, int]:
         return (self.k_a, self.k_b, self.n_a, self.n_b)
 
@@ -158,30 +154,6 @@ def dump_correlation(corr: Correlation, path) -> None:
         fh.write("\n")
 
 
-@dataclass(frozen=True, eq=False)
-class CorrelatorForm:
-    """Marginal/correlator representation of a binary-output correlation."""
-
-    alice_marginals: np.ndarray
-    bob_marginals: np.ndarray
-    correlators: np.ndarray
-
-    __reduce__ = constructor_reduce
-
-    def __post_init__(self):
-        am = read_only_copy(self.alice_marginals, float)
-        bm = read_only_copy(self.bob_marginals, float)
-        co = read_only_copy(self.correlators, float)
-        if co.shape != (am.shape[0], bm.shape[0]):
-            raise CorrelationError(
-                f"correlator matrix shape {co.shape} inconsistent with marginals"
-            )
-        for name, arr in (("alice_marginals", am), ("bob_marginals", bm), ("correlators", co)):
-            if not np.all(np.abs(arr) <= 1.0 + ATOL):
-                raise CorrelationError(f"{name} entries must lie in [-1, 1]")
-            object.__setattr__(self, name, arr)
-
-
 def werner_correlation(visibility: float, arrangement: MeasurementArrangement) -> Correlation:
     """Correlation from projective Bloch measurements on a visibility-v
     singlet/white-noise mixture.
@@ -229,51 +201,13 @@ def chsh_protocol_correlation(theta: float, visibility: float) -> Correlation:
     return werner_correlation(visibility, chsh_arrangement(theta))
 
 
-def to_correlators(corr: Correlation) -> CorrelatorForm:
-    """Marginals <A_x>, <B_y> and correlators <A_x B_y> of a binary correlation."""
-    if not corr.scenario.binary:
-        raise CorrelationError("correlator form requires binary outputs on both sides")
-    t = corr.table
-    alice = (t[0, 0] + t[0, 1] - t[1, 0] - t[1, 1]).mean(axis=1)
-    bob = (t[0, 0] - t[0, 1] + t[1, 0] - t[1, 1]).mean(axis=0)
-    correlators = t[0, 0] + t[1, 1] - t[0, 1] - t[1, 0]
-    return CorrelatorForm(alice, bob, correlators)
-
-
-def from_correlators(form: CorrelatorForm, scenario: Scenario) -> Correlation:
-    """Reconstruct p(a,b|x,y) = 1/4 [1 + (-1)^a <A_x> + (-1)^b <B_y> + (-1)^(a+b) <A_x B_y>].
-
-    Reconstruction values in [-1e-12, 0) are clamped to 0; anything more
-    negative is rejected as a genuinely invalid correlator set.
-    """
-    if not scenario.binary:
-        raise CorrelationError("correlator form requires binary outputs on both sides")
-    am, bm, co = form.alice_marginals, form.bob_marginals, form.correlators
-    if am.shape[0] != scenario.n_a or bm.shape[0] != scenario.n_b:
-        raise CorrelationError("correlator form does not match the scenario input counts")
-    table = np.empty(scenario.table_shape)
-    for a in (0, 1):
-        for b in (0, 1):
-            sign_a = 1.0 if a == 0 else -1.0
-            sign_b = 1.0 if b == 0 else -1.0
-            table[a, b] = 0.25 * (
-                1.0 + sign_a * am[:, None] + sign_b * bm[None, :] + sign_a * sign_b * co
-            )
-    low = table.min()
-    if low < -ATOL:
-        raise CorrelationError(
-            f"correlators produce a negative probability ({float(low)!r}); not a valid correlation"
-        )
-    np.clip(table, 0.0, None, out=table)
-    return Correlation(scenario, table)
-
-
 def slice_correlation(s: float, t: float) -> Correlation:
     """Point (s, t) of the two-parameter correlation slice, as a 2x3 correlation.
 
-    Zero marginals, correlator matrix [[s, t, v], [t, -s, 0]] with
-    v = sqrt(s^2 + t^2).  Only points inside the quantum disc s^2 + t^2 <= 1
-    are representable.
+    Zero marginals, so p(a,b|x,y) = (1 + (-1)^(a+b) E[x, y])/4 for the
+    correlator matrix E = [[s, t, v], [t, -s, 0]] with v = sqrt(s^2 + t^2).
+    Only points inside the quantum disc s^2 + t^2 <= 1 are representable;
+    entries that round below 0 at its edge are clipped to 0.
     """
     radius_sq = s * s + t * t
     if not radius_sq <= 1.0 + ATOL:
@@ -281,10 +215,9 @@ def slice_correlation(s: float, t: float) -> Correlation:
             f"(s, t) = ({s}, {t}) has s^2 + t^2 = {radius_sq}, not <= 1"
         )
     v = math.sqrt(min(radius_sq, 1.0))
-    scenario = Scenario(2, 3, 2, 2)
-    form = CorrelatorForm(
-        alice_marginals=np.zeros(2),
-        bob_marginals=np.zeros(3),
-        correlators=np.array([[s, t, v], [t, -s, 0.0]]),
-    )
-    return from_correlators(form, scenario)
+    correlators = np.array([[s, t, v], [t, -s, 0.0]])
+    table = np.empty((2, 2, 2, 3))
+    table[0, 0] = table[1, 1] = 0.25 * (1.0 + correlators)
+    table[0, 1] = table[1, 0] = 0.25 * (1.0 - correlators)
+    np.clip(table, 0.0, None, out=table)
+    return Correlation(Scenario(2, 3, 2, 2), table)

@@ -1,6 +1,7 @@
 """Convex-combination attacks, relabelling maps, and key-rate bounds."""
 
 import math
+import re
 
 import hypothesis
 import numpy as np
@@ -115,6 +116,16 @@ def test_tripartite_marginal_and_unknown_mass():
     # frozen value: the agreeing unknown-branch mass at the key pair
     joint = atk.tripartite(dec, 0, 2)
     assert joint.p[0, 0, 4] == pytest.approx(0.15857864376269065, abs=1e-12)
+
+
+@pytest.mark.parametrize("pair", [(-1, 0), (2, 0), (0, 3)])
+def test_setting_pairs_outside_the_protocol_are_rejected_by_name(pair):
+    # a negative index must not wrap round to the last setting
+    pattern = re.escape(f"setting pair {pair} is outside the 2x3 settings")
+    with pytest.raises(atk.AttackError, match=pattern):
+        atk.tripartite(atk.cc_chsh(PI4, 0.8), *pair)
+    with pytest.raises(atk.AttackError, match=pattern):
+        atk.ideal_agreement(chsh_arrangement(PI4), *pair)
 
 
 # ------------------------------------------------------------------ eve maps
@@ -449,6 +460,13 @@ def test_closed_forms_of_an_array_are_the_scalar_ones_bit_for_bit(theta, visibil
     v_ls = np.array([local_visibility(theta), *(v for v in visibilities if 0.0 < v < 1.0)])
     critical = atk.zero_key_visibility(1.0, v_ls)
     assert critical.tobytes() == np.array([atk.zero_key_visibility(1.0, v) for v in v_ls.tolist()]).tobytes()
+
+
+def test_closed_form_of_a_2d_array_keeps_its_shape():
+    vs = np.array([[0.5, 0.8], [atk.critical_visibility(PI4), 1.0]])
+    bounds = atk.chsh_keyrate_bound(PI4, vs)
+    assert bounds.shape == (2, 2)
+    assert bounds.tobytes() == np.array([[atk.chsh_keyrate_bound(PI4, v) for v in row] for row in vs.tolist()]).tobytes()
 
 
 def test_closed_form_array_is_the_scalar_where_numpy_log2_is_not():

@@ -1,5 +1,6 @@
-"""Correlation table construction, generators, and conversions."""
+"""Correlation table construction, generators, and JSON io."""
 
+import array
 import json
 import math
 
@@ -9,17 +10,14 @@ import pytest
 from ccbound.correlations import (
     Correlation,
     CorrelationError,
-    CorrelatorForm,
     MeasurementArrangement,
     OutsideQuantumDiscError,
     Scenario,
     chsh_arrangement,
     chsh_protocol_correlation,
     dump_correlation,
-    from_correlators,
     load_correlation,
     slice_correlation,
-    to_correlators,
     unit_vector,
     werner_correlation,
 )
@@ -33,6 +31,18 @@ def random_arrangement(n_a, n_b, rng=RNG):
         return tuple(tuple(v / np.linalg.norm(v)) for v in vs)
 
     return MeasurementArrangement(alice=draw(n_a), bob=draw(n_b))
+
+
+def correlators(corr):
+    """<A_x B_y> = sum over a, b of (-1)^(a+b) p(a,b|x,y), as an (n_a, n_b) matrix."""
+    t = corr.table
+    return t[0, 0] + t[1, 1] - t[0, 1] - t[1, 0]
+
+
+def marginals(corr):
+    """<A_x> for each x and <B_y> for each y, averaged over the other side's settings."""
+    t = corr.table
+    return (t[0] - t[1]).sum(axis=0).mean(axis=1), (t[:, 0] - t[:, 1]).sum(axis=0).mean(axis=0)
 
 
 # ------------------------------------------------------------------ scenario
@@ -140,25 +150,26 @@ def test_visibility_range_checked():
 
 
 def test_protocol_correlators_at_ideal_point():
-    form = to_correlators(chsh_protocol_correlation(math.pi / 4, 1.0))
+    corr = chsh_protocol_correlation(math.pi / 4, 1.0)
     r = 1 / math.sqrt(2)
     expected = np.array([[r, r, 1.0], [r, -r, 0.0]])
-    assert np.abs(form.correlators - expected).max() < 1e-12
-    assert np.abs(form.alice_marginals).max() < 1e-12
-    assert np.abs(form.bob_marginals).max() < 1e-12
+    assert np.abs(correlators(corr) - expected).max() < 1e-12
+    alice, bob = marginals(corr)
+    assert np.abs(alice).max() < 1e-12
+    assert np.abs(bob).max() < 1e-12
 
 
 def test_protocol_key_pair_correlator_equals_visibility():
     for v in (0.3, 0.7445, 1.0):
-        form = to_correlators(chsh_protocol_correlation(math.pi / 4, v))
-        assert form.correlators[0, 2] == pytest.approx(v, abs=1e-12)
-        assert form.correlators[1, 2] == pytest.approx(0.0, abs=1e-12)
+        co = correlators(chsh_protocol_correlation(math.pi / 4, v))
+        assert co[0, 2] == pytest.approx(v, abs=1e-12)
+        assert co[1, 2] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_protocol_white_noise_limit():
-    form = to_correlators(chsh_protocol_correlation(0.9, 0.0))
-    assert np.abs(form.correlators).max() < 1e-15
-    assert np.abs(form.alice_marginals).max() < 1e-15
+    corr = chsh_protocol_correlation(0.9, 0.0)
+    assert np.abs(correlators(corr)).max() < 1e-15
+    assert np.abs(marginals(corr)[0]).max() < 1e-15
 
 
 def test_protocol_theta_domain():
@@ -193,6 +204,34 @@ def test_slice_matches_polar_protocol():
         assert point.allclose(chsh_protocol_correlation(theta, v), atol=1e-12)
 
 
+EDGE = 1.0 + 4e-13  # s^2 + t^2 within 1e-12 above 1: still on the disc
+SLICE_POINTS = [
+    (0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0),
+    (0.5, 0.0), (-0.5, -0.0), (0.0, 0.5), (-0.0, -0.5),
+    (0.3, 0.4), (-0.6, 0.55), (-0.6, -0.55), (0.7, -0.2), (0.1, 0.2),
+    (1.0, 0.0), (-1.0, 0.0), (0.0, 1.0), (0.0, -1.0),
+    (EDGE, 0.0), (-EDGE, 0.0), (0.0, EDGE), (-0.0, -EDGE),
+    *((EDGE * math.cos(angle), EDGE * math.sin(angle)) for angle in (0.5, 2.0, 3.5, 5.5)),
+    *(tuple(point) for point in RNG.uniform(-0.7, 0.7, size=(40, 2)).tolist()),
+]
+
+
+def _slice_table_bytes(s, t):
+    """p(a,b|x,y) = max(0, (1 + (-1)^(a+b) E[x][y])/4) in plain floats, in (a, b, x, y) order."""
+    v = math.sqrt(min(s * s + t * t, 1.0))
+    e = ((s, t, v), (t, -s, 0.0))
+    values = [
+        max(0.25 * (1.0 + (1.0 if a == b else -1.0) * e[x][y]), 0.0)
+        for a in (0, 1) for b in (0, 1) for x in (0, 1) for y in (0, 1, 2)
+    ]
+    return array.array("d", values).tobytes()
+
+
+def test_slice_table_is_the_correlator_formula_bit_for_bit():
+    for s, t in SLICE_POINTS:
+        assert slice_correlation(s, t).table.tobytes() == _slice_table_bytes(s, t), (s, t)
+
+
 def test_slice_rejects_points_outside_disc():
     with pytest.raises(OutsideQuantumDiscError):
         slice_correlation(1.0, 0.5)
@@ -203,62 +242,25 @@ def test_slice_rejects_points_outside_disc():
     "build, error, message",
     [
         (lambda: MeasurementArrangement(((math.nan, 0.0, 0.0),), ((0.0, 0.0, 1.0),)), CorrelationError, "unit norm"),
-        (lambda: CorrelatorForm([math.nan, 0.0], np.zeros(3), np.zeros((2, 3))), CorrelationError, "alice_marginals"),
+        (lambda: werner_correlation(math.nan, chsh_arrangement(0.3)), CorrelationError, "got nan"),
         (lambda: slice_correlation(math.nan, 0.5), OutsideQuantumDiscError, "= nan, not <= 1"),
     ],
-    ids=["unit_vector", "correlator_form", "slice_correlation"],
+    ids=["unit_vector", "werner_visibility", "slice_correlation"],
 )
 def test_nan_is_rejected_where_it_arrives(build, error, message):
     with pytest.raises(error, match=message):
         build()
 
 
-# -------------------------------------------------------- correlator round trip
+# ------------------------------------------------------------- correlators
 
 
 def test_perfectly_correlated_correlators():
     table = np.zeros((2, 2, 1, 1))
     table[0, 0, 0, 0] = table[1, 1, 0, 0] = 0.5
-    form = to_correlators(Correlation(Scenario(1, 1, 2, 2), table))
-    assert form.correlators[0, 0] == pytest.approx(1.0, abs=1e-15)
-    assert abs(form.alice_marginals[0]) < 1e-15
-
-
-def test_round_trip_random_tables():
-    scenario = Scenario(2, 3, 2, 2)
-    for _ in range(25):
-        # random nonsignaling tables built from correlator/marginal data
-        form = CorrelatorForm(
-            alice_marginals=RNG.uniform(-0.4, 0.4, size=2),
-            bob_marginals=RNG.uniform(-0.4, 0.4, size=3),
-            correlators=RNG.uniform(-0.2, 0.2, size=(2, 3)),
-        )
-        corr = from_correlators(form, scenario)
-        back = to_correlators(corr)
-        assert np.abs(back.correlators - form.correlators).max() < 1e-12
-        assert np.abs(back.alice_marginals - form.alice_marginals).max() < 1e-12
-        assert np.abs(back.bob_marginals - form.bob_marginals).max() < 1e-12
-        again = from_correlators(back, scenario)
-        assert again.allclose(corr, atol=1e-12)
-
-
-def test_from_correlators_rejects_invalid():
-    scenario = Scenario(1, 1, 2, 2)
-    bad = CorrelatorForm(
-        alice_marginals=np.array([1.0]),
-        bob_marginals=np.array([1.0]),
-        correlators=np.array([[-1.0]]),
-    )
-    # p(0,0) = (1 + 1 + 1 - 1)/4 ok but p(1,1) = (1 - 1 - 1 - 1)/4 < 0
-    with pytest.raises(CorrelationError):
-        from_correlators(bad, scenario)
-
-
-def test_non_binary_rejected():
-    table = np.full((3, 2, 1, 1), 1 / 6)
-    corr = Correlation(Scenario(1, 1, 3, 2), table)
-    with pytest.raises(CorrelationError):
-        to_correlators(corr)
+    corr = Correlation(Scenario(1, 1, 2, 2), table)
+    assert correlators(corr)[0, 0] == pytest.approx(1.0, abs=1e-15)
+    assert abs(marginals(corr)[0][0]) < 1e-15
 
 
 # --------------------------------------------------------------------- JSON

@@ -16,7 +16,6 @@ from ccbound.correlations import (
     chsh_arrangement,
     chsh_protocol_correlation,
     slice_correlation,
-    to_correlators,
     werner_correlation,
 )
 from ccbound.localset import (
@@ -113,7 +112,8 @@ def _chsh_values(corr):
     corr for every ordered pair x0 != x1, y0 != y1.  In the three- and
     four-setting scenarios studied here a binary correlation is local
     exactly when all |S| <= 2."""
-    co = to_correlators(corr).correlators
+    t = corr.table
+    co = t[0, 0] + t[1, 1] - t[0, 1] - t[1, 0]  # <A_x B_y> for every (x, y)
     n_a, n_b = co.shape
     return {
         (x0, x1, y0, y1): float(co[x0, y0] + co[x0, y1] + co[x1, y0] - co[x1, y1])
