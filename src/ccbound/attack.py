@@ -106,6 +106,8 @@ class AttackModel:
 
 def local_weight(visibility: float, local_visibility_value: float) -> float:
     """Local weight (1 - v)/(1 - v_local) of the convex-combination split."""
+    if not 0.0 <= visibility <= 1.0:
+        raise AttackError(f"visibility must lie in [0, 1], got {visibility!r}")
     if not 0.0 < local_visibility_value < 1.0:
         raise AttackError(f"local visibility must lie in (0, 1), got {local_visibility_value!r}")
     if visibility <= local_visibility_value:
@@ -126,8 +128,6 @@ def cc_werner(
     attack degenerates: weight 1 with the full (local) correlation as the
     local part.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise AttackError(f"visibility must lie in [0, 1], got {visibility!r}")
     return CCDecomposition(
         local_weight(visibility, local_visibility_value),
         werner_correlation(min(visibility, local_visibility_value), arrangement),

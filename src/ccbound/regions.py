@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from collections.abc import Sequence
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -35,17 +35,6 @@ class RegionLabel(str, Enum):
 # label codes returned by classify_arrays index this tuple
 LABELS = tuple(RegionLabel)
 _LOCAL, _RED, _BLUE, _OUTSIDE = range(len(LABELS))
-
-
-@dataclass(frozen=True)
-class RegionPoint:
-    """A classified slice point with its polar form."""
-
-    s: float
-    t: float
-    visibility: float
-    theta: float
-    label: RegionLabel
 
 
 def classify_arrays(s, t):
@@ -103,12 +92,6 @@ def _classify(xs, ys, sums):
     return visibility, theta, codes
 
 
-def classify(s: float, t: float) -> RegionPoint:
-    """Label one slice point; see ``classify_arrays`` for the rule."""
-    visibility, theta, codes = classify_arrays([s], [t])
-    return RegionPoint(float(s), float(t), float(visibility[0]), float(theta[0]), LABELS[codes[0]])
-
-
 def _row_blocks(n: int) -> list[slice]:
     """The t rows of each block of a grid with n points per axis."""
     step = max(1, BLOCK_POINTS // n)
@@ -134,13 +117,12 @@ def _classified_blocks(axis: np.ndarray):
 
 
 @dataclass(frozen=True, eq=False)
-class RegionGrid(Sequence):
+class RegionGrid:
     """Classified slice points held as read-only arrays.
 
     ``axis`` holds the coordinates shared by s and t: with n = len(axis),
-    point i is (s, t) = (axis[i % n], axis[i // n]), so t is the outer loop.
-    Indexing and iteration give ``RegionPoint`` values, so the grid reads
-    like a list of points.
+    point i is (s, t) = (axis[i % n], axis[i // n]), so t is the outer loop,
+    and its label is ``LABELS[codes[i]]``.
     """
 
     visibility: np.ndarray
@@ -156,23 +138,13 @@ class RegionGrid(Sequence):
         size = len(self.axis) ** 2
         if any(array.shape != (size,) for array in (self.visibility, self.theta, self.codes)):
             raise ValueError(f"visibility, theta and codes must each hold len(axis)**2 = {size} points")
-
-    def __len__(self):
-        return len(self.codes)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(*index.indices(len(self)))]
-        i = range(len(self))[index]
-        t, s = divmod(i, len(self.axis))
-        return RegionPoint(
-            float(self.axis[s]), float(self.axis[t]), float(self.visibility[i]),
-            float(self.theta[i]), LABELS[self.codes[i]],
-        )
+        if not (np.issubdtype(self.codes.dtype, np.integer) and np.isin(self.codes, range(len(LABELS))).all()):
+            raise ValueError(f"codes must be integers in range({len(LABELS)}), got {self.codes.dtype} codes")
 
 
 def _grid_axis(resolution: int) -> np.ndarray:
     """The coordinates shared by s and t on the uniform grid over [0, 1]^2."""
+    resolution = operator.index(resolution)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     return np.arange(resolution) * (1.0 / (resolution - 1))
@@ -230,11 +202,6 @@ def fixed6_words(x) -> np.ndarray:
     for i in np.flatnonzero(np.abs(scaled - micro).ravel() > 0.5 - 1e-6).tolist():
         text[i] = np.frombuffer(("%.6f" % x.flat[i]).encode("ascii"), dtype=np.uint8)
     return words.view(np.uint64).reshape(x.shape)
-
-
-def fixed6_bytes(x) -> np.ndarray:
-    """The bytes of ``fixed6_words(x)``, 8 per value along a last axis."""
-    return fixed6_words(x)[..., None].view(np.uint8)
 
 
 # a label field: the label and its newline, NUL-padded to the longest one;

@@ -17,7 +17,7 @@ from ccbound.correlations import (
 )
 from ccbound.infotheory import JointDistribution, minimize_intrinsic, mutual_information
 from ccbound.localset import is_local_lp, local_visibility, max_local_weight_along
-from ccbound.regions import RegionLabel, region_grid
+from ccbound.regions import LABELS, RegionLabel, region_grid
 
 PI4 = math.pi / 4
 
@@ -140,23 +140,26 @@ def test_criterion_7_intrinsic_minimizer_sanity():
 
 
 def test_criterion_8_region_reproduction():
-    points = region_grid(201)
-    assert len(points) == 201 * 201
-    red = [p for p in points if p.label == RegionLabel.RED_ZERO_KEY]
-    blue = [p for p in points if p.label == RegionLabel.BLUE_POSITIVE_BOUND]
+    grid = region_grid(201)
+    assert len(grid.codes) == 201 * 201
+    # point i is (s, t) = (axis[i % n], axis[i // n])
+    s, t = np.tile(grid.axis, 201).tolist(), np.repeat(grid.axis, 201).tolist()
+    visibility, theta, labels = grid.visibility.tolist(), grid.theta.tolist(), [LABELS[c] for c in grid.codes.tolist()]
+    red = [i for i, label in enumerate(labels) if label == RegionLabel.RED_ZERO_KEY]
+    blue = [i for i, label in enumerate(labels) if label == RegionLabel.BLUE_POSITIVE_BOUND]
     assert red
-    for p in red:
-        assert abs(p.s) + abs(p.t) > 1.0
-        assert p.s**2 + p.t**2 <= 1.0 + 1e-12
-        assert atk.chsh_keyrate_bound(p.theta, p.visibility) == 0.0
-    for p in blue:
-        if p.visibility > atk.critical_visibility(p.theta) + 1e-6:
-            assert atk.chsh_keyrate_bound(p.theta, p.visibility) > 0.0
+    for i in red:
+        assert abs(s[i]) + abs(t[i]) > 1.0
+        assert s[i]**2 + t[i]**2 <= 1.0 + 1e-12
+        assert atk.chsh_keyrate_bound(theta[i], visibility[i]) == 0.0
+    for i in blue:
+        if visibility[i] > atk.critical_visibility(theta[i]) + 1e-6:
+            assert atk.chsh_keyrate_bound(theta[i], visibility[i]) > 0.0
     rng = np.random.default_rng(8)
     sample = rng.choice(len(red), size=20, replace=False)
     for index in sample:
-        p = red[int(index)]
-        assert not is_local_lp(slice_correlation(p.s, p.t)).is_local
+        i = red[int(index)]
+        assert not is_local_lp(slice_correlation(s[i], t[i])).is_local
     report(8, f"region grid: {len(red)} zero-key points, all nonlocal-in-disc with zero bound")
 
 

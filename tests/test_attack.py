@@ -9,7 +9,12 @@ import pytest
 from hypothesis import strategies as st
 
 from ccbound import attack as atk
-from ccbound.correlations import chsh_arrangement, chsh_protocol_correlation, werner_correlation
+from ccbound.correlations import (
+    MeasurementArrangement,
+    chsh_arrangement,
+    chsh_protocol_correlation,
+    werner_correlation,
+)
 from ccbound.infotheory import StochasticMap, apply_map, conditional_mutual_information, minimize_intrinsic
 from ccbound.localset import is_local_lp, local_visibility
 
@@ -61,6 +66,43 @@ def test_local_weight_anchors():
     assert atk.local_weight(v_l, v_l) == 1.0
     # halfway visibility gives local weight exactly 1/2
     assert atk.local_weight((1 + v_l) / 2, v_l) == pytest.approx(0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [1.5, -0.5, math.nan])
+def test_local_weight_rejects_a_visibility_outside_the_unit_interval(bad):
+    # unchecked, 1.5 would give the weight -1.667, -0.5 the weight 1 and NaN a NaN weight
+    with pytest.raises(atk.AttackError, match=re.escape(f"visibility must lie in [0, 1], got {bad!r}")):
+        atk.local_weight(bad, 0.7)
+
+
+_WERNER = werner_correlation(0.8, chsh_arrangement(PI4))
+_ONE_SETTING = werner_correlation(0.8, MeasurementArrangement(((0.0, 0.0, 1.0),), ((0.0, 0.0, 1.0),)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: atk.CCDecomposition(1.5, _WERNER, _WERNER),
+                     "local weight must lie in [0, 1], got 1.5", id="decomposition-weight"),
+        pytest.param(lambda: atk.CCDecomposition(0.5, _WERNER, _ONE_SETTING),
+                     "decomposition components live on different scenarios", id="decomposition-scenarios"),
+        pytest.param(lambda: atk.local_weight(0.8, 1.0),
+                     "local visibility must lie in (0, 1), got 1.0", id="local-weight-threshold"),
+        pytest.param(lambda: atk.cc_werner(1.5, chsh_arrangement(PI4)),
+                     "visibility must lie in [0, 1], got 1.5", id="cc-werner-visibility"),
+        pytest.param(lambda: atk.eve_map(0.9, 1.5),
+                     "unknown_fraction must lie in [0, 1], got 1.5", id="eve-map-fraction"),
+        pytest.param(lambda: atk.eve_map(1.5, 0.5),
+                     "agreement must lie in [0, 1], got 1.5", id="eve-map-agreement"),
+        pytest.param(lambda: atk.solve_unknown_fraction(1.5, 0.7, 0.9),
+                     "visibility must lie in [0, 1], got 1.5", id="unknown-fraction-visibility"),
+        pytest.param(lambda: atk.solve_unknown_fraction(0.8, 0.7, 1.5),
+                     "agreement must lie in [0, 1], got 1.5", id="unknown-fraction-agreement"),
+    ],
+)
+def test_attack_input_checks(call, message):
+    with pytest.raises(atk.AttackError, match=re.escape(message)):
+        call()
 
 
 def test_cc_decomposition_reproduces_observation():

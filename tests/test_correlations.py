@@ -3,6 +3,7 @@
 import array
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -307,3 +308,23 @@ def test_json_table_entries_must_be_numbers(entry, message):
     doc["table"][1][2][0][1] = entry
     with pytest.raises(CorrelationError, match=message):
         Correlation.from_json_dict(doc)
+
+
+_WERNER = werner_correlation(0.8, chsh_arrangement(math.pi / 4))
+_ONE_SETTING = werner_correlation(0.8, MeasurementArrangement(((0.0, 0.0, 1.0),), ((0.0, 0.0, 1.0),)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: MeasurementArrangement((), ((0.0, 0.0, 1.0),)),
+                     "arrangement needs at least one setting per side", id="arrangement-without-settings"),
+        pytest.param(lambda: _WERNER.mix(_ONE_SETTING, 0.5),
+                     "cannot mix correlations on different scenarios", id="mix-scenarios"),
+        pytest.param(lambda: _WERNER.mix(_WERNER, 1.5),
+                     "mixing weight must lie in [0,1], got 1.5", id="mix-weight"),
+    ],
+)
+def test_correlation_input_checks(call, message):
+    with pytest.raises(CorrelationError, match=re.escape(message)):
+        call()

@@ -1,6 +1,7 @@
 """Information measures and the relabelling minimizer."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -680,3 +681,18 @@ def test_minimizer_stops_at_a_sweep_value_below_zero():
     assert result.bound == 0.0
     assert np.array_equal(result.map.rows, StochasticMap.deterministic(assign, 4).rows)
     assert result.record == infotheory.MinimizerRecord(0, 0, (), 1 + 4**4 + 1, 1 + 1 + 1, "sweep")
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda: StochasticMap(np.full(3, 1.0)), "expected a matrix, got shape (3,)", id="map-vector"),
+        pytest.param(lambda: mutual_information([0.5, 0.5]),
+                     "expected a bipartite table, got shape (2,)", id="mutual-information-vector"),
+        pytest.param(lambda: mutual_information(np.full((2, 2, 2), 0.125)),
+                     "expected a bipartite table, got shape (2, 2, 2)", id="mutual-information-tripartite"),
+    ],
+)
+def test_information_input_checks(call, message):
+    with pytest.raises(DistributionError, match=re.escape(message)):
+        call()

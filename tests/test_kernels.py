@@ -610,3 +610,10 @@ def test_sweep_batches_shrink_for_wide_tables():
     maps = np.eye(3)[[i // 3 ** np.arange(3) % 3 for i in range(27)]]
     values = [kernels.cmi_after_map_bits(p, rows) for rows in maps]
     assert best == min(values) and tuple(assign) == tuple(maps[int(np.argmin(values))].argmax(axis=1))
+
+
+def test_simplex_iteration_limit_in_phase_one_returns_no_solution():
+    # with no pivot allowed, phase 1 stops before it drives out the artificial
+    status, objective, x, duals = kernels.simplex_maximize([[1.0, 1.0]], [1.0], [1.0, 1.0], maxiter=0, equalities=1)
+    assert status == kernels.SIMPLEX_ITERATION_LIMIT
+    assert objective == 0.0 and x.tolist() == [0.0, 0.0] and np.isnan(duals).all()

@@ -642,3 +642,33 @@ def test_ns_weight_decomposition_reconstructs():
     assert np.abs(recon - corr.table).max() < 1e-9
     assert result.rest.is_nonsignaling(atol=1e-8)
     assert is_local_lp(result.local).is_local
+
+
+def _simplex_stopping_at_its_iteration_limit(equality_lp_only):
+    """A ``kernels.simplex_maximize`` that reports the iteration limit on
+    every LP, or only on the LPs with equality rows."""
+    solve = kernels.simplex_maximize
+
+    def stopped(A, b, c, maxiter=None, equalities=0):
+        if equality_lp_only and not equalities:
+            return solve(A, b, c, maxiter, equalities)
+        m, n = np.shape(A)
+        return kernels.SIMPLEX_ITERATION_LIMIT, 0.0, np.zeros(n), np.full(m, np.nan)
+
+    return stopped
+
+
+@pytest.mark.parametrize(
+    "call, equality_lp_only",
+    [
+        pytest.param(lambda: is_local_lp(pr_box()), False, id="membership"),
+        pytest.param(lambda: max_local_weight_ns(pr_box()), False, id="ns-weight"),
+        pytest.param(lambda: max_local_weight_along(chsh_protocol_correlation(math.pi / 4, 0.9),
+                                                    chsh_protocol_correlation(math.pi / 4, 1.0)),
+                     True, id="segment-weight"),
+    ],
+)
+def test_simplex_iteration_limit_is_an_lp_error(monkeypatch, call, equality_lp_only):
+    monkeypatch.setattr(kernels, "simplex_maximize", _simplex_stopping_at_its_iteration_limit(equality_lp_only))
+    with pytest.raises(LPError, match=re.escape("simplex did not reach an optimum (status 1)")):
+        call()

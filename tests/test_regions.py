@@ -19,9 +19,7 @@ from ccbound.regions import (
     LABELS,
     RegionGrid,
     RegionLabel,
-    classify,
     classify_arrays,
-    fixed6_bytes,
     fixed6_words,
     region_grid,
     stream_region_csv,
@@ -29,83 +27,97 @@ from ccbound.regions import (
 )
 
 
+def _label(s, t):
+    """The label ``classify_arrays`` gives the one slice point (s, t)."""
+    return LABELS[classify_arrays([s], [t])[2][0]]
+
+
+def _columns(grid):
+    """The grid's points as five lists: s, t, visibility, theta and label
+    code, point i being (axis[i % n], axis[i // n])."""
+    n = len(grid.axis)
+    columns = (np.tile(grid.axis, n), np.repeat(grid.axis, n), grid.visibility, grid.theta, grid.codes)
+    return [column.tolist() for column in columns]
+
+
 def test_classify_examples():
-    assert classify(0.5, 0.4).label == RegionLabel.LOCAL
-    assert classify(0.6, 0.6).label == RegionLabel.BLUE_POSITIVE_BOUND
-    assert classify(0.55, 0.48).label == RegionLabel.RED_ZERO_KEY
-    assert classify(1.0, 0.5).label == RegionLabel.OUTSIDE_QUANTUM
+    assert _label(0.5, 0.4) == RegionLabel.LOCAL
+    assert _label(0.6, 0.6) == RegionLabel.BLUE_POSITIVE_BOUND
+    assert _label(0.55, 0.48) == RegionLabel.RED_ZERO_KEY
+    assert _label(1.0, 0.5) == RegionLabel.OUTSIDE_QUANTUM
 
 
 def test_classify_boundaries_closed():
     # the local boundary |s| + |t| = 1 and the critical curve belong to
     # LOCAL and RED respectively
-    assert classify(1.0, 0.0).label == RegionLabel.LOCAL
-    assert classify(0.3, 0.7).label == RegionLabel.LOCAL
+    assert _label(1.0, 0.0) == RegionLabel.LOCAL
+    assert _label(0.3, 0.7) == RegionLabel.LOCAL
     theta = 1.0
     v_crit = critical_visibility(theta)
-    on_curve = classify(v_crit * math.cos(theta), v_crit * math.sin(theta))
-    assert on_curve.label == RegionLabel.RED_ZERO_KEY
+    on_curve = _label(v_crit * math.cos(theta), v_crit * math.sin(theta))
+    assert on_curve == RegionLabel.RED_ZERO_KEY
     above = (v_crit + 1e-6)
-    assert classify(above * math.cos(theta), above * math.sin(theta)).label == RegionLabel.BLUE_POSITIVE_BOUND
+    assert _label(above * math.cos(theta), above * math.sin(theta)) == RegionLabel.BLUE_POSITIVE_BOUND
 
 
 def test_classify_origin_and_axes():
-    assert classify(0.0, 0.0).label == RegionLabel.LOCAL
-    assert classify(0.0, 0.0).theta == 0.0
-    assert classify(0.0, 1.0).label == RegionLabel.LOCAL
-    assert classify(0.0, 1.2).label == RegionLabel.OUTSIDE_QUANTUM
+    assert _label(0.0, 0.0) == RegionLabel.LOCAL
+    assert classify_arrays([0.0], [0.0])[1][0] == 0.0
+    assert _label(0.0, 1.0) == RegionLabel.LOCAL
+    assert _label(0.0, 1.2) == RegionLabel.OUTSIDE_QUANTUM
 
 
 def test_classify_folds_other_quadrants():
-    assert classify(-0.5, 0.4).label == RegionLabel.LOCAL
-    assert classify(-0.55, -0.48).label == RegionLabel.RED_ZERO_KEY
+    assert _label(-0.5, 0.4) == RegionLabel.LOCAL
+    assert _label(-0.55, -0.48) == RegionLabel.RED_ZERO_KEY
 
 
 def test_classify_polar_fields():
-    point = classify(0.55, 0.48)
-    assert point.visibility == pytest.approx(math.hypot(0.55, 0.48), abs=1e-15)
-    assert point.theta == pytest.approx(math.atan2(0.48, 0.55), abs=1e-15)
+    visibility, theta, _ = classify_arrays([0.55], [0.48])
+    assert visibility[0] == pytest.approx(math.hypot(0.55, 0.48), abs=1e-15)
+    assert theta[0] == pytest.approx(math.atan2(0.48, 0.55), abs=1e-15)
 
 
 def test_quantum_boundary_never_red():
     # ideal correlations (v = 1) always allow a positive bound
     for theta in np.linspace(0.05, math.pi / 2 - 0.05, 30):
-        point = classify(math.cos(float(theta)), math.sin(float(theta)))
-        assert point.label == RegionLabel.BLUE_POSITIVE_BOUND
+        assert _label(math.cos(float(theta)), math.sin(float(theta))) == RegionLabel.BLUE_POSITIVE_BOUND
 
 
 def test_grid_shape_and_ordering():
-    points = region_grid(2)
-    assert len(points) == 4
+    grid = region_grid(2)
+    s, t, _, _, codes = _columns(grid)
+    assert len(codes) == 4
     # row-major: t outer, s inner
-    assert (points[0].s, points[0].t) == (0.0, 0.0)
-    assert (points[1].s, points[1].t) == (1.0, 0.0)
-    assert (points[2].s, points[2].t) == (0.0, 1.0)
-    assert points[0].label == RegionLabel.LOCAL
+    assert (s[0], t[0]) == (0.0, 0.0)
+    assert (s[1], t[1]) == (1.0, 0.0)
+    assert (s[2], t[2]) == (0.0, 1.0)
+    assert LABELS[codes[0]] == RegionLabel.LOCAL
     with pytest.raises(ValueError):
         region_grid(1)
 
 
 def test_grid_region_properties():
-    points = region_grid(101)
-    red = [p for p in points if p.label == RegionLabel.RED_ZERO_KEY]
-    blue = [p for p in points if p.label == RegionLabel.BLUE_POSITIVE_BOUND]
+    s, t, visibility, theta, codes = _columns(region_grid(101))
+    red = [i for i, code in enumerate(codes) if LABELS[code] == RegionLabel.RED_ZERO_KEY]
+    blue = [i for i, code in enumerate(codes) if LABELS[code] == RegionLabel.BLUE_POSITIVE_BOUND]
     assert red and blue
-    for p in red:
-        assert abs(p.s) + abs(p.t) > 1.0
-        assert p.s**2 + p.t**2 <= 1.0 + 1e-12
-        assert local_visibility(p.theta) < p.visibility <= critical_visibility(p.theta) + 1e-12
-        assert chsh_keyrate_bound(p.theta, p.visibility) == 0.0
-    for p in blue:
-        if p.visibility > critical_visibility(p.theta) + 1e-6:
-            assert chsh_keyrate_bound(p.theta, p.visibility) > 0.0
+    for i in red:
+        assert abs(s[i]) + abs(t[i]) > 1.0
+        assert s[i]**2 + t[i]**2 <= 1.0 + 1e-12
+        assert local_visibility(theta[i]) < visibility[i] <= critical_visibility(theta[i]) + 1e-12
+        assert chsh_keyrate_bound(theta[i], visibility[i]) == 0.0
+    for i in blue:
+        if visibility[i] > critical_visibility(theta[i]) + 1e-6:
+            assert chsh_keyrate_bound(theta[i], visibility[i]) > 0.0
 
 
 def test_red_points_are_nonlocal_by_lp():
-    points = [p for p in region_grid(51) if p.label == RegionLabel.RED_ZERO_KEY]
+    s, t, _, _, codes = _columns(region_grid(51))
+    points = [(s[i], t[i]) for i, code in enumerate(codes) if LABELS[code] == RegionLabel.RED_ZERO_KEY]
     rng = np.random.default_rng(12)
-    for p in (points[i] for i in rng.choice(len(points), size=5, replace=False)):
-        assert not is_local_lp(slice_correlation(p.s, p.t)).is_local
+    for i in rng.choice(len(points), size=5, replace=False):
+        assert not is_local_lp(slice_correlation(*points[i])).is_local
 
 
 @pytest.mark.parametrize("phi", [0.1, 0.4, math.pi / 4, 1.2])
@@ -117,7 +129,7 @@ def test_classify_agrees_with_the_lp_next_to_the_facet(phi):
         radius = (1 + delta) / (math.cos(phi) + math.sin(phi))
         s, t = radius * math.cos(phi), radius * math.sin(phi)
         assert is_local_lp(slice_correlation(s, t)).is_local == local, delta
-        assert classify(s, t).label == (RegionLabel.LOCAL if local else RegionLabel.RED_ZERO_KEY), delta
+        assert _label(s, t) == (RegionLabel.LOCAL if local else RegionLabel.RED_ZERO_KEY), delta
 
 
 @pytest.mark.parametrize(
@@ -151,11 +163,9 @@ def test_format_point_is_stable():
 
 
 def _percent6_lines(grid):
-    n = len(grid.axis)
-    columns = (np.tile(grid.axis, n), np.repeat(grid.axis, n), grid.visibility, grid.theta, grid.codes)
     return [
         f"{s:.6f},{t:.6f},{v:.6f},{theta:.6f},{LABELS[code]}"
-        for s, t, v, theta, code in zip(*(c.tolist() for c in columns))
+        for s, t, v, theta, code in zip(*_columns(grid))
     ]
 
 
@@ -164,12 +174,12 @@ def test_csv_rows_match_percent_format_of_the_grid(resolution):
     # 257: the axis step 1/256 puts exact binary ties into the axis fields;
     # 300: 90,000 points end on a partial block of t rows
     grid = region_grid(resolution)
-    # the near-tie fallback of fixed6_bytes decides no byte of any grid
+    # the near-tie fallback of fixed6_words decides no byte of any grid
     # (rint and "%.6f" both round exact ties to even), so the same grid also
     # carries v and theta values at or an ulp from decimal ties, which
     # rint(v * 1e6) alone gets wrong about 1% of the time
     rng = np.random.default_rng(resolution)
-    ties = (rng.integers(0, 2_000_000, size=(2, len(grid))) + 0.5) / 1e6
+    ties = (rng.integers(0, 2_000_000, size=(2, len(grid.codes))) + 0.5) / 1e6
     side = rng.integers(-1, 2, size=ties.shape)
     near = np.where(side < 0, np.nextafter(ties, 0.0), np.where(side > 0, np.nextafter(ties, 10.0), ties))
     for case in (grid, dataclasses.replace(grid, visibility=near[0], theta=near[1])):
@@ -200,14 +210,14 @@ def test_csv_record_layout():
 
 
 def test_csv_rows_are_the_points_the_grid_indexes():
-    # the writer and indexing both read s and t from the axis, so a grid
-    # given another axis writes exactly the points it indexes
+    # the writer reads s and t from the axis, point i being
+    # (axis[i % n], axis[i // n]), so a grid given another axis writes the
+    # points of that axis
     grid = region_grid(51)
     squared = dataclasses.replace(grid, axis=grid.axis**2)
     stream = io.StringIO()
     write_region_csv(squared, stream)
-    expected = [f"{p.s:.6f},{p.t:.6f},{p.visibility:.6f},{p.theta:.6f},{p.label}" for p in squared]
-    assert stream.getvalue().split("\n")[2:] == expected + [""]
+    assert stream.getvalue().split("\n")[2:] == _percent6_lines(squared) + [""]
 
 
 def test_grid_rejects_arrays_that_do_not_fit_its_axis():
@@ -216,6 +226,31 @@ def test_grid_rejects_arrays_that_do_not_fit_its_axis():
         dataclasses.replace(grid, codes=grid.codes[:-1])
     with pytest.raises(ValueError):
         dataclasses.replace(grid, axis=grid.axis[:-1])
+
+
+@pytest.mark.parametrize("codes", [[-1, 0, 0, 0], [0, 0, 0, 4], [0.0, 0.0, 0.0, 0.0]])
+def test_grid_rejects_codes_that_index_no_label(codes):
+    with pytest.raises(ValueError, match=re.escape(f"codes must be integers in range({len(LABELS)})")):
+        RegionGrid(np.zeros(4), np.zeros(4), np.array(codes), np.zeros(2))
+
+
+@pytest.mark.parametrize("resolution", [2.5, 3.0])
+def test_grid_refuses_a_resolution_that_is_not_an_integer(resolution):
+    # 2.5 would give the axis [0, 0.667, 1.333] and a CSV row outside the unit square
+    with pytest.raises(TypeError):
+        region_grid(resolution)
+    stream = io.BytesIO()
+    with pytest.raises(TypeError):
+        stream_region_csv(resolution, stream)
+    assert stream.getvalue() == b""
+
+
+def test_grid_takes_a_numpy_integer_resolution():
+    assert region_grid(np.int64(3)).axis.tolist() == [0.0, 0.5, 1.0]
+    numpy_int, python_int = io.BytesIO(), io.BytesIO()
+    stream_region_csv(np.int64(3), numpy_int)
+    stream_region_csv(3, python_int)
+    assert numpy_int.getvalue() == python_int.getvalue()
 
 
 def test_grid_keeps_read_only_copies_of_its_arrays():
@@ -229,17 +264,17 @@ def test_grid_keeps_read_only_copies_of_its_arrays():
 
 def test_classify_rejects_nan():
     with pytest.raises(ValueError):
-        classify(math.nan, 0.5)
+        classify_arrays([math.nan], [0.5])
 
 
 def test_grid_polar_fields_and_labels_match_scalar_formulas():
     red = blue = 0
-    for p in region_grid(201):
-        assert p.visibility == math.hypot(p.s, p.t)
-        assert p.theta == math.atan2(p.t, p.s)
-        if p.s + p.t > 1.0 + 1e-12 and p.visibility <= 1.0 + 1e-12:
-            is_red = p.visibility <= critical_visibility(p.theta)
-            assert p.label == (RegionLabel.RED_ZERO_KEY if is_red else RegionLabel.BLUE_POSITIVE_BOUND)
+    for s, t, visibility, theta, code in zip(*_columns(region_grid(201))):
+        assert visibility == math.hypot(s, t)
+        assert theta == math.atan2(t, s)
+        if s + t > 1.0 + 1e-12 and visibility <= 1.0 + 1e-12:
+            is_red = visibility <= critical_visibility(theta)
+            assert LABELS[code] == (RegionLabel.RED_ZERO_KEY if is_red else RegionLabel.BLUE_POSITIVE_BOUND)
             red, blue = red + is_red, blue + (not is_red)
     assert red and blue
 
@@ -251,24 +286,11 @@ def test_labels_on_the_critical_curve_match_critical_visibility():
     for theta in np.linspace(0.01, math.pi / 2 - 0.01, 2000).tolist():
         v_c = critical_visibility(theta)
         for v in (np.nextafter(v_c, 0.0), v_c, np.nextafter(v_c, 1.0)):
-            p = classify(v * math.cos(theta), v * math.sin(theta))
-            is_red = p.visibility <= critical_visibility(p.theta)
-            assert p.label == (RegionLabel.RED_ZERO_KEY if is_red else RegionLabel.BLUE_POSITIVE_BOUND)
+            (visibility,), (angle,), (code,) = classify_arrays([v * math.cos(theta)], [v * math.sin(theta)])
+            is_red = visibility <= critical_visibility(angle)
+            assert LABELS[code] == (RegionLabel.RED_ZERO_KEY if is_red else RegionLabel.BLUE_POSITIVE_BOUND)
             red += is_red
     assert 0 < red < 6000
-
-
-def test_grid_reads_as_a_sequence_of_points():
-    grid = region_grid(5)
-    points = list(grid)
-    assert len(grid) == len(points) == 25
-    assert grid[-1] == points[-1] == classify(1.0, 1.0)
-    assert grid[np.int64(7)] == points[7]
-    assert grid[3:9:2] == points[3:9:2]
-    with pytest.raises(IndexError):
-        grid[25]
-    with pytest.raises(ValueError):
-        grid.codes[0] = 0
 
 
 def _percent6(values):
@@ -278,7 +300,7 @@ def _percent6(values):
 @settings(max_examples=300, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=9.999999), min_size=1, max_size=40))
 def test_fixed6_bytes_matches_percent_format(values):
-    assert fixed6_bytes(np.array(values)).tobytes() == _percent6(values)
+    assert fixed6_words(np.array(values)).tobytes() == _percent6(values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -287,7 +309,7 @@ def test_fixed6_bytes_next_to_decimal_ties(k):
     tie = (k + 0.5) / 1e6
     below, above = np.nextafter(tie, 0.0), np.nextafter(tie, 10.0)
     values = [tie, below, np.nextafter(below, 0.0), above, np.nextafter(above, 10.0)]
-    assert fixed6_bytes(np.array(values)).tobytes() == _percent6(values)
+    assert fixed6_words(np.array(values)).tobytes() == _percent6(values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -308,17 +330,15 @@ def test_fixed6_words_hold_the_percent_format_in_the_input_shape(values, ndim):
     words = fixed6_words(x)
     assert words.dtype == np.uint64 and words.shape == x.shape
     assert words.tobytes() == _percent6(x.ravel().tolist())
-    text = fixed6_bytes(x)
-    assert text.shape == x.shape + (8,) and text.tobytes() == words.tobytes()
 
 
 def test_fixed6_bytes_exact_binary_ties_and_grid_steps():
-    assert fixed6_bytes(0.0078125).tobytes() == b"0.007812"
+    assert fixed6_words(0.0078125).tobytes() == b"0.007812"
     values = np.concatenate([np.arange(1280) / 128, np.arange(3201) / 3200])
-    assert fixed6_bytes(values).tobytes() == _percent6(values.tolist())
+    assert fixed6_words(values).tobytes() == _percent6(values.tolist())
 
 
 @pytest.mark.parametrize("bad", [-0.0, -1e-9, 9.9999996, 10.0, math.nan, math.inf])
 def test_fixed6_bytes_rejects_values_wider_than_eight_bytes(bad):
     with pytest.raises(ValueError):
-        fixed6_bytes(np.array([bad]))
+        fixed6_words(np.array([bad]))
