@@ -3,7 +3,6 @@ zero-key, positive-bound and non-quantum regions."""
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -15,8 +14,8 @@ from ._jsondoc import ATOL, constructor_reduce, read_only_copy
 from .attack import critical_visibility, zero_key_visibility
 from .kernels import LP_SLACK
 
-# points per block of the grid: one block's Python float lists, its record
-# buffer and the joined bytes of its rows then stay near 1 MB.
+# points per block of the grid: one block's arrays, its record buffer and
+# the joined bytes of its rows then stay near 1 MB.
 # region_grid, write_region_csv and stream_region_csv all take blocks of the
 # whole t rows that fit (at least one row)
 BLOCK_POINTS = 1 << 14
@@ -41,11 +40,13 @@ def classify_arrays(s, t):
     """Label the slice points (s[i], t[i]) of two 1-D arrays.
 
     Returns (visibility, theta, codes), where codes index ``LABELS``.
-    LOCAL when |s| + |t| <= 1 + LP_SLACK (the four relabelled facets, closed
-    set, within the membership LP's slack: its 1 - q is |s| + |t| - 1 here);
-    OUTSIDE_QUANTUM when s^2 + t^2 > 1; otherwise RED_ZERO_KEY up to and
-    including the critical visibility of the polar angle, BLUE_POSITIVE_BOUND
-    above it.  Points outside the first quadrant are folded onto |s|, |t|.
+    OUTSIDE_QUANTUM when s^2 + t^2 > 1 + ATOL, the disc test of
+    ``correlations.slice_correlation``; otherwise LOCAL when |s| + |t| <=
+    1 + LP_SLACK (the four relabelled facets, closed set, within the
+    membership LP's slack: its 1 - q is |s| + |t| - 1 here); otherwise
+    RED_ZERO_KEY up to and including the critical visibility of the polar
+    angle, BLUE_POSITIVE_BOUND above it.  Points outside the first quadrant
+    are folded onto |s|, |t|.
 
     This LOCAL test and the LP's verdict round |s| + |t| - 1 and 1 - q
     differently, so they can disagree within rounding of the slack itself:
@@ -53,14 +54,11 @@ def classify_arrays(s, t):
     nonlocal to the LP, and 1 the other way round; at 9.9e-10 and 1.01e-9
     outside it all 200 agree.
 
-    The polar form uses ``math.hypot`` and ``math.atan2`` point by point, so
-    every value equals the scalar formulas bit for bit; numpy's hypot and
-    arctan2 differ from them in the last bit on 3,735 and 31,293 of the
-    641,601 points of the 801 grid (numpy 2.4, x86-64).  The critical
-    visibility takes the local visibility 1/(cos theta + sin theta) as
-    r/(|s| + |t|), a few ulps from it, and is recomputed by
-    ``attack.critical_visibility`` for the points within 1e-12 of it, so
-    every label is that of the scalar formulas.
+    visibility and theta are ``math.hypot`` and ``math.atan2`` point by
+    point.  The critical visibility takes the local visibility
+    1/(cos theta + sin theta) as r/(|s| + |t|), a few ulps from it, and is
+    recomputed by ``attack.critical_visibility`` for the points within
+    1e-12 of it, so every label is that of the scalar formulas.
     """
     fs = np.abs(np.asarray(s, dtype=float))
     ft = np.abs(np.asarray(t, dtype=float))
@@ -68,28 +66,40 @@ def classify_arrays(s, t):
         raise ValueError(f"s and t must be 1-D arrays of one length, got shapes {fs.shape} and {ft.shape}")
     if np.isnan(fs).any() or np.isnan(ft).any():
         raise ValueError("slice coordinates must not be NaN")
-    return _classify(fs.tolist(), ft.tolist(), fs + ft)
+    visibility, theta = _scalar_polar(fs, ft)
+    return visibility, theta, _label(fs, ft, visibility, theta)[0]
 
 
-def _classify(xs, ys, sums):
-    """``classify_arrays`` of the folded points as float lists, given |s| + |t|."""
-    n = len(xs)
-    visibility = np.fromiter(map(math.hypot, xs, ys), float, n)
-    theta = np.fromiter(map(math.atan2, ys, xs), float, n)
+def _scalar_polar(s, t):
+    """``math.hypot(s, t)`` and ``math.atan2(t, s)`` over the broadcast s and t."""
+    s, t = np.broadcast_arrays(s, t)
+    xs, ys = s.ravel().tolist(), t.ravel().tolist()
+    visibility = np.fromiter(map(math.hypot, xs, ys), float, len(xs))
+    theta = np.fromiter(map(math.atan2, ys, xs), float, len(xs))
+    return visibility.reshape(s.shape), theta.reshape(s.shape)
 
-    local = sums <= 1.0 + LP_SLACK
-    outside = ~local & (visibility > 1.0 + ATOL)
+
+def _label(s, t, visibility, theta):
+    """The label codes of the folded points (s, t), broadcast to the shape
+    of their polar form, and each point's gap r - v_c to the critical
+    visibility that ``zero_key_visibility`` gives at r/(s + t) (inf for
+    LOCAL and OUTSIDE_QUANTUM points)."""
+    sums = s + t
+    outside = s * s + t * t > 1.0 + ATOL
+    local = ~outside & (sums <= 1.0 + LP_SLACK)
     annulus = np.flatnonzero(~(local | outside))
-    radii = visibility[annulus]
-    critical = zero_key_visibility(1.0, radii / sums[annulus])
-    near = np.flatnonzero(np.abs(radii - critical) <= 1e-12)
-    critical[near] = [critical_visibility(angle) for angle in theta[annulus[near]].tolist()]
+    radii = visibility.ravel()[annulus]
+    gaps = np.full(visibility.shape, np.inf)
+    gaps.flat[annulus] = annulus_gaps = radii - zero_key_visibility(1.0, radii / sums.ravel()[annulus])
+    red = annulus_gaps <= 0.0
+    near = np.flatnonzero(np.abs(annulus_gaps) <= 1e-12)
+    red[near] = radii[near] <= [critical_visibility(angle) for angle in theta.ravel()[annulus[near]].tolist()]
 
-    codes = np.full(n, _BLUE, dtype=np.int8)
+    codes = np.full(visibility.shape, _BLUE, dtype=np.int8)
     codes[local] = _LOCAL
     codes[outside] = _OUTSIDE
-    codes[annulus[radii <= critical]] = _RED
-    return visibility, theta, codes
+    codes.flat[annulus[red]] = _RED
+    return codes, gaps
 
 
 def _row_blocks(n: int) -> list[slice]:
@@ -99,21 +109,35 @@ def _row_blocks(n: int) -> list[slice]:
 
 
 def _classified_blocks(axis: np.ndarray):
-    """Yield (visibility, theta, codes) of each ``_row_blocks`` block of the
-    grid over the non-negative axis, each of shape (rows, len(axis)).
+    """(visibility, theta, codes) of each ``_row_blocks`` block of the grid
+    over the non-negative axis, each of shape (rows, len(axis)); a block's
+    temporaries are freed before it is handed on."""
+    return (_classified_block(axis, axis[rows, None]) for rows in _row_blocks(len(axis)))
 
-    The s list repeats the axis list and the t list repeats each row's value,
-    so a block makes no float object per point for its coordinates.  Adding
-    t + s gives the bits of s + t, so every value is that of
-    ``classify_arrays``.
+
+def _classified_block(s: np.ndarray, t: np.ndarray):
+    """(visibility, theta, codes) of the points (s[j], t[i, 0]) for the
+    non-negative row s and column t, each of shape (len(t), len(s)).
+
+    The polar form is numpy's ``hypot`` and ``arctan2``, whose last bits
+    can differ from the scalar formulas'.  A point those bits could decide
+    takes the scalar formulas and is labelled from them: a value within
+    1e-4 micro-units of a ``"%.6f"`` tie, or a radius within 1e-11 of the
+    critical visibility.  Each margin is over 10^4 times the few ulps
+    between the two, so every label and ``fixed6_words`` text is that of
+    ``classify_arrays`` (its LOCAL and disc tests read s and t alone).  On
+    the 801 grid, 223 of 641,601 points take the scalar formulas.
     """
-    n = len(axis)
-    xs = axis.tolist()
-    for rows in _row_blocks(n):
-        ts = axis[rows]
-        ys = list(itertools.chain.from_iterable(itertools.repeat(t, n) for t in ts.tolist()))
-        values = _classify(xs * len(ts), ys, np.add.outer(ts, axis).ravel())
-        yield tuple(array.reshape(len(ts), n) for array in values)
+    visibility, theta = np.hypot(s, t), np.arctan2(t, s)
+    codes, gaps = _label(s, t, visibility, theta)
+    marked = np.abs(gaps) <= 1e-11
+    for values in (visibility, theta):
+        scaled = values * 1e6
+        marked |= np.abs(scaled - np.rint(scaled)) > 0.5 - 1e-4
+    i, j = np.nonzero(marked)
+    visibility[i, j], theta[i, j] = _scalar_polar(s[j], t[i, 0])
+    codes[i, j] = _label(s[j], t[i, 0], visibility[i, j], theta[i, j])[0]
+    return visibility, theta, codes
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,15 +177,17 @@ def _grid_axis(resolution: int) -> np.ndarray:
 def region_grid(resolution: int) -> RegionGrid:
     """Classified points of the uniform grid over [0, 1]^2.
 
-    Row-major with t as the outer loop and s as the inner loop.  The points
-    are classified in the blocks of whole t rows that ``stream_region_csv``
-    writes.
+    Row-major with t as the outer loop and s as the inner loop.  The codes
+    are those of the blocks ``stream_region_csv`` writes; visibility and
+    theta are the scalar ``math.hypot`` and ``math.atan2`` of every point,
+    as in ``classify_arrays``.
     """
     axis = _grid_axis(resolution)
     n = len(axis)
     visibility, theta, codes = np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=np.int8)
-    for rows, block in zip(_row_blocks(n), _classified_blocks(axis)):
-        visibility[rows], theta[rows], codes[rows] = block
+    for rows, (_, _, block) in zip(_row_blocks(n), _classified_blocks(axis)):
+        visibility[rows], theta[rows] = _scalar_polar(axis, axis[rows, None])
+        codes[rows] = block
     return RegionGrid(visibility.ravel(), theta.ravel(), codes.ravel(), axis)
 
 

@@ -484,6 +484,38 @@ def test_bound_rejects_a_protocol_rounded_to_ten_decimals(capsys, tmp_path):
     assert err == "error: correlation is not the theta protocol at any visibility (mismatch above 1e-12)\n"
 
 
+def _protocol_with_shifted_key_pair(tmp_path, visibility, diagonal, off_diagonal=0.0):
+    """The path of the pi/4 protocol at the visibility, its (0, 2) block's
+    diagonal and off-diagonal entries each shifted by the given amounts."""
+    corr = chsh_protocol_correlation(math.pi / 4, visibility)
+    table = corr.table.copy()
+    table[[0, 1], [0, 1], 0, 2] += diagonal
+    table[[0, 1], [1, 0], 0, 2] += off_diagonal
+    path = tmp_path / "corr.json"
+    dump_correlation(type(corr)(corr.scenario, table), path)
+    return path
+
+
+@pytest.mark.parametrize("visibility, shift, bound", [(1.0, 4e-13, "1.000000"), (0.0, -4e-13, "0.000000")])
+def test_bound_accepts_a_protocol_at_either_end_within_the_tolerance(capsys, tmp_path, visibility, shift, bound):
+    # each entry is 4e-13 from the protocol, but the correlator <A_0 B_2>
+    # sums four of them and lands 8e-13 outside [0, 1]
+    path = _protocol_with_shifted_key_pair(tmp_path, visibility, shift)
+    code, out, err = run(capsys, ["bound", str(path), "--theta", PI4_STR])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == f"visibility = {visibility:.6f}"
+    assert out.splitlines()[-1] == f"bound = {bound}"
+
+
+def test_bound_rejects_a_key_pair_correlator_beyond_the_tolerance(capsys, tmp_path):
+    # entries 1.1e-12 from the protocol at v = 0 put the correlator 4.4e-12 below 0
+    path = _protocol_with_shifted_key_pair(tmp_path, 0.0, -1.1e-12, 1.1e-12)
+    code, out, err = run(capsys, ["bound", str(path), "--theta", PI4_STR])
+    assert (code, out) == (1, "")
+    assert err.startswith("error: inferred visibility -4.4")
+    assert err.endswith(" outside [0, 1]; not a protocol correlation\n")
+
+
 @pytest.mark.parametrize(
     "setting_args",
     [

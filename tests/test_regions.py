@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccbound.attack import chsh_keyrate_bound, critical_visibility
-from ccbound.correlations import slice_correlation
+from ccbound.correlations import OutsideQuantumDiscError, slice_correlation
 from ccbound.localset import is_local_lp, local_visibility
 from ccbound import regions
 from ccbound.regions import (
@@ -58,6 +58,21 @@ def test_classify_boundaries_closed():
     assert on_curve == RegionLabel.RED_ZERO_KEY
     above = (v_crit + 1e-6)
     assert _label(above * math.cos(theta), above * math.sin(theta)) == RegionLabel.BLUE_POSITIVE_BOUND
+
+
+def test_disc_edge_is_the_one_slice_correlation_accepts():
+    # s^2 + t^2 - 1 is 1.5e-12 and 7e-13: the first radius is within 1e-12
+    # of 1, but the point lies outside the disc s^2 + t^2 <= 1 + 1e-12
+    outside, inside = (0.9553364891263223, 0.29552020666156115), (0.9553364891259402, 0.2955202066614429)
+    assert _label(*outside) == RegionLabel.OUTSIDE_QUANTUM
+    with pytest.raises(OutsideQuantumDiscError):
+        slice_correlation(*outside)
+    assert _label(*inside) == RegionLabel.BLUE_POSITIVE_BOUND
+    slice_correlation(*inside)
+    # within the LP slack of the facet, but outside the disc
+    assert _label(1.0 + 5e-10, 0.0) == RegionLabel.OUTSIDE_QUANTUM
+    with pytest.raises(OutsideQuantumDiscError):
+        slice_correlation(1.0 + 5e-10, 0.0)
 
 
 def test_classify_origin_and_axes():
@@ -188,12 +203,66 @@ def test_csv_rows_match_percent_format_of_the_grid(resolution):
         assert stream.getvalue().split("\n")[2:] == _percent6_lines(case) + [""]
 
 
-@pytest.mark.parametrize("resolution", [2, 21, 201])
+@pytest.mark.parametrize("resolution", [2, 3, 7, 21, 100, 201, 333])
 def test_streamed_csv_bytes_are_the_written_text(resolution):
+    # the stream labels and formats numpy's polar form, region_grid holds
+    # the scalar formulas' values
     binary, text = io.BytesIO(), io.StringIO()
     stream_region_csv(resolution, binary)
     write_region_csv(region_grid(resolution), text)
     assert binary.getvalue() == text.getvalue().encode("ascii")
+
+
+def _shifted(function, ulps):
+    """function with each nonzero value it returns moved ulps ulps up, or
+    down for negative ulps; zero stays zero, as any hypot and arctan2 give it."""
+    def shifted(*args):
+        value = function(*args)
+        for _ in range(abs(ulps)):
+            value = np.where(value == 0.0, value, np.nextafter(value, math.copysign(math.inf, ulps)))
+        return value
+    return shifted
+
+
+def _shift_numpy_polar_form(monkeypatch, ulps):
+    monkeypatch.setattr(regions.np, "hypot", _shifted(np.hypot, ulps))
+    monkeypatch.setattr(regions.np, "arctan2", _shifted(np.arctan2, ulps))
+
+
+@pytest.mark.parametrize("ulps", [2, -2])
+def test_streamed_csv_bytes_do_not_depend_on_the_last_bits_of_numpy_polar_form(monkeypatch, ulps):
+    # a CPU whose hypot and arctan2 are 2 ulps off either way writes the same
+    # bytes: every point those bits could decide takes the scalar formulas
+    expected = {}
+    for resolution in (201, 401):
+        expected[resolution] = io.BytesIO()
+        stream_region_csv(resolution, expected[resolution])
+    _shift_numpy_polar_form(monkeypatch, ulps)
+    for resolution, stream in expected.items():
+        shifted = io.BytesIO()
+        stream_region_csv(resolution, shifted)
+        assert shifted.getvalue() == stream.getvalue(), resolution
+
+
+@pytest.mark.parametrize("ulps", [2, 0, -2])
+def test_points_a_last_bit_could_decide_keep_the_scalar_label_and_text(monkeypatch, ulps):
+    # polar points (v, angle): a visibility on a "%.6f" tie, an angle on one,
+    # and a point on the critical curve; the grid over their coordinates
+    # holds each as (s, t) = (axis[2k], axis[2k + 1])
+    points = [(0.9000005, 0.5), (0.85, 0.8000005), (critical_visibility(1.0), 1.0)]
+    axis = np.array([x for v, angle in points for x in (v * math.cos(angle), v * math.sin(angle))])
+    _shift_numpy_polar_form(monkeypatch, ulps)
+    visibility, theta, codes = (np.concatenate(arrays) for arrays in zip(*regions._classified_blocks(axis)))
+    n = len(axis)
+    scalar_visibility, scalar_theta, scalar_codes = classify_arrays(np.tile(axis, n), np.repeat(axis, n))
+    assert codes.ravel().tolist() == scalar_codes.tolist()
+    assert fixed6_words(visibility.ravel()).tolist() == fixed6_words(scalar_visibility).tolist()
+    assert fixed6_words(theta.ravel()).tolist() == fixed6_words(scalar_theta).tolist()
+    for k in range(len(points)):
+        s, t = axis[2 * k], axis[2 * k + 1]
+        assert (visibility[2 * k + 1, 2 * k], theta[2 * k + 1, 2 * k]) == (math.hypot(s, t), math.atan2(t, s))
+    ties = ["%.7f" % value for value in (visibility[1, 0], theta[3, 2])]
+    assert ties == ["0.9000005", "0.8000005"]
 
 
 def test_csv_record_layout():
