@@ -334,19 +334,17 @@ def minimize_intrinsic(
         return kernels.cmi_after_map_bits(p, _rows_from_squares(z, shape))
 
     # descent starts: sqrt of the best map so far (with a floor so zero rows
-    # can move), then fully random restarts
-    starts = [np.sqrt(best_rows + 0.05).ravel()]
-    for i in range(restarts):
-        rng = np.random.default_rng([seed, i])
-        starts.append(rng.normal(0.0, 1.0, size=n_e * n_f))
-    starts = np.array(starts)
-
-    # blocks of lanes bound the memory of a large --restarts: one block's
-    # trial points are one kernel batch of maps
-    lanes = min(len(starts), batch // 4)
+    # can move), then fully random restarts, each from its own seed
+    polish = np.sqrt(best_rows + 0.05).ravel()
+    # blocks of lanes bound the memory of a large --restarts: a block's starts
+    # are built when it runs, and its trial points are one kernel batch of maps
+    total = restarts + 1
+    lanes = min(total, batch // 4)
     iterations = []
-    for first in range(0, len(starts), lanes):
-        points, values, steps = _nelder_mead(objective, starts[first : first + lanes])
+    for first in range(0, total, lanes):
+        starts = np.array([np.random.default_rng([seed, i - 1]).normal(0.0, 1.0, size=n) if i else polish
+                           for i in range(first, min(first + lanes, total))])
+        points, values, steps = _nelder_mead(objective, starts)
         iterations += steps
         for i, (z_opt, value) in enumerate(zip(points, values), first):
             if value < best - 1e-15:
@@ -354,7 +352,7 @@ def minimize_intrinsic(
                 best_rows = _rows_from_squares(z_opt, shape)
                 winner = f"restart {i - 1}" if i else "polish"
 
-    record = MinimizerRecord(len(starts), lanes, tuple(iterations), maps + 1, calls + 1, winner)
+    record = MinimizerRecord(total, lanes, tuple(iterations), maps + 1, calls + 1, winner)
     return _checked_result(p, best, best_rows, record)
 
 

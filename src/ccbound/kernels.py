@@ -35,9 +35,9 @@ def simplex_maximize(A, b, c, maxiter=None, equalities=0):
     ``maxiter``, to rule out cycling; leaving row by minimum ratio with a
     1e-12 hysteresis and smallest-basis-index tie break.  A reduced cost
     above -PIVOT_TOL is optimal; a column entry <= PIVOT_TOL never pivots.
-    Each pivot is a few whole-array operations; the row update skips rows
-    whose pivot-column entry is zero, so the tableau equals an
-    element-by-element pivot's bit for bit, signed zeros included.
+    Each pivot's row update is one product and one masked in-place subtract
+    that skips every row whose pivot-column entry is zero, of either sign, so
+    the tableau equals an element-by-element pivot's bit for bit.
 
     With equality rows the slacks of those rows are artificial variables and
     a first phase maximizes the sum of those rows of A x from the same
@@ -143,14 +143,13 @@ def _pivot_until_optimal(T, basis, cost_row, first, maxiter):
 
 
 def _pivot(T, row, col):
-    """Scale ``row`` to a unit pivot and eliminate ``col`` from every other row
-    whose entry in it is nonzero."""
+    """Scale ``row`` to a unit pivot and eliminate ``col``, in place, from
+    every other row whose entry in it is nonzero."""
     pivot_row = T[row]
     pivot_row /= pivot_row[col]
-    factors = T[:, col].copy()
+    factors = T[:, col, None].copy()
     factors[row] = 0.0
-    update = factors.nonzero()[0]
-    T[update] -= factors[update, None] * pivot_row
+    np.subtract(T, factors * pivot_row, out=T, where=factors != 0.0)
 
 
 def conditional_mutual_information_bits(p_abf):

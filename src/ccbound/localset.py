@@ -20,7 +20,6 @@ solved by the simplex's two-phase method.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -43,33 +42,30 @@ class VertexGuardError(ValueError):
     """The vertex matrix of a scenario exceeds the enumeration guard."""
 
 
-def _assignments(scenario: Scenario):
-    """(a_out, b_out) output tuples of every deterministic strategy, in vertex order."""
-    return itertools.product(
-        itertools.product(range(scenario.k_a), repeat=scenario.n_a),
-        itertools.product(range(scenario.k_b), repeat=scenario.n_b),
-    )
+def _strategy_tables(n: int, k: int) -> np.ndarray:
+    """(k^n, n, k) one-hot output tables of one party's strategies, in lexicographic order."""
+    outputs = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
+    return np.eye(k)[outputs]
 
 
 @functools.lru_cache(maxsize=32)
 def vertex_matrix(scenario: Scenario) -> np.ndarray:
-    """Dense matrix whose columns are the raveled tables of the
+    """Dense read-only matrix whose columns are the raveled tables of the
     k_a^n_a * k_b^n_b product deterministic strategies.
 
     Row order matches Correlation.table.ravel().  Columns run over Alice's
     output tuples a(x) in the outer loop and Bob's b(y) in the inner loop,
-    each in lexicographic order.
+    each in lexicographic order: the broadcast product of the parties'
+    one-hot output tables.  Above VERTEX_GUARD entries it raises
+    VertexGuardError before allocating anything.
     """
     rows = math.prod(scenario.table_shape)
     count = scenario.k_a**scenario.n_a * scenario.k_b**scenario.n_b
     if rows * count > VERTEX_GUARD:
         raise VertexGuardError(f"{rows} x {count} vertex matrix entries exceed the guard of {VERTEX_GUARD}")
-    mat = np.zeros((rows, count))
-    tables = mat.reshape(*scenario.table_shape, -1)
-    x = np.arange(scenario.n_a)[:, None]
-    y = np.arange(scenario.n_b)[None, :]
-    for col, (a_out, b_out) in enumerate(_assignments(scenario)):
-        tables[np.array(a_out)[:, None], np.array(b_out)[None, :], x, y, col] = 1.0
+    alice = _strategy_tables(scenario.n_a, scenario.k_a)
+    bob = _strategy_tables(scenario.n_b, scenario.k_b)
+    mat = np.einsum("sxa,tyb->abxyst", alice, bob, order="C").reshape(rows, count)
     mat.setflags(write=False)
     return mat
 
@@ -178,10 +174,14 @@ def max_local_weight_ns(corr: Correlation) -> NSLocalWeight:
     """Largest q such that corr = q*p_local + (1-q)*p_ns with p_ns nonsignaling.
 
     Single LP over vertex weights; the remainder corr - q*p_local is
-    automatically nonsignaling whenever corr is.  A local corr (q >= 1 -
-    LP_SLACK) gets no remainder; otherwise the primal check bounds corr - V m
-    below by -LP_SLACK, and its clipped (x, y) blocks are scaled to sum 1.
+    automatically nonsignaling whenever corr is, so a corr whose marginals
+    signal by more than LP_SLACK raises CorrelationError.  A local corr
+    (q >= 1 - LP_SLACK) gets no remainder; otherwise the primal check bounds
+    corr - V m below by -LP_SLACK, and its clipped (x, y) blocks are scaled
+    to sum 1.
     """
+    if not corr.is_nonsignaling(atol=kernels.LP_SLACK):
+        raise CorrelationError(f"correlation signals: a marginal moves by more than {kernels.LP_SLACK} with the other party's setting")
     member, q, m, local_flat, _ = _local_content_lp(corr)
     q = min(max(q, 0.0), 1.0)
     shape = corr.scenario.table_shape

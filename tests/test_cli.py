@@ -913,6 +913,20 @@ def test_localweight_ns_with_component_output(capsys, tmp_path):
     assert is_local_lp(load_correlation(local_path)).is_local
 
 
+def test_localweight_ns_refuses_a_signaling_correlation(capsys, tmp_path):
+    from ccbound.correlations import Correlation, Scenario
+
+    # outputs that agree, 0 half the time at y = 0 and nine times in ten at y = 1
+    table = np.zeros((2, 2, 2, 2))
+    table[:, :, :, 0] = np.diag([0.5, 0.5])[:, :, None]
+    table[:, :, :, 1] = np.diag([0.9, 0.1])[:, :, None]
+    corr_path = tmp_path / "corr.json"
+    dump_correlation(Correlation(Scenario(2, 2, 2, 2), table), corr_path)
+    code, out, err = run(capsys, ["localweight", str(corr_path), "--ns"])
+    assert (code, out) == (1, "")
+    assert err == "error: correlation signals: a marginal moves by more than 1e-09 with the other party's setting\n"
+
+
 def test_localweight_scenario_mismatch(capsys, tmp_path):
     corr_path = tmp_path / "corr.json"
     target_path = tmp_path / "target.json"

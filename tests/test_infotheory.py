@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -581,6 +582,25 @@ def test_minimizer_runs_more_starts_than_one_block_like_single_starts():
     assert result.record.winner == winner
     assert result.record.iterations == iterations
     assert (result.record.starts, result.record.lanes) == (71, kernels.SWEEP_BATCH // 4)
+
+
+def test_minimizer_builds_each_block_of_starts_when_it_runs(monkeypatch):
+    # with Nelder-Mead stubbed, 3,001 starts held at once would take the
+    # traced peak from about 0.36 MB at restarts 64 to 1.7 MB; built block by
+    # block, the peak stays that of the sweep
+    dist = list(_self_check_inputs())[0]
+    monkeypatch.setattr(infotheory, "_nelder_mead", lambda fn, starts: (starts, [math.inf] * len(starts), [0] * len(starts)))
+    minimize_intrinsic(dist, restarts=4)
+    peaks = []
+    for restarts in (64, 3000):
+        tracemalloc.start()
+        try:
+            result = minimize_intrinsic(dist, restarts=restarts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert result.record.starts == restarts + 1 == len(result.record.iterations)
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 @pytest.mark.parametrize(

@@ -221,6 +221,33 @@ def test_simplex_equals_elementwise_pivot_bit_for_bit():
     assert statuses == {kernels.SIMPLEX_OPTIMAL, kernels.SIMPLEX_ITERATION_LIMIT, kernels.SIMPLEX_UNBOUNDED}
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_simplex_equals_elementwise_pivot_on_werner_membership_lps(n):
+    # the 64 x 256 and 100 x 1,024 membership LPs of seeded 4422 and 5522
+    # Werner correlations, local and nonlocal, at the default pivot budget
+    rng = np.random.default_rng(int(f"{n}{n}22"))
+    vectors = [[x / math.hypot(*v) for x in v] for v in rng.normal(size=(2 * n, 3)).tolist()]
+    arrangement = MeasurementArrangement(tuple(vectors[:n]), tuple(vectors[n:]))
+    mat = vertex_matrix(Scenario(n, n, 2, 2))
+    c = np.ones(mat.shape[1])
+    for v in (0.6, 0.8, 0.9, 1.0):
+        b = werner_correlation(v, arrangement).table.ravel()
+        expected = _result_bytes(_elementwise_simplex(mat, b, c, 1e-11, 100 * sum(mat.shape)))
+        assert _result_bytes(kernels.simplex_maximize(mat, b, c)) == expected
+        assert expected[0] == kernels.SIMPLEX_OPTIMAL
+
+
+def test_pivot_leaves_zero_factor_rows_untouched_signed_zeros_included():
+    # rows 1 and 2 have a zero, of either sign, in the pivot column 0.
+    # Subtracting their zero multiple of the pivot row would turn row 1's
+    # -0.0 under the pivot row's -2.0 into -0.0 - (0.0 * -2.0) = +0.0, and
+    # row 2's -0.0 under the pivot's 1.0 into -0.0 - (-0.0 * 1.0) = +0.0
+    T = np.array([[1.0, -2.0, 3.0], [0.0, -0.0, 5.0], [-0.0, 1.0, -0.0], [4.0, -0.0, 2.0]])
+    kernels._pivot(T, 0, 0)
+    expected = np.array([[1.0, -2.0, 3.0], [0.0, -0.0, 5.0], [-0.0, 1.0, -0.0], [0.0, 8.0, -10.0]])
+    assert T.tobytes() == expected.tobytes()
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([Scenario(2, 3, 2, 2), Scenario(2, 4, 2, 2)]).flatmap(

@@ -96,6 +96,40 @@ def test_vertex_guard():
     assert vertex_matrix(Scenario(5, 5, 2, 2)).shape == (100, 1024)
 
 
+def _looped_vertex_matrix(scenario):
+    """The vertex matrix written one vertex at a time, Alice's output tuples
+    in the outer loop and Bob's in the inner: the reference that the
+    broadcast product must equal byte for byte."""
+    rows = math.prod(scenario.table_shape)
+    mat = np.zeros((rows, scenario.k_a**scenario.n_a * scenario.k_b**scenario.n_b))
+    tables = mat.reshape(*scenario.table_shape, -1)
+    x, y = np.arange(scenario.n_a)[:, None], np.arange(scenario.n_b)[None, :]
+    assignments = itertools.product(
+        itertools.product(range(scenario.k_a), repeat=scenario.n_a),
+        itertools.product(range(scenario.k_b), repeat=scenario.n_b),
+    )
+    for col, (a_out, b_out) in enumerate(assignments):
+        tables[np.array(a_out)[:, None], np.array(b_out)[None, :], x, y, col] = 1.0
+    return mat
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [Scenario(2, 3, 2, 2), Scenario(2, 4, 2, 2), Scenario(3, 3, 2, 2), Scenario(2, 2, 3, 3),
+     Scenario(3, 2, 2, 3), Scenario(5, 5, 2, 2)],
+    ids=["2x3", "2x4", "3322", "2233", "3223", "5522"],
+)
+def test_vertex_matrix_equals_the_per_vertex_loop(scenario):
+    mat = vertex_matrix(scenario)
+    expected = _looped_vertex_matrix(scenario)
+    assert (mat.shape, mat.dtype, mat.flags.c_contiguous) == (expected.shape, expected.dtype, True)
+    assert mat.tobytes() == expected.tobytes()
+    # read-only and cached: every caller shares the one matrix
+    assert vertex_matrix(Scenario(scenario.n_a, scenario.n_b, scenario.k_a, scenario.k_b)) is mat
+    with pytest.raises(ValueError, match="read-only"):
+        mat[0, 0] = 2.0
+
+
 def test_vertex_matrix_consistent_with_enumeration():
     for scenario, count in ((Scenario(2, 3, 2, 2), 32), (Scenario(2, 2, 3, 3), 81)):
         mat = vertex_matrix(scenario)
@@ -632,6 +666,33 @@ def test_ns_weight_primal_check_rejects_perturbed_solution(monkeypatch):
     monkeypatch.setattr(kernels, "simplex_maximize", perturbed)
     with pytest.raises(LPError, match=r"primal check: max\(V m - corr\) = [0-9.e-]+$"):
         max_local_weight_ns(chsh_protocol_correlation(math.pi / 4, 0.8))
+
+
+def test_ns_weight_refuses_a_signaling_correlation():
+    # outputs that agree, equally often 0 and 1 at y = 0 but 0 nine times in
+    # ten at y = 1: Alice's marginal depends on Bob's setting, and the LP
+    # answers q = 0.6 with a "nonsignaling" remainder that signals
+    table = np.zeros((2, 2, 2, 2))
+    table[:, :, :, 0] = np.diag([0.5, 0.5])[:, :, None]
+    table[:, :, :, 1] = np.diag([0.9, 0.1])[:, :, None]
+    corr = Correlation(Scenario(2, 2, 2, 2), table)
+    with pytest.raises(CorrelationError, match=r"^correlation signals: a marginal moves by more than 1e-09 "):
+        max_local_weight_ns(corr)
+
+
+@pytest.mark.parametrize("shift, accepted", [(1e-10, True), (1e-8, False)])
+def test_ns_weight_allows_signaling_within_the_lp_slack(shift, accepted):
+    # moving `shift` from p(0,0|0,0) to p(0,1|0,0) moves Bob's y = 0
+    # marginal away from its x = 1 value by `shift`, half of it from the mean
+    table = chsh_protocol_correlation(math.pi / 4, 0.8).table.copy()
+    table[0, 0, 0, 0] -= shift
+    table[0, 1, 0, 0] += shift
+    corr = Correlation(Scenario(2, 3, 2, 2), table)
+    if accepted:
+        assert 0.0 < max_local_weight_ns(corr).q < 1.0
+    else:
+        with pytest.raises(CorrelationError, match=r"^correlation signals"):
+            max_local_weight_ns(corr)
 
 
 def test_ns_weight_decomposition_reconstructs():
