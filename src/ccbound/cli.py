@@ -146,10 +146,11 @@ def cmd_region(parser, args) -> int:
 
 def _parse_setting(text: str):
     pair_text, _, weight_text = text.partition(":")
-    parts = pair_text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"setting must look like 'x,y' or 'x,y:weight', got {text!r}")
-    return (int(parts[0]), int(parts[1])), (float(weight_text) if weight_text else None)
+    try:
+        x, y = map(int, pair_text.split(","))
+        return (x, y), (float(weight_text) if weight_text else None)
+    except ValueError:
+        raise ValueError(f"setting must look like 'x,y' or 'x,y:weight', got {text!r}") from None
 
 
 def cmd_bound(parser, args) -> int:

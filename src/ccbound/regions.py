@@ -46,7 +46,8 @@ def classify_arrays(s, t):
     membership LP's slack: its 1 - q is |s| + |t| - 1 here); otherwise
     RED_ZERO_KEY up to and including the critical visibility of the polar
     angle, BLUE_POSITIVE_BOUND above it.  Points outside the first quadrant
-    are folded onto |s|, |t|.
+    are folded onto |s|, |t|; a point whose |s| + |t| or s^2 + t^2
+    overflows is OUTSIDE_QUANTUM.
 
     This LOCAL test and the LP's verdict round |s| + |t| - 1 and 1 - q
     differently, so they can disagree within rounding of the slack itself:
@@ -59,6 +60,9 @@ def classify_arrays(s, t):
     1/(cos theta + sin theta) as r/(|s| + |t|), a few ulps from it, and is
     recomputed by ``attack.critical_visibility`` for the points within
     1e-12 of it, so every label is that of the scalar formulas.
+
+    ``region_grid`` labels every point with it, and ``stream_region_csv``
+    the points where numpy's polar form could change a byte.
     """
     fs = np.abs(np.asarray(s, dtype=float))
     ft = np.abs(np.asarray(t, dtype=float))
@@ -66,17 +70,10 @@ def classify_arrays(s, t):
         raise ValueError(f"s and t must be 1-D arrays of one length, got shapes {fs.shape} and {ft.shape}")
     if np.isnan(fs).any() or np.isnan(ft).any():
         raise ValueError("slice coordinates must not be NaN")
-    visibility, theta = _scalar_polar(fs, ft)
-    return visibility, theta, _label(fs, ft, visibility, theta)[0]
-
-
-def _scalar_polar(s, t):
-    """``math.hypot(s, t)`` and ``math.atan2(t, s)`` over the broadcast s and t."""
-    s, t = np.broadcast_arrays(s, t)
-    xs, ys = s.ravel().tolist(), t.ravel().tolist()
+    xs, ys = fs.tolist(), ft.tolist()
     visibility = np.fromiter(map(math.hypot, xs, ys), float, len(xs))
     theta = np.fromiter(map(math.atan2, ys, xs), float, len(xs))
-    return visibility.reshape(s.shape), theta.reshape(s.shape)
+    return visibility, theta, _label(fs, ft, visibility, theta)[0]
 
 
 def _label(s, t, visibility, theta):
@@ -84,8 +81,9 @@ def _label(s, t, visibility, theta):
     of their polar form, and each point's gap r - v_c to the critical
     visibility that ``zero_key_visibility`` gives at r/(s + t) (inf for
     LOCAL and OUTSIDE_QUANTUM points)."""
-    sums = s + t
-    outside = s * s + t * t > 1.0 + ATOL
+    with np.errstate(over="ignore"):
+        sums = s + t
+        outside = s * s + t * t > 1.0 + ATOL
     local = ~outside & (sums <= 1.0 + LP_SLACK)
     annulus = np.flatnonzero(~(local | outside))
     radii = visibility.ravel()[annulus]
@@ -121,12 +119,12 @@ def _classified_block(s: np.ndarray, t: np.ndarray):
 
     The polar form is numpy's ``hypot`` and ``arctan2``, whose last bits
     can differ from the scalar formulas'.  A point those bits could decide
-    takes the scalar formulas and is labelled from them: a value within
+    is classified by ``classify_arrays`` instead: a value within
     1e-4 micro-units of a ``"%.6f"`` tie, or a radius within 1e-11 of the
     critical visibility.  Each margin is over 10^4 times the few ulps
     between the two, so every label and ``fixed6_words`` text is that of
     ``classify_arrays`` (its LOCAL and disc tests read s and t alone).  On
-    the 801 grid, 223 of 641,601 points take the scalar formulas.
+    the 801 grid, 223 of 641,601 points go to ``classify_arrays``.
     """
     visibility, theta = np.hypot(s, t), np.arctan2(t, s)
     codes, gaps = _label(s, t, visibility, theta)
@@ -135,8 +133,7 @@ def _classified_block(s: np.ndarray, t: np.ndarray):
         scaled = values * 1e6
         marked |= np.abs(scaled - np.rint(scaled)) > 0.5 - 1e-4
     i, j = np.nonzero(marked)
-    visibility[i, j], theta[i, j] = _scalar_polar(s[j], t[i, 0])
-    codes[i, j] = _label(s[j], t[i, 0], visibility[i, j], theta[i, j])[0]
+    visibility[i, j], theta[i, j], codes[i, j] = classify_arrays(s[j], t[i, 0])
     return visibility, theta, codes
 
 
@@ -177,18 +174,18 @@ def _grid_axis(resolution: int) -> np.ndarray:
 def region_grid(resolution: int) -> RegionGrid:
     """Classified points of the uniform grid over [0, 1]^2.
 
-    Row-major with t as the outer loop and s as the inner loop.  The codes
-    are those of the blocks ``stream_region_csv`` writes; visibility and
-    theta are the scalar ``math.hypot`` and ``math.atan2`` of every point,
-    as in ``classify_arrays``.
+    Row-major with t as the outer loop and s as the inner loop.  Each
+    ``_row_blocks`` block is labelled by ``classify_arrays``, whose scalar
+    ``math.hypot`` and ``math.atan2`` the grid holds at every point.
     """
     axis = _grid_axis(resolution)
     n = len(axis)
-    visibility, theta, codes = np.empty((n, n)), np.empty((n, n)), np.empty((n, n), dtype=np.int8)
-    for rows, (_, _, block) in zip(_row_blocks(n), _classified_blocks(axis)):
-        visibility[rows], theta[rows] = _scalar_polar(axis, axis[rows, None])
-        codes[rows] = block
-    return RegionGrid(visibility.ravel(), theta.ravel(), codes.ravel(), axis)
+    visibility, theta, codes = np.empty(n * n), np.empty(n * n), np.empty(n * n, dtype=np.int8)
+    for rows in _row_blocks(n):
+        t = axis[rows]
+        points = slice(rows.start * n, rows.stop * n)
+        visibility[points], theta[points], codes[points] = classify_arrays(np.tile(axis, len(t)), np.repeat(t, n))
+    return RegionGrid(visibility, theta, codes, axis)
 
 
 REGION_COMMENT = "# grid ordering: row-major, t outer loop, s inner loop"

@@ -4,6 +4,7 @@ import dataclasses
 import io
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -203,10 +204,10 @@ def test_csv_rows_match_percent_format_of_the_grid(resolution):
         assert stream.getvalue().split("\n")[2:] == _percent6_lines(case) + [""]
 
 
-@pytest.mark.parametrize("resolution", [2, 3, 7, 21, 100, 201, 333])
+@pytest.mark.parametrize("resolution", [2, 3, 7, 21, 100, 201, 333, 401, 801])
 def test_streamed_csv_bytes_are_the_written_text(resolution):
-    # the stream labels and formats numpy's polar form, region_grid holds
-    # the scalar formulas' values
+    # the stream labels and formats numpy's polar form; region_grid holds
+    # the scalar formulas' values and classify_arrays' labels
     binary, text = io.BytesIO(), io.StringIO()
     stream_region_csv(resolution, binary)
     write_region_csv(region_grid(resolution), text)
@@ -329,6 +330,24 @@ def test_grid_keeps_read_only_copies_of_its_arrays():
     assert not any(array.flags.writeable for array in (grid.visibility, grid.theta, grid.codes, grid.axis))
     visibility[0] = 1.0
     assert grid.visibility[0] == 0.0
+
+
+def test_classify_labels_overflowing_coordinates_outside_quantum():
+    # s + t and s^2 + t^2 overflow to inf without a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, _, codes = classify_arrays([1e308, 1e200, 1.4e154], [1e308, 0.0, 0.0])
+    assert [LABELS[code] for code in codes] == [RegionLabel.OUTSIDE_QUANTUM] * 3
+
+
+def test_grid_arrays_are_classify_arrays_of_its_points():
+    # 300 points a row give blocks of 54 rows, the last of them 30 rows
+    grid = region_grid(300)
+    n = len(grid.axis)
+    assert regions._row_blocks(n)[-1] == slice(270, 300)
+    expected = classify_arrays(np.tile(grid.axis, n), np.repeat(grid.axis, n))
+    for array, scalar in zip((grid.visibility, grid.theta, grid.codes), expected):
+        assert array.dtype == scalar.dtype and array.tobytes() == scalar.tobytes()
 
 
 def test_classify_rejects_nan():
