@@ -145,10 +145,10 @@ def cmd_region(parser, args) -> int:
 
 
 def _parse_setting(text: str):
-    pair_text, _, weight_text = text.partition(":")
+    pair_text, colon, weight_text = text.partition(":")
     try:
         x, y = map(int, pair_text.split(","))
-        return (x, y), (float(weight_text) if weight_text else None)
+        return (x, y), (float(weight_text) if colon else None)
     except ValueError:
         raise ValueError(f"setting must look like 'x,y' or 'x,y:weight', got {text!r}") from None
 

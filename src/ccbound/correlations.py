@@ -165,13 +165,11 @@ def werner_correlation(visibility: float, arrangement: MeasurementArrangement) -
         raise CorrelationError(f"visibility must lie in [0, 1], got {visibility!r}")
     scenario = arrangement.scenario
     # a.b summed by numpy, not BLAS, so the table does not depend on the BLAS kernel
-    dots = np.add.reduce(np.array(arrangement.alice)[:, None] * np.array(arrangement.bob), axis=-1).tolist()
+    dots = np.add.reduce(np.array(arrangement.alice)[:, None] * np.array(arrangement.bob), axis=-1)
+    s = 0.5 * (1.0 - visibility * dots)
     table = np.empty(scenario.table_shape)
-    for x, row in enumerate(dots):
-        for y, dot in enumerate(row):
-            s = 0.5 * (1.0 - visibility * dot)
-            table[0, 0, x, y] = table[1, 1, x, y] = 0.5 * s
-            table[0, 1, x, y] = table[1, 0, x, y] = 0.5 * (1.0 - s)
+    table[0, 0] = table[1, 1] = 0.5 * s
+    table[0, 1] = table[1, 0] = 0.5 * (1.0 - s)
     return Correlation(scenario, table)
 
 

@@ -161,7 +161,7 @@ def _rows_from_squares(z: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return np.divide(sq, sums, out=np.full(sq.shape, 1.0 / shape[1]), where=sums > 1e-300)
 
 
-def _nelder_mead(fn, starts, max_iter=4000, fatol=1e-13, xatol=1e-10, initial_step=0.25):
+def _nelder_mead(fn, starts, max_iter=4000, fatol=1e-13, xatol=1e-10):
     """Derivative-free simplex descent with the dimension-adaptive coefficients,
     run in lockstep from every row of ``starts[lanes, n]``.
 
@@ -174,6 +174,7 @@ def _nelder_mead(fn, starts, max_iter=4000, fatol=1e-13, xatol=1e-10, initial_st
     best vertex, its value and the iterations it ran.
     """
     lanes, n = starts.shape
+    initial_step = 0.25
     alpha = 1.0
     beta = 1.0 + 2.0 / n
     gamma = 0.75 - 0.5 / n

@@ -538,7 +538,7 @@ def test_bound_rejects_bad_settings(capsys, tmp_path, setting_args):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
-@pytest.mark.parametrize("setting", ["a,b", "0.5,2", "0,2:x"])
+@pytest.mark.parametrize("setting", ["a,b", "0.5,2", "0,2:x", "0,2:"])
 def test_bound_names_a_setting_it_cannot_parse(capsys, tmp_path, setting):
     path = tmp_path / "corr.json"
     dump_correlation(chsh_protocol_correlation(math.pi / 4, 0.8), path)

@@ -8,6 +8,7 @@ import re
 import numpy as np
 import pytest
 
+from ccbound.attack import ideal_agreement
 from ccbound.correlations import (
     Correlation,
     CorrelationError,
@@ -127,6 +128,43 @@ def test_werner_invariants_random_arrangements():
         assert corr.table.min() >= 0.0
         assert np.allclose(corr.table.sum(axis=(0, 1)), 1.0, atol=1e-15)
         assert corr.is_nonsignaling()
+
+
+def scalar_werner_table(visibility, arr):
+    """The Werner table entry by entry, from each setting pair's own a.b."""
+    table = np.empty(arr.scenario.table_shape)
+    for x, a in enumerate(arr.alice):
+        for y, b in enumerate(arr.bob):
+            s = 0.5 * (1.0 - visibility * float(np.add.reduce(a * b)))
+            table[0, 0, x, y] = table[1, 1, x, y] = 0.5 * s
+            table[0, 1, x, y] = table[1, 0, x, y] = 0.5 * (1.0 - s)
+    return table
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_werner_table_is_the_scalar_formula_bit_for_bit(seed):
+    rng = np.random.default_rng(seed)
+    arr = random_arrangement(int(rng.integers(1, 7)), int(rng.integers(1, 7)), rng)
+    for v in (0.0, 1.0, float(rng.uniform(0, 1))):
+        assert werner_correlation(v, arr).table.tobytes() == scalar_werner_table(v, arr).tobytes()
+
+
+def test_werner_table_of_a_64x64_arrangement_is_the_scalar_formula_bit_for_bit():
+    rng = np.random.default_rng(64)
+    arr = random_arrangement(64, 64, rng)
+    v = float(rng.uniform(0, 1))
+    assert werner_correlation(v, arr).table.tobytes() == scalar_werner_table(v, arr).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_ideal_agreement_is_the_agreement_of_the_v1_table_bit_for_bit(seed):
+    rng = np.random.default_rng(100 + seed)
+    arr = random_arrangement(int(rng.integers(1, 7)), int(rng.integers(1, 7)), rng)
+    table = werner_correlation(1.0, arr).table
+    for x in range(arr.scenario.n_a):
+        for y in range(arr.scenario.n_b):
+            agreement = float(table[0, 0, x, y] + table[1, 1, x, y])
+            assert ideal_agreement(arr, x, y).hex() == agreement.hex()
 
 
 def test_linearity_in_visibility():
