@@ -151,18 +151,11 @@ def tripartite(decomposition: CCDecomposition, x: int, y: int) -> JointDistribut
     _check_settings(decomposition.scenario, {}, [(x, y)])
     k_a, k_b = decomposition.scenario.k_a, decomposition.scenario.k_b
     q = decomposition.local_weight
-    p = np.zeros((k_a, k_b, k_a * k_b + 1))
-    for a in range(k_a):
-        for b in range(k_b):
-            p[a, b, k_b * a + b] = q * decomposition.local.table[a, b, x, y]
-            p[a, b, -1] = (1.0 - q) * decomposition.nonlocal_part.table[a, b, x, y]
-    return JointDistribution(p)
-
-
-def ideal_agreement(arrangement: MeasurementArrangement, x: int, y: int) -> float:
-    """Probability of equal outcomes at visibility 1 for the setting pair (x, y)."""
-    _check_settings(arrangement.scenario, {}, [(x, y)])
-    return 0.5 * (1.0 - float(np.add.reduce(arrangement.alice[x] * arrangement.bob[y])))
+    pairs = np.arange(k_a * k_b)
+    p = np.zeros((k_a * k_b, k_a * k_b + 1))
+    p[pairs, pairs] = q * decomposition.local.block(x, y).ravel()
+    p[:, -1] = (1.0 - q) * decomposition.nonlocal_part.block(x, y).ravel()
+    return JointDistribution(p.reshape(k_a, k_b, -1))
 
 
 def eve_map(agreement: float, unknown_fraction: float) -> StochasticMap:
@@ -178,16 +171,10 @@ def eve_map(agreement: float, unknown_fraction: float) -> StochasticMap:
         raise AttackError(f"unknown_fraction must lie in [0, 1], got {unknown_fraction!r}")
     if not 0.0 <= agreement <= 1.0:
         raise AttackError(f"agreement must lie in [0, 1], got {agreement!r}")
-    rows = np.zeros((5, 5))
-    unknown = 4
-    kept = (0, 3) if agreement >= 0.5 else (1, 2)
-    merged = (1, 2) if agreement >= 0.5 else (0, 3)
-    for e in kept:
-        rows[e, e] = 1.0
-    for e in merged:
-        rows[e, unknown] = unknown_fraction
+    rows = np.eye(5)
+    for e in (1, 2) if agreement >= 0.5 else (0, 3):
         rows[e, e] = 1.0 - unknown_fraction
-    rows[unknown, unknown] = 1.0
+        rows[e, 4] = unknown_fraction
     return StochasticMap(rows)
 
 
@@ -220,8 +207,7 @@ def solve_unknown_fraction(
     for the convex split with weight q at the given visibility.  Only
     solvable up to the zero-key visibility of the setting pair.
     """
-    if not 0.0 <= visibility <= 1.0:
-        raise AttackError(f"visibility must lie in [0, 1], got {visibility!r}")
+    q = local_weight(visibility, local_visibility_value)
     if not 0.0 <= agreement <= 1.0:
         raise AttackError(f"agreement must lie in [0, 1], got {agreement!r}")
     folded = max(agreement, 1.0 - agreement)
@@ -233,13 +219,10 @@ def solve_unknown_fraction(
             f"visibility {visibility} exceeds the zero-key threshold {threshold} "
             f"for agreement {agreement}"
         )
-    q = local_weight(visibility, local_visibility_value)
     # probability of equal outcomes in the local part for this setting pair
     s_local = 0.5 * (1.0 - local_visibility_value * (1.0 - 2.0 * agreement))
-    if agreement >= 0.5:
-        fraction = (1.0 - q) * (2.0 * agreement - 1.0) / (q * (1.0 - s_local))
-    else:
-        fraction = (1.0 - q) * (1.0 - 2.0 * agreement) / (q * s_local)
+    hidden = 1.0 - s_local if agreement >= 0.5 else s_local
+    fraction = (1.0 - q) * abs(2.0 * agreement - 1.0) / (q * hidden)
     return float(min(max(fraction, 0.0), 1.0))
 
 
@@ -280,16 +263,16 @@ def chsh_attack(
     """
     if settings is None:
         settings = {(0, 2): 1.0}
-    arrangement = chsh_arrangement(theta)
-    _check_settings(arrangement.scenario, settings)
-    v_local = local_visibility(theta)
-    decomposition = cc_werner(visibility, arrangement, v_local)
+    decomposition = cc_chsh(theta, visibility)
+    _check_settings(decomposition.scenario, settings)
     maps, fractions = {}, {}
     for pair in settings:
-        agreement = ideal_agreement(arrangement, *pair)
+        # probability of equal outcomes in the nonlocal (visibility 1) part
+        ideal = decomposition.nonlocal_part.block(*pair)
+        agreement = float(ideal[0, 0] + ideal[1, 1])
         if unknown_fraction == "auto":
             try:
-                fraction = solve_unknown_fraction(visibility, v_local, agreement)
+                fraction = solve_unknown_fraction(visibility, local_visibility(theta), agreement)
             except BalanceInfeasibleError:
                 fraction = 1.0
         else:

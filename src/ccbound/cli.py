@@ -144,13 +144,24 @@ def cmd_region(parser, args) -> int:
 # -------------------------------------------------------------------- bound
 
 
+# weights and fractions are read as float(text) + 0.0, so '-0' gives 0.0, not -0.0
 def _parse_setting(text: str):
     pair_text, colon, weight_text = text.partition(":")
     try:
         x, y = map(int, pair_text.split(","))
-        return (x, y), (float(weight_text) if colon else None)
+        return (x, y), (float(weight_text) + 0.0 if colon else None)
     except ValueError:
         raise ValueError(f"setting must look like 'x,y' or 'x,y:weight', got {text!r}") from None
+
+
+def _parse_fraction(text: str):
+    if text == "auto":
+        return text
+    with contextlib.suppress(ValueError):
+        fraction = float(text) + 0.0
+        if 0.0 <= fraction <= 1.0:
+            return fraction
+    raise ValueError(f"--lambda must be 'auto' or a number in [0, 1], got {text!r}")
 
 
 def cmd_bound(parser, args) -> int:
@@ -187,7 +198,7 @@ def cmd_bound(parser, args) -> int:
     if not given:
         weights = dict.fromkeys(weights, 1.0 / len(weights))
 
-    model = atk.chsh_attack(theta, visibility, args.unknown_fraction, weights)
+    model = atk.chsh_attack(theta, visibility, _parse_fraction(args.unknown_fraction), weights)
     total = atk.keyrate_bound(observed, model)
     information = atk.setting_information(model)
     fractions = model.unknown_fractions

@@ -10,7 +10,9 @@ from hypothesis import strategies as st
 
 from ccbound import attack as atk
 from ccbound.correlations import (
+    Correlation,
     MeasurementArrangement,
+    Scenario,
     chsh_arrangement,
     chsh_protocol_correlation,
     werner_correlation,
@@ -167,7 +169,35 @@ def test_setting_pairs_outside_the_protocol_are_rejected_by_name(pair):
     with pytest.raises(atk.AttackError, match=pattern):
         atk.tripartite(atk.cc_chsh(PI4, 0.8), *pair)
     with pytest.raises(atk.AttackError, match=pattern):
-        atk.ideal_agreement(chsh_arrangement(PI4), *pair)
+        atk.chsh_attack(PI4, 0.8, "auto", {pair: 1.0})
+
+
+def scalar_tripartite(decomposition, x, y):
+    """The tripartite distribution entry by entry."""
+    k_a, k_b = decomposition.scenario.k_a, decomposition.scenario.k_b
+    q = decomposition.local_weight
+    p = np.zeros((k_a, k_b, k_a * k_b + 1))
+    for a in range(k_a):
+        for b in range(k_b):
+            p[a, b, k_b * a + b] = q * decomposition.local.table[a, b, x, y]
+            p[a, b, -1] = (1.0 - q) * decomposition.nonlocal_part.table[a, b, x, y]
+    return p
+
+
+def random_correlation(rng, scenario):
+    table = rng.uniform(size=scenario.table_shape)
+    return Correlation(scenario, table / table.sum(axis=(0, 1)))
+
+
+@pytest.mark.parametrize("k_a, k_b", [(2, 2), (2, 3), (3, 2), (3, 3)])
+def test_tripartite_is_the_per_entry_table_bit_for_bit(k_a, k_b):
+    rng = np.random.default_rng(10 * k_a + k_b)
+    scenario = Scenario(2, 3, k_a, k_b)
+    for q in (0.0, 1.0, *rng.uniform(size=3).tolist()):
+        dec = atk.CCDecomposition(q, random_correlation(rng, scenario), random_correlation(rng, scenario))
+        for x in range(2):
+            for y in range(3):
+                assert atk.tripartite(dec, x, y).p.tobytes() == scalar_tripartite(dec, x, y).tobytes()
 
 
 # ------------------------------------------------------------------ eve maps
@@ -227,6 +257,14 @@ def test_fraction_zero_for_balanced_pair():
     assert atk.solve_unknown_fraction(0.9, 0.7, 0.5) == 0.0
 
 
+@pytest.mark.parametrize("agreement", [0.5, 0.9])
+@pytest.mark.parametrize("bad", [5.0, 1.0, 0.0, math.nan])
+def test_fraction_rejects_a_local_visibility_outside_the_unit_interval(agreement, bad):
+    # a balanced pair needs no fraction, but its local visibility is still checked
+    with pytest.raises(atk.AttackError, match=re.escape(f"local visibility must lie in (0, 1), got {bad!r}")):
+        atk.solve_unknown_fraction(0.8, bad, agreement)
+
+
 def test_fraction_known_value_and_zeroing():
     fraction = atk.solve_unknown_fraction(0.72, local_visibility(PI4), 1.0)
     assert fraction == pytest.approx(0.31443001811095117, abs=1e-12)
@@ -248,11 +286,12 @@ def test_fraction_mirror_branch_zeroes_too():
     # emulate with an arrangement whose key vectors are parallel
     arr = chsh_arrangement(PI4)
     flipped = type(arr)(alice=((0.0, 0.0, 1.0), (-1.0, 0.0, 0.0)), bob=arr.bob)
-    agreement = atk.ideal_agreement(flipped, 0, 2)
-    assert agreement == pytest.approx(0.0, abs=1e-15)
     v = 0.72
     v_l = local_visibility(PI4)
     dec = atk.cc_werner(v, flipped, v_l)
+    ideal = dec.nonlocal_part.block(0, 2)
+    agreement = float(ideal[0, 0] + ideal[1, 1])
+    assert agreement == pytest.approx(0.0, abs=1e-15)
     fraction = atk.solve_unknown_fraction(v, v_l, agreement)
     mapped = apply_map(atk.tripartite(dec, 0, 2), atk.eve_map(agreement, fraction))
     assert conditional_mutual_information(mapped) <= 1e-12
@@ -345,13 +384,15 @@ def test_attack_model_rejects_a_map_of_the_wrong_alphabet():
 
 
 def step_by_step_attack(theta, v, unknown_fraction, settings):
-    """The attack built step by step: split, per-pair fraction and map, then
-    I(A:B|F) of the relabelled tripartite distribution per pair."""
+    """The attack built step by step: split, per-pair agreement 0.5 (1 - a.b)
+    of the Bloch vectors, fraction and map, then I(A:B|F) of the relabelled
+    tripartite distribution per pair."""
     decomposition = atk.cc_chsh(theta, v)
     arrangement = chsh_arrangement(theta)
-    information = {}
+    information, agreements = {}, {}
     for pair in settings:
-        agreement = atk.ideal_agreement(arrangement, *pair)
+        a, b = arrangement.alice[pair[0]], arrangement.bob[pair[1]]
+        agreement = agreements[pair] = 0.5 * (1 - float(np.add.reduce(a * b)))
         if unknown_fraction == "auto":
             try:
                 fraction = atk.solve_unknown_fraction(v, local_visibility(theta), agreement)
@@ -367,7 +408,7 @@ def step_by_step_attack(theta, v, unknown_fraction, settings):
     for pair, weight in settings.items():
         if weight != 0.0:
             total += weight * information[pair]
-    return information, total
+    return agreements, information, total
 
 
 SETTING_GRID = [
@@ -387,7 +428,11 @@ def test_multi_setting_attack_matches_step_by_step_construction(settings):
             observed = chsh_protocol_correlation(theta, v)
             for fraction in ("auto", 0.5, 1.0):
                 model = atk.chsh_attack(theta, v, fraction, settings)
-                information, total = step_by_step_attack(theta, v, fraction, settings)
+                agreements, information, total = step_by_step_attack(theta, v, fraction, settings)
+                for pair, agreement in agreements.items():
+                    # the attack reads each agreement from its split's v = 1 part
+                    ideal = model.decomposition.nonlocal_part.block(*pair)
+                    assert float(ideal[0, 0] + ideal[1, 1]).hex() == agreement.hex()
                 assert atk.setting_information(model) == information
                 assert atk.keyrate_bound(observed, model) == total
                 assert model.setting_weights == settings

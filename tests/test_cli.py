@@ -547,6 +547,32 @@ def test_bound_names_a_setting_it_cannot_parse(capsys, tmp_path, setting):
     assert err == f"error: setting must look like 'x,y' or 'x,y:weight', got {setting!r}\n"
 
 
+@pytest.mark.parametrize("fraction", ["x", "", "1.5", "-0.1", "nan", "inf", "Auto"])
+def test_bound_names_a_fraction_it_cannot_use(capsys, tmp_path, fraction):
+    path = tmp_path / "corr.json"
+    dump_correlation(chsh_protocol_correlation(math.pi / 4, 0.8), path)
+    code, out, err = run(capsys, ["bound", str(path), f"--lambda={fraction}"])
+    assert (code, out) == (1, "")
+    assert err == f"error: --lambda must be 'auto' or a number in [0, 1], got {fraction!r}\n"
+
+
+@pytest.mark.parametrize(
+    "option, zero",
+    [(["--lambda", "-0"], "unknown_fraction"), (["--setting", "0,2:1", "--setting", "1,2:-0"], "weight")],
+)
+def test_bound_reads_a_negative_zero_as_zero(capsys, tmp_path, option, zero):
+    path = tmp_path / "corr.json"
+    dump_correlation(chsh_protocol_correlation(math.pi / 4, 0.8), path)
+    code, out, err = run(capsys, ["bound", str(path), *option])
+    assert (code, err) == (0, "")
+    assert f"{zero} = 0.000000" in out and "-0.000000" not in out
+    code, out, err = run(capsys, ["bound", str(path), *option, "--json"])
+    assert (code, err) == (0, "")
+    assert "-0.0" not in out
+    entries = json.loads(out)["settings"].values()
+    assert [math.copysign(1.0, entry[zero]) for entry in entries if entry[zero] == 0.0] == [1.0]
+
+
 @pytest.mark.parametrize(
     "settings",
     [
@@ -763,6 +789,12 @@ BOUND_OPTIONS = {
     "settings": ["--setting", "0,2", "--setting", "1,1"],
     "lambda": ["--lambda", "0.5"],
 }
+# every setting pair of the protocol: (1, 2) has agreement 1/2 and (1, 1) is
+# the anticorrelated pair, whose map and fraction are mirrored
+ALL_PAIRS = [arg for pair in ("0,0", "0,1", "0,2", "1,0", "1,1", "1,2") for arg in ("--setting", pair)]
+for fraction in ("auto", "0.3"):
+    BOUND_OPTIONS[f"pairs_{fraction}"] = [*ALL_PAIRS, "--lambda", fraction]
+    BOUND_OPTIONS[f"pairs_{fraction}_json"] = [*ALL_PAIRS, "--lambda", fraction, "--json"]
 BOUND_SHA256 = {
     ("pi4_073", "text"): "7089e179592fe46f0d24a077fe98a0ae37ad72c5c0a2f3bb1bf8ea2e02108f9f",
     ("pi4_073", "json"): "85d92223d5de71da391594cc9c8c510ae363ab93bdfeca2e46144d7638e14a73",
@@ -776,6 +808,11 @@ BOUND_SHA256 = {
     ("pi4_09", "json"): "497ace3f7a220fc94a8183dd68e42461a85ffc249b8349e57e53a339c692dfd3",
     ("pi4_09", "settings"): "e46a773939849d0ecec746cf1d9a0a289172bc528d0482ab009e02d4693cf233",
     ("pi4_09", "lambda"): "84ff7fd4bd914573661777b1f7b49bcdd99a57f2019a153844cc00a0b59db644",
+    # taken while the attack still read each pair's agreement from the Bloch vectors
+    ("pi6_08", "pairs_auto"): "3aa165c846f49fcdc7f5b4000fcf0f2593c0c4e538bc25ae6604041664797f0b",
+    ("pi6_08", "pairs_auto_json"): "6a926e47349c1e14cd1cf496632544871e084a7397007cc3abdb0381651056a8",
+    ("pi6_08", "pairs_0.3"): "e2857e842f28d3a2e7404d501a6f2f25ca218926e5cf056f389e5fb2e44f4e9d",
+    ("pi6_08", "pairs_0.3_json"): "c5eeb123d84b6f9b64600c34fc40ea31fd3afd11fa7b215ccfb1c70dcf50ea2a",
 }
 
 

@@ -8,7 +8,6 @@ import re
 import numpy as np
 import pytest
 
-from ccbound.attack import ideal_agreement
 from ccbound.correlations import (
     Correlation,
     CorrelationError,
@@ -154,17 +153,6 @@ def test_werner_table_of_a_64x64_arrangement_is_the_scalar_formula_bit_for_bit()
     arr = random_arrangement(64, 64, rng)
     v = float(rng.uniform(0, 1))
     assert werner_correlation(v, arr).table.tobytes() == scalar_werner_table(v, arr).tobytes()
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_ideal_agreement_is_the_agreement_of_the_v1_table_bit_for_bit(seed):
-    rng = np.random.default_rng(100 + seed)
-    arr = random_arrangement(int(rng.integers(1, 7)), int(rng.integers(1, 7)), rng)
-    table = werner_correlation(1.0, arr).table
-    for x in range(arr.scenario.n_a):
-        for y in range(arr.scenario.n_b):
-            agreement = float(table[0, 0, x, y] + table[1, 1, x, y])
-            assert ideal_agreement(arr, x, y).hex() == agreement.hex()
 
 
 def test_linearity_in_visibility():
