@@ -13,6 +13,7 @@ setting-announcing protocols.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,10 +36,6 @@ WERNER_NONLOCAL_VISIBILITY = 0.6964
 
 class AttackError(ValueError):
     """An attack model is inconsistent with the correlation it targets."""
-
-
-class BalanceInfeasibleError(ValueError):
-    """No relabelling fraction in [0, 1] can zero the unknown-branch MI."""
 
 
 @dataclass(frozen=True)
@@ -174,7 +171,7 @@ def eve_map(agreement: float, unknown_fraction: float) -> StochasticMap:
     rows = np.eye(5)
     for e in (1, 2) if agreement >= 0.5 else (0, 3):
         rows[e, e] = 1.0 - unknown_fraction
-        rows[e, 4] = unknown_fraction
+        rows[e, 4] = unknown_fraction + 0.0  # + 0.0 turns -0.0 into 0.0
     return StochasticMap(rows)
 
 
@@ -204,26 +201,22 @@ def solve_unknown_fraction(
     carries zero mutual information.
 
     Solves (1-q) |2s-1| = fraction * q * (mass of the hidden local symbols)
-    for the convex split with weight q at the given visibility.  Only
-    solvable up to the zero-key visibility of the setting pair.
+    for the convex split with weight q at the given visibility.  Above the
+    pair's zero-key visibility no fraction below 1 balances the branch, so
+    every mismatched symbol is hidden (1.0); a balanced pair (s = 1/2)
+    needs none (0.0).
     """
     q = local_weight(visibility, local_visibility_value)
     if not 0.0 <= agreement <= 1.0:
         raise AttackError(f"agreement must lie in [0, 1], got {agreement!r}")
-    folded = max(agreement, 1.0 - agreement)
-    if folded == 0.5:
-        return 0.0
-    threshold = zero_key_visibility(folded, local_visibility_value)
-    if visibility > threshold + ATOL:
-        raise BalanceInfeasibleError(
-            f"visibility {visibility} exceeds the zero-key threshold {threshold} "
-            f"for agreement {agreement}"
-        )
     # probability of equal outcomes in the local part for this setting pair
     s_local = 0.5 * (1.0 - local_visibility_value * (1.0 - 2.0 * agreement))
     hidden = 1.0 - s_local if agreement >= 0.5 else s_local
-    fraction = (1.0 - q) * abs(2.0 * agreement - 1.0) / (q * hidden)
-    return float(min(max(fraction, 0.0), 1.0))
+    needed = (1.0 - q) * abs(2.0 * agreement - 1.0)
+    available = q * hidden
+    if needed < available:
+        return needed / available
+    return 1.0 if needed > 0.0 else 0.0
 
 
 def setting_information(attack: AttackModel) -> dict:
@@ -257,26 +250,27 @@ def chsh_attack(
     """Standard attack on the theta protocol with key rounds at the setting
     pairs of ``settings``, a ``{(x, y): weight}`` mapping (default {(0, 2): 1}).
 
-    ``unknown_fraction='auto'`` solves each pair's zeroing fraction and falls
-    back to hiding every mismatched symbol when the visibility is above its
-    zero-key threshold (any fraction still yields a valid upper bound).
+    ``unknown_fraction='auto'`` takes each pair's ``solve_unknown_fraction``,
+    which is 1 above the pair's zero-key visibility; a real number in [0, 1]
+    is used for every pair (any fraction still yields a valid upper bound).
     """
+    auto = isinstance(unknown_fraction, str) and unknown_fraction == "auto"
+    if not auto and not (isinstance(unknown_fraction, numbers.Real) and 0.0 <= unknown_fraction <= 1.0):
+        raise AttackError(f"unknown_fraction must be 'auto' or a real number in [0, 1], got {unknown_fraction!r}")
     if settings is None:
         settings = {(0, 2): 1.0}
     decomposition = cc_chsh(theta, visibility)
     _check_settings(decomposition.scenario, settings)
+    v_l = local_visibility(theta)
     maps, fractions = {}, {}
     for pair in settings:
         # probability of equal outcomes in the nonlocal (visibility 1) part
         ideal = decomposition.nonlocal_part.block(*pair)
         agreement = float(ideal[0, 0] + ideal[1, 1])
-        if unknown_fraction == "auto":
-            try:
-                fraction = solve_unknown_fraction(visibility, local_visibility(theta), agreement)
-            except BalanceInfeasibleError:
-                fraction = 1.0
+        if auto:
+            fraction = solve_unknown_fraction(visibility, v_l, agreement)
         else:
-            fraction = float(unknown_fraction)
+            fraction = float(unknown_fraction) + 0.0  # + 0.0 turns -0.0 into 0.0
         maps[pair] = eve_map(agreement, fraction)
         fractions[pair] = fraction
     return AttackModel(decomposition, maps, settings, fractions)

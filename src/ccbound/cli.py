@@ -158,7 +158,7 @@ def _parse_fraction(text: str):
     if text == "auto":
         return text
     with contextlib.suppress(ValueError):
-        fraction = float(text) + 0.0
+        fraction = float(text)
         if 0.0 <= fraction <= 1.0:
             return fraction
     raise ValueError(f"--lambda must be 'auto' or a number in [0, 1], got {text!r}")

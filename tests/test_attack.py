@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ccbound import attack as atk
+from ccbound._jsondoc import ATOL
 from ccbound.correlations import (
     Correlation,
     MeasurementArrangement,
@@ -276,9 +277,52 @@ def test_fraction_known_value_and_zeroing():
     assert branch[0, 0] == pytest.approx(branch[0, 1], abs=1e-15)
 
 
-def test_fraction_infeasible_above_threshold():
-    with pytest.raises(atk.BalanceInfeasibleError):
-        atk.solve_unknown_fraction(0.9, local_visibility(PI4), 1.0)
+def test_fraction_is_one_above_the_threshold():
+    # no fraction below 1 zeroes the branch here, so every mismatched symbol is hidden
+    v_l = local_visibility(PI4)
+    threshold = atk.zero_key_visibility(1.0, v_l)
+    for v in (0.9, threshold + 2e-12, math.nextafter(threshold, 2.0)):
+        assert atk.solve_unknown_fraction(v, v_l, 1.0) == 1.0
+
+
+@pytest.mark.parametrize("offset", [1e-13, -1e-13])
+def test_fraction_is_one_with_no_local_part(offset):
+    # at v = 1 the split has no local part (q = 0), so nothing is left to balance with
+    assert atk.solve_unknown_fraction(1.0, 0.7, 0.5 + offset) == 1.0
+
+
+def fraction_by_threshold(v, v_l, agreement):
+    """The zeroing fraction written out, with the zero-key threshold (plus
+    ATOL) deciding when every mismatched symbol is hidden instead."""
+    folded = max(agreement, 1.0 - agreement)
+    if folded == 0.5:
+        return 0.0
+    if v > atk.zero_key_visibility(folded, v_l) + ATOL:
+        return 1.0
+    q = atk.local_weight(v, v_l)
+    s_local = 0.5 * (1.0 - v_l * (1.0 - 2.0 * agreement))
+    hidden = 1.0 - s_local if agreement >= 0.5 else s_local
+    return float(min(max((1.0 - q) * abs(2.0 * agreement - 1.0) / (q * hidden), 0.0), 1.0))
+
+
+def test_fraction_against_the_zero_key_threshold():
+    rng = np.random.default_rng(29)
+    for _ in range(2000):
+        v_l = float(rng.uniform(0.5, 0.999))
+        agreement = float(rng.uniform())
+        threshold = atk.zero_key_visibility(max(agreement, 1.0 - agreement), v_l)
+        below, above = math.nextafter(threshold, 0.0), math.nextafter(threshold, 2.0)
+        for v in (float(rng.uniform(v_l, 1.0)), threshold, below, above):
+            if v > 1.0:
+                continue
+            fraction = atk.solve_unknown_fraction(v, v_l, agreement)
+            assert fraction.hex() == fraction_by_threshold(v, v_l, agreement).hex()
+            if v > threshold + ATOL:
+                assert fraction == 1.0
+            elif v < threshold - ATOL:
+                assert fraction < 1.0
+            else:
+                assert fraction == pytest.approx(1.0, abs=1e-9)
 
 
 def test_fraction_mirror_branch_zeroes_too():
@@ -385,21 +429,19 @@ def test_attack_model_rejects_a_map_of_the_wrong_alphabet():
 
 def step_by_step_attack(theta, v, unknown_fraction, settings):
     """The attack built step by step: split, per-pair agreement 0.5 (1 - a.b)
-    of the Bloch vectors, fraction and map, then I(A:B|F) of the relabelled
-    tripartite distribution per pair."""
+    of the Bloch vectors, fraction (``fraction_by_threshold`` for 'auto') and
+    map, then I(A:B|F) of the relabelled tripartite distribution per pair."""
     decomposition = atk.cc_chsh(theta, v)
     arrangement = chsh_arrangement(theta)
-    information, agreements = {}, {}
+    information, agreements, fractions = {}, {}, {}
     for pair in settings:
         a, b = arrangement.alice[pair[0]], arrangement.bob[pair[1]]
         agreement = agreements[pair] = 0.5 * (1 - float(np.add.reduce(a * b)))
         if unknown_fraction == "auto":
-            try:
-                fraction = atk.solve_unknown_fraction(v, local_visibility(theta), agreement)
-            except atk.BalanceInfeasibleError:
-                fraction = 1.0
+            fraction = fraction_by_threshold(v, local_visibility(theta), agreement)
         else:
             fraction = float(unknown_fraction)
+        fractions[pair] = fraction
         joint = atk.tripartite(decomposition, *pair)
         information[pair] = conditional_mutual_information(
             apply_map(joint, atk.eve_map(agreement, fraction))
@@ -408,7 +450,7 @@ def step_by_step_attack(theta, v, unknown_fraction, settings):
     for pair, weight in settings.items():
         if weight != 0.0:
             total += weight * information[pair]
-    return agreements, information, total
+    return agreements, fractions, information, total
 
 
 SETTING_GRID = [
@@ -428,11 +470,12 @@ def test_multi_setting_attack_matches_step_by_step_construction(settings):
             observed = chsh_protocol_correlation(theta, v)
             for fraction in ("auto", 0.5, 1.0):
                 model = atk.chsh_attack(theta, v, fraction, settings)
-                agreements, information, total = step_by_step_attack(theta, v, fraction, settings)
+                agreements, fractions, information, total = step_by_step_attack(theta, v, fraction, settings)
                 for pair, agreement in agreements.items():
                     # the attack reads each agreement from its split's v = 1 part
                     ideal = model.decomposition.nonlocal_part.block(*pair)
                     assert float(ideal[0, 0] + ideal[1, 1]).hex() == agreement.hex()
+                    assert model.unknown_fractions[pair].hex() == fractions[pair].hex()
                 assert atk.setting_information(model) == information
                 assert atk.keyrate_bound(observed, model) == total
                 assert model.setting_weights == settings
@@ -462,6 +505,21 @@ def test_chsh_attack_default_settings_and_recorded_fraction():
     # above the zero-key threshold 'auto' falls back to hiding everything
     assert atk.chsh_attack(PI4, 0.9).unknown_fractions == {(0, 2): 1.0}
     assert atk.AttackModel(model.decomposition, model.maps, model.setting_weights).unknown_fractions == {}
+
+
+@pytest.mark.parametrize("fraction", ["x", "Auto", "0.5", "", None, math.nan, 1.5, -0.1, np.array([0.5, 0.6])])
+def test_chsh_attack_names_a_fraction_it_cannot_use(fraction):
+    message = f"unknown_fraction must be 'auto' or a real number in [0, 1], got {fraction!r}"
+    with pytest.raises(atk.AttackError, match=f"^{re.escape(message)}$"):
+        atk.chsh_attack(PI4, 0.8, fraction)
+
+
+def test_a_negative_zero_fraction_is_stored_as_zero():
+    rows = atk.eve_map(1.0, -0.0).rows
+    assert all(math.copysign(1.0, x) == 1.0 for x in rows.ravel().tolist())
+    model = atk.chsh_attack(PI4, 0.8, -0.0)
+    assert math.copysign(1.0, model.unknown_fractions[(0, 2)]) == 1.0
+    assert all(math.copysign(1.0, x) == 1.0 for x in model.maps[(0, 2)].rows.ravel().tolist())
 
 
 @pytest.mark.parametrize(

@@ -438,6 +438,18 @@ def test_bound_ideal_visibility(capsys, tmp_path):
     assert "local_weight = 0.000000" in out
 
 
+def test_bound_with_no_local_part_hides_every_mismatched_symbol(capsys, tmp_path):
+    # at v = 1 the split has no local part (q = 0); near theta = pi/2 the (0, 0)
+    # pair is only just unbalanced, and its fraction is 1, not a division by zero
+    theta = 1.5707963267946965
+    path = tmp_path / "corr.json"
+    dump_correlation(chsh_protocol_correlation(theta, 1.0), path)
+    code, out, err = run(capsys, ["bound", str(path), "--theta", repr(theta), "--setting", "0,0"])
+    assert (code, err) == (0, "")
+    assert "unknown_fraction = 1.000000" in out
+    assert out.splitlines()[-1].startswith("bound = ")
+
+
 def test_bound_auto_fraction_zero_key(capsys, tmp_path):
     path = tmp_path / "corr.json"
     dump_correlation(chsh_protocol_correlation(math.pi / 4, 0.72), path)
@@ -782,7 +794,12 @@ CONSTANTS_SHA256 = {
     "json": "13dd4b04685f7ff13e93064895eb18fb40d40b2599268ef432c6dd505511a67f",
     "theta": "1fec63181ee002e28504bf7289c1c54f801f97342a334db82d1c4dfcc9f1fe3b",
 }
-BOUND_INPUTS = {"pi4_073": (math.pi / 4, 0.73), "pi6_08": (math.pi / 6, 0.8), "pi4_09": (math.pi / 4, 0.9)}
+BOUND_INPUTS = {
+    "pi4_073": (math.pi / 4, 0.73),
+    "pi6_08": (math.pi / 6, 0.8),
+    "pi4_09": (math.pi / 4, 0.9),
+    "pi4_1": (math.pi / 4, 1.0),
+}
 BOUND_OPTIONS = {
     "text": [],
     "json": ["--json"],
@@ -813,6 +830,10 @@ BOUND_SHA256 = {
     ("pi6_08", "pairs_auto_json"): "6a926e47349c1e14cd1cf496632544871e084a7397007cc3abdb0381651056a8",
     ("pi6_08", "pairs_0.3"): "e2857e842f28d3a2e7404d501a6f2f25ca218926e5cf056f389e5fb2e44f4e9d",
     ("pi6_08", "pairs_0.3_json"): "c5eeb123d84b6f9b64600c34fc40ea31fd3afd11fa7b215ccfb1c70dcf50ea2a",
+    # taken while 'auto' still reached 1 by catching the threshold check's error;
+    # at v = 1 every pair has local weight 0
+    ("pi4_1", "pairs_auto"): "048628d7c0f30dbd4aea46728f73f61481352bdf34d53ab92a5a7343fe6ae8e5",
+    ("pi4_1", "pairs_auto_json"): "f57d0c255e5c40467c1b78c10bf8c6353f5c5ba3ad8bd1fcb029e8085d4bd8d1",
 }
 
 
