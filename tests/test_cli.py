@@ -1,5 +1,6 @@
 """End-to-end CLI tests driving the subcommands through main()."""
 
+import collections
 import contextlib
 import hashlib
 import io
@@ -21,11 +22,11 @@ from hypothesis import strategies as st
 from ccbound import cli
 from ccbound.attack import chsh_keyrate_bound, critical_visibility
 from ccbound.cli import main
-from ccbound.correlations import (
-    MeasurementArrangement, chsh_protocol_correlation, dump_correlation, werner_correlation,
-)
+from ccbound.correlations import chsh_protocol_correlation, dump_correlation
 from ccbound.infotheory import JointDistribution, minimize_intrinsic
 from ccbound.regions import region_grid, write_region_csv
+
+import pins
 
 PI4_STR = repr(math.pi / 4)
 # one BLAS thread, so that a child's address space does not grow with the
@@ -39,6 +40,24 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _in_process(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue().encode()
+
+
+def _pinned(command):
+    """The keys of the pinned cases of one subcommand, which name its tests."""
+    return [name.split(" ", 1)[1] for name in pins.PINS if name.startswith(command + " ")]
+
+
+def _assert_pinned(tmp_path, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    case = pins.PINS[name]
+    assert pins.outputs(case, _in_process, tmp_path) == (0, case.sha256)
 
 
 def _cap_address_space():
@@ -302,13 +321,11 @@ def test_curve_row_near_a_rounding_tie_takes_the_scalar_text(capsys):
 
 
 def test_curve_of_a_million_rows_is_pinned(tmp_path):
-    # the digest of the curve when every row was formatted from the scalar
-    # chsh_keyrate_bound
     out_path = tmp_path / "curve.csv"
     assert main(["curve", "--v-min", "0", "--v-max", "1", "--step", "1e-6", "--out", str(out_path)]) == 0
     data = out_path.read_bytes()
     assert data.count(b"\n") == 1_000_002
-    assert hashlib.sha256(data).hexdigest() == "fdd8e0112f9321c3949a988685fd9f6d979796f7d1295416a19e21b8413b57a3"
+    assert hashlib.sha256(data).hexdigest() == pins.CURVE_1E6_SHA256
 
 
 # ------------------------------------------------------------------- region
@@ -343,20 +360,9 @@ def test_region_jobs_invariant(capsys, tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
-# sha256 of the region CSV as written by the per-point classifier that
-# preceded the array one
-REGION_SHA256 = {
-    201: "ff3fc7ae139ce398defaa53ba6b8b9d3c6b6fe4800fb1ba42d69f986ad4457ae",
-    801: "48e26690819839ad6b4f8c0e6ab18f5acc2d2f70e2950c6997b1311e8e52a6e5",
-}
-
-
-@pytest.mark.parametrize("resolution", sorted(REGION_SHA256))
-def test_region_bytes_pinned(capsys, tmp_path, resolution):
-    out_path = tmp_path / "region.csv"
-    code, _, _ = run(capsys, ["region", "--resolution", str(resolution), "--out", str(out_path)])
-    assert code == 0
-    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == REGION_SHA256[resolution]
+@pytest.mark.parametrize("key", _pinned("region"))
+def test_region_bytes_pinned(tmp_path, monkeypatch, key):
+    _assert_pinned(tmp_path, monkeypatch, f"region {key}")
 
 
 def test_region_stdout_equals_file(capsys, tmp_path):
@@ -665,109 +671,8 @@ def test_intrinsic_attack_distribution_reaches_zero(capsys, tmp_path):
     assert "bound = 0.000000" in out
 
 
-# sha256 of `ccbound intrinsic` stdout (text, then --json) on three attack
-# inputs and the three criterion-7 inputs, as the minimizer wrote them
-# before it stopped at a zero bound and before its kernel passes were
-# trimmed: the minimizer's bound, map and Nelder-Mead path stay bit for bit
-INTRINSIC_INPUTS = {
-    "attack_below": (math.pi / 4, 0.73),  # below v_crit(pi/4) = 0.7445
-    "attack_above": (math.pi / 4, 0.85),
-    "attack_pi6": (math.pi / 6, 0.8),
-    "crit7_attack": (math.pi / 4, 0.72),
-}
-INTRINSIC_SHA256 = {
-    ("attack_below", 0): (
-        "90afbb208cf9b067690da3448a2726c40175d56fd2f1cd8d446dc39a7a47cfae",
-        "d2401b67de41fb5fb1e818d31fff36f1be062b1208feae52525301087735cf16",
-    ),
-    ("attack_below", 4): (
-        "ffa53d24e06e8083f78200e968e03126673133693ae47783feb3e98af4ca1694",
-        "ca02f3f5b9fd8e92ea2eef980cc5298aa3efa37bac6da5a3a3260ae43077c04d",
-    ),
-    ("attack_below", 32): (
-        "b4d06b5a3a4487288569f023b476db863d2434f37c7e8ac755b5569bc2407fe3",
-        "a631ccdb7d712f5a62956ca40ec1c7f83168f785e940a51a3e7952bc842a3205",
-    ),
-    ("attack_above", 0): (
-        "0d05d6af6e0fad4e15771245c0c410c49005981086b818295b5a5bd7d695b13c",
-        "6f3dabfc8a2f7f3f5476b5cde5f7086ed12bcb690e10c26e3080f927b88b1d55",
-    ),
-    ("attack_above", 4): (
-        "0d05d6af6e0fad4e15771245c0c410c49005981086b818295b5a5bd7d695b13c",
-        "6f3dabfc8a2f7f3f5476b5cde5f7086ed12bcb690e10c26e3080f927b88b1d55",
-    ),
-    ("attack_above", 32): (
-        "0d05d6af6e0fad4e15771245c0c410c49005981086b818295b5a5bd7d695b13c",
-        "6f3dabfc8a2f7f3f5476b5cde5f7086ed12bcb690e10c26e3080f927b88b1d55",
-    ),
-    ("attack_pi6", 0): (
-        "b90bf4804ff5c2e8e101ab9e65c8e7913fe7b1ac79507c609084b43e5f2e61d2",
-        "326481e28e4cd79dcf3754dd13569807b98749063621d86a43a1ff03ca1a8e5e",
-    ),
-    ("attack_pi6", 4): (
-        "b90bf4804ff5c2e8e101ab9e65c8e7913fe7b1ac79507c609084b43e5f2e61d2",
-        "326481e28e4cd79dcf3754dd13569807b98749063621d86a43a1ff03ca1a8e5e",
-    ),
-    ("attack_pi6", 32): (
-        "b90bf4804ff5c2e8e101ab9e65c8e7913fe7b1ac79507c609084b43e5f2e61d2",
-        "326481e28e4cd79dcf3754dd13569807b98749063621d86a43a1ff03ca1a8e5e",
-    ),
-    ("crit7_attack", 0): (
-        "561e856ecfdd04340362d65360549826cc61eab8543e26a221b168086a39fb59",
-        "d890da5f7fee5ec9e6830f0d3d59c514add917c5b07534f9ba7b0bf3ad49f2a9",
-    ),
-    ("crit7_attack", 4): (
-        "66938aa68beed4a285a3083083a7ef672168b5c5c966d57adad96ca6ce994217",
-        "3958d10de107fb917a113bf273e198014110bcfa26ae2595586f3b4bafb3fb4f",
-    ),
-    ("crit7_attack", 32): (
-        "42fe5c1a89f3aa4c0cb5f43e7ebca1b7dd6dbd139d4882e0e32069d2b2cf16a8",
-        "2bf7511841ccbadaa2c8902d25776a50403cc0ffa83532c1063c0bfa4f8f5f1b",
-    ),
-    ("crit7_independent", 0): (
-        "3d8091d4e9595e4bce14b58fb00b0ca20a6fbe1937e6bd2a71b01adf06f0ede0",
-        "f37c1ed62bd483f6dc9f39bdee8c59b946f6ef3311a0f5eb5b2a1a7da76e2678",
-    ),
-    ("crit7_independent", 4): (
-        "3d8091d4e9595e4bce14b58fb00b0ca20a6fbe1937e6bd2a71b01adf06f0ede0",
-        "f37c1ed62bd483f6dc9f39bdee8c59b946f6ef3311a0f5eb5b2a1a7da76e2678",
-    ),
-    ("crit7_independent", 32): (
-        "3d8091d4e9595e4bce14b58fb00b0ca20a6fbe1937e6bd2a71b01adf06f0ede0",
-        "f37c1ed62bd483f6dc9f39bdee8c59b946f6ef3311a0f5eb5b2a1a7da76e2678",
-    ),
-    ("crit7_copy", 0): (
-        "d05718baab055d207e65244f1ef2c286664c90332d4133cf986558fd51aaf4e7",
-        "8a59c02b597fcf1ba76259a43fc3aaa2d5b4dc4277079f5dcb0e41f4f4415237",
-    ),
-    ("crit7_copy", 4): (
-        "d05718baab055d207e65244f1ef2c286664c90332d4133cf986558fd51aaf4e7",
-        "8a59c02b597fcf1ba76259a43fc3aaa2d5b4dc4277079f5dcb0e41f4f4415237",
-    ),
-    ("crit7_copy", 32): (
-        "d05718baab055d207e65244f1ef2c286664c90332d4133cf986558fd51aaf4e7",
-        "8a59c02b597fcf1ba76259a43fc3aaa2d5b4dc4277079f5dcb0e41f4f4415237",
-    ),
-}
-
-
-def _intrinsic_input(name):
-    from ccbound.attack import cc_chsh, tripartite
-
-    if name in INTRINSIC_INPUTS:
-        return tripartite(cc_chsh(*INTRINSIC_INPUTS[name]), 0, 2)
-    pab = np.array([[0.4, 0.1], [0.2, 0.3]])
-    if name == "crit7_independent":
-        return JointDistribution(np.einsum("ab,e->abe", pab, np.full(4, 0.25)))
-    copy = np.zeros((2, 2, 4))
-    copy[0, 0, 0], copy[0, 1, 1], copy[1, 0, 2], copy[1, 1, 3] = pab.ravel()
-    return JointDistribution(copy)
-
-
-@pytest.mark.parametrize("name, restarts", sorted(INTRINSIC_SHA256))
-def test_intrinsic_outputs_pinned(capsys, tmp_path, monkeypatch, name, restarts):
-    path = tmp_path / "dist.json"
-    path.write_text(json.dumps(_intrinsic_input(name).to_json_dict()))
+@pytest.mark.parametrize("key", [key for key in _pinned("intrinsic") if not key.endswith("-json")])
+def test_intrinsic_outputs_pinned(tmp_path, monkeypatch, key):
     # both formats print one minimization, run once
     results = []
 
@@ -777,81 +682,18 @@ def test_intrinsic_outputs_pinned(capsys, tmp_path, monkeypatch, name, restarts)
         return results[0]
 
     monkeypatch.setattr(cli, "minimize_intrinsic", once)
-    digests = []
-    for extra in ([], ["--json"]):
-        code, out, _ = run(capsys, ["intrinsic", str(path), "--restarts", str(restarts), *extra])
-        assert code == 0
-        digests.append(hashlib.sha256(out.encode()).hexdigest())
-    assert tuple(digests) == INTRINSIC_SHA256[name, restarts]
+    for name in (f"intrinsic {key}", f"intrinsic {key}-json"):
+        _assert_pinned(tmp_path, monkeypatch, name)
 
 
-# sha256 of `ccbound constants` and `ccbound bound` stdout on protocol
-# correlations, as printed while Correlation, JointDistribution and
-# StochasticMap still hand-rolled their immutability
-CONSTANTS_OPTIONS = {"text": [], "json": ["--json"], "theta": ["--theta", "0.3"]}
-CONSTANTS_SHA256 = {
-    "text": "426eba0c5f528c749ad4267ed1d0c5ca590736140c782b4a1bf827869ebb6ff0",
-    "json": "13dd4b04685f7ff13e93064895eb18fb40d40b2599268ef432c6dd505511a67f",
-    "theta": "1fec63181ee002e28504bf7289c1c54f801f97342a334db82d1c4dfcc9f1fe3b",
-}
-BOUND_INPUTS = {
-    "pi4_073": (math.pi / 4, 0.73),
-    "pi6_08": (math.pi / 6, 0.8),
-    "pi4_09": (math.pi / 4, 0.9),
-    "pi4_1": (math.pi / 4, 1.0),
-}
-BOUND_OPTIONS = {
-    "text": [],
-    "json": ["--json"],
-    "settings": ["--setting", "0,2", "--setting", "1,1"],
-    "lambda": ["--lambda", "0.5"],
-}
-# every setting pair of the protocol: (1, 2) has agreement 1/2 and (1, 1) is
-# the anticorrelated pair, whose map and fraction are mirrored
-ALL_PAIRS = [arg for pair in ("0,0", "0,1", "0,2", "1,0", "1,1", "1,2") for arg in ("--setting", pair)]
-for fraction in ("auto", "0.3"):
-    BOUND_OPTIONS[f"pairs_{fraction}"] = [*ALL_PAIRS, "--lambda", fraction]
-    BOUND_OPTIONS[f"pairs_{fraction}_json"] = [*ALL_PAIRS, "--lambda", fraction, "--json"]
-BOUND_SHA256 = {
-    ("pi4_073", "text"): "7089e179592fe46f0d24a077fe98a0ae37ad72c5c0a2f3bb1bf8ea2e02108f9f",
-    ("pi4_073", "json"): "85d92223d5de71da391594cc9c8c510ae363ab93bdfeca2e46144d7638e14a73",
-    ("pi4_073", "settings"): "c4eb4621b4ae2d766df112a14416056727298fc13f16126ce77e46426c3f3642",
-    ("pi4_073", "lambda"): "574f31b37d3738463a210e7135c795e12888fb9e4a5ba163eb031fc2d4ef968e",
-    ("pi6_08", "text"): "da6639da3501b9838ed44189057661907e245e22d0907852bd3ba7ad8d294115",
-    ("pi6_08", "json"): "1cf8ef52f67b0797f57e3f4ae8f72f4081cca12dce930f62876e1d81692bd022",
-    ("pi6_08", "settings"): "b4cfb2b3db780b113095714c753275e4c6879cebd0a62dcf624877a357e2c641",
-    ("pi6_08", "lambda"): "68c0073972df419f1abed22121cfb4c30f4a2338d71ef27fd79dff55dfb14f59",
-    ("pi4_09", "text"): "2572ddef16004233afad9c449aef1b3fe6657fb935acc31f7ca74e5be955964e",
-    ("pi4_09", "json"): "497ace3f7a220fc94a8183dd68e42461a85ffc249b8349e57e53a339c692dfd3",
-    ("pi4_09", "settings"): "e46a773939849d0ecec746cf1d9a0a289172bc528d0482ab009e02d4693cf233",
-    ("pi4_09", "lambda"): "84ff7fd4bd914573661777b1f7b49bcdd99a57f2019a153844cc00a0b59db644",
-    # taken while the attack still read each pair's agreement from the Bloch vectors
-    ("pi6_08", "pairs_auto"): "3aa165c846f49fcdc7f5b4000fcf0f2593c0c4e538bc25ae6604041664797f0b",
-    ("pi6_08", "pairs_auto_json"): "6a926e47349c1e14cd1cf496632544871e084a7397007cc3abdb0381651056a8",
-    ("pi6_08", "pairs_0.3"): "e2857e842f28d3a2e7404d501a6f2f25ca218926e5cf056f389e5fb2e44f4e9d",
-    ("pi6_08", "pairs_0.3_json"): "c5eeb123d84b6f9b64600c34fc40ea31fd3afd11fa7b215ccfb1c70dcf50ea2a",
-    # taken while 'auto' still reached 1 by catching the threshold check's error;
-    # at v = 1 every pair has local weight 0
-    ("pi4_1", "pairs_auto"): "048628d7c0f30dbd4aea46728f73f61481352bdf34d53ab92a5a7343fe6ae8e5",
-    ("pi4_1", "pairs_auto_json"): "f57d0c255e5c40467c1b78c10bf8c6353f5c5ba3ad8bd1fcb029e8085d4bd8d1",
-}
+@pytest.mark.parametrize("key", _pinned("constants"))
+def test_constants_outputs_pinned(tmp_path, monkeypatch, key):
+    _assert_pinned(tmp_path, monkeypatch, f"constants {key}")
 
 
-@pytest.mark.parametrize("options", sorted(CONSTANTS_SHA256))
-def test_constants_outputs_pinned(capsys, options):
-    code, out, _ = run(capsys, ["constants", *CONSTANTS_OPTIONS[options]])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == CONSTANTS_SHA256[options]
-
-
-@pytest.mark.parametrize("name, options", sorted(BOUND_SHA256))
-def test_bound_outputs_pinned(capsys, tmp_path, name, options):
-    theta, v = BOUND_INPUTS[name]
-    path = tmp_path / "corr.json"
-    dump_correlation(chsh_protocol_correlation(theta, v), path)
-    code, out, _ = run(capsys, ["bound", str(path), "--theta", repr(theta), *BOUND_OPTIONS[options]])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == BOUND_SHA256[name, options]
+@pytest.mark.parametrize("key", _pinned("bound"))
+def test_bound_outputs_pinned(tmp_path, monkeypatch, key):
+    _assert_pinned(tmp_path, monkeypatch, f"bound {key}")
 
 
 def test_intrinsic_seed_env_override(capsys, tmp_path, monkeypatch):
@@ -1046,16 +888,19 @@ def test_localweight_off_segment_note(capsys, tmp_path):
     assert (code, out) == (0, "q_max = 0.000000\nnote: no local decomposition along this target\n")
 
 
+@pytest.mark.parametrize("key", _pinned("localweight"))
+def test_localweight_outputs_pinned(tmp_path, monkeypatch, key):
+    _assert_pinned(tmp_path, monkeypatch, f"localweight {key}")
+
+
 @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64"), reason="OpenBLAS core types are x86-64 kernels")
 @pytest.mark.parametrize("mode", ["--target=target.json", "--ns"])
 def test_localweight_out_is_the_same_on_every_blas_kernel(tmp_path, mode):
     # a seeded 5522 Werner correlation and its v = 1 target, whose table and
     # local components a BLAS product would round differently per kernel
-    rng = np.random.default_rng(5522)
-    vectors = [[x / math.hypot(*v) for x in v] for v in rng.normal(size=(10, 3)).tolist()]
-    arrangement = MeasurementArrangement(tuple(vectors[:5]), tuple(vectors[5:]))
-    dump_correlation(werner_correlation(0.9, arrangement), tmp_path / "corr.json")
-    dump_correlation(werner_correlation(1.0, arrangement), tmp_path / "target.json")
+    corr, target = pins.werner_pair(5522, 5)
+    dump_correlation(corr, tmp_path / "corr.json")
+    dump_correlation(target, tmp_path / "target.json")
     default = {key: value for key, value in CHILD_ENV.items() if key != "OPENBLAS_CORETYPE"}
     files = []
     for env in (default, {**default, "OPENBLAS_CORETYPE": "Sandybridge"}):
@@ -1088,6 +933,31 @@ def test_csv_bytes_are_the_same_on_every_numpy_simd_target(tmp_path):
         ])
     assert outputs[0] == outputs[1]
     assert [out.count(b"\n") for out in outputs[0]] == [35_002, 401 * 401 + 2]
+
+
+# -------------------------------------------------------------- pin table
+
+
+def test_pin_table_holds_every_case():
+    commands = collections.Counter(case.argv[0] for case in pins.PINS.values())
+    # intrinsic's 18 cases each print text and --json
+    assert commands == {"constants": 3, "bound": 18, "intrinsic": 36, "localweight": 8, "region": 2}
+
+
+def test_pin_replay_names_exactly_the_case_that_differs(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    cases = {name: case for name, case in pins.PINS.items() if name.startswith(("constants", "localweight slice"))}
+    assert pins.replay(cases, _in_process, tmp_path) == 0
+    edited = "localweight slice-ns"
+    stdout, written = cases[edited].sha256
+    cases[edited] = cases[edited]._replace(sha256=(stdout, "0" * 64))
+    capsys.readouterr()
+    assert pins.replay(cases, _in_process, tmp_path) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == len(cases) + 1
+    assert [line for line in lines if "same" not in line] == [
+        f"{edited} DIFFERS: exit 0, sha256 {stdout} {written}", f"1 of {len(cases)} cases differ: {edited}",
+    ]
 
 
 # -------------------------------------------------------- oversized inputs

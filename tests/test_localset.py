@@ -28,6 +28,8 @@ from ccbound.localset import (
     vertex_matrix,
 )
 
+import pins
+
 THETAS = [math.pi / 12, math.pi / 6, math.pi / 4, math.pi / 3, 5 * math.pi / 12]
 
 
@@ -266,6 +268,31 @@ def test_nonlocal_verdict_carries_a_violated_bell_functional():
     _assert_certified(corr, result)
     # q = 2 - sqrt(2) v: 1 at the local visibility 1/sqrt(2), 2 - sqrt(2) at v = 1
     assert result.local_content == pytest.approx(2 - math.sqrt(2) * 0.75, abs=1e-9)
+
+
+def test_werner_5522_verdict_carries_a_checked_bell_functional():
+    # the seeded 5522 Werner input at v = 0.9 that `ccbound localweight` is
+    # pinned on: y.v summed entry by entry from each of the 1,024
+    # deterministic strategies' output functions a(x), b(y), and q against
+    # scipy's HiGHS on the same LP
+    optimize = pytest.importorskip("scipy.optimize")
+    corr, _ = pins.werner_pair(5522, 5)
+    result = is_local_lp(corr)
+    assert not result.is_local
+    y = result.bell_functional.reshape(corr.table.shape).tolist()
+    q, p = result.local_content, corr.table.tolist()
+    lowest = min(
+        math.fsum(y[a[x]][b[j]][x][j] for x in range(5) for j in range(5))
+        for a in itertools.product(range(2), repeat=5) for b in itertools.product(range(2), repeat=5)
+    )
+    value = math.fsum(
+        y[i][k][x][j] * p[i][k][x][j] for i in range(2) for k in range(2) for x in range(5) for j in range(5)
+    )
+    assert lowest >= 1 - 1e-9
+    assert abs(value - q) <= 1e-9 and value < lowest
+    mat = vertex_matrix(corr.scenario)
+    reference = _highs(optimize, -np.ones(mat.shape[1]), A_ub=mat, b_ub=corr.table.ravel())
+    assert reference.status == 0 and abs(q + reference.fun) <= 1e-9
 
 
 def _chained_3322(v):
