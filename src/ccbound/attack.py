@@ -60,10 +60,19 @@ class CCDecomposition:
         return self.local.mix(self.nonlocal_part, self.local_weight)
 
 
+def _is_index(i) -> bool:
+    """Whether i is a Python or numpy integer and not a bool, which numpy
+    would read as a mask."""
+    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+
+
 def _check_settings(scenario, setting_weights: dict, maps=()) -> None:
     """Raise AttackError unless every setting pair (x, y), weighted or
-    mapped, indexes the scenario's settings and every weight is finite and >= 0."""
+    mapped, is two ``_is_index`` integers that index the scenario's settings
+    and every weight is finite and >= 0."""
     for x, y in [*setting_weights, *maps]:
+        if not (_is_index(x) and _is_index(y)):
+            raise AttackError(f"setting pair {(x, y)} must hold two integer indices")
         if not (0 <= x < scenario.n_a and 0 <= y < scenario.n_b):
             raise AttackError(f"setting pair {(x, y)} is outside the {scenario.n_a}x{scenario.n_b} settings")
     for pair, weight in setting_weights.items():

@@ -46,9 +46,6 @@ class JointDistribution:
             raise DistributionError(f"expected a rank-3 tensor, got shape {np.shape(self.p)}")
         object.__setattr__(self, "p", probability_table(self.p, None, DistributionError))
 
-    def marginal_ab(self) -> np.ndarray:
-        return self.p.sum(axis=2)
-
     def to_json_dict(self) -> dict:
         return {"alphabets": list(self.p.shape), "p": self.p.tolist()}
 
@@ -89,14 +86,10 @@ class StochasticMap:
         return cls(np.eye(n))
 
     @classmethod
-    def constant(cls, n: int, target: int = 0) -> "StochasticMap":
-        rows = np.zeros((n, n))
-        rows[:, target] = 1.0
-        return cls(rows)
-
-    @classmethod
     def deterministic(cls, assignment, n_f: int) -> "StochasticMap":
         assignment = np.asarray(assignment, dtype=int)
+        if not ((0 <= assignment) & (assignment < n_f)).all():
+            raise DistributionError(f"assignment entries must lie in range({n_f}), got {assignment.tolist()}")
         rows = np.zeros((assignment.shape[0], n_f))
         rows[np.arange(assignment.shape[0]), assignment] = 1.0
         return cls(rows)

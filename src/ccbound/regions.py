@@ -5,19 +5,18 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from ._jsondoc import ATOL, constructor_reduce, read_only_copy
+from ._jsondoc import ATOL
 from .attack import critical_visibility, zero_key_visibility
 from .kernels import LP_SLACK
 
 # points per block of the grid: one block's arrays, its record buffer and
 # the joined bytes of its rows then stay near 1 MB.
-# region_grid, write_region_csv and stream_region_csv all take blocks of the
-# whole t rows that fit (at least one row)
+# stream_region_csv classifies and writes blocks of the whole t rows that
+# fit (at least one row)
 BLOCK_POINTS = 1 << 14
 
 
@@ -61,8 +60,9 @@ def classify_arrays(s, t):
     recomputed by ``attack.critical_visibility`` for the points within
     1e-12 of it, so every label is that of the scalar formulas.
 
-    ``region_grid`` labels every point with it, and ``stream_region_csv``
-    the points where numpy's polar form could change a byte.
+    ``stream_region_csv`` labels with it the points where numpy's polar
+    form could change a byte, so the CSV of a grid is the text of
+    ``classify_arrays`` over the grid's tiled axis.
     """
     fs = np.abs(np.asarray(s, dtype=float))
     ft = np.abs(np.asarray(t, dtype=float))
@@ -137,55 +137,12 @@ def _classified_block(s: np.ndarray, t: np.ndarray):
     return visibility, theta, codes
 
 
-@dataclass(frozen=True, eq=False)
-class RegionGrid:
-    """Classified slice points held as read-only arrays.
-
-    ``axis`` holds the coordinates shared by s and t: with n = len(axis),
-    point i is (s, t) = (axis[i % n], axis[i // n]), so t is the outer loop,
-    and its label is ``LABELS[codes[i]]``.
-    """
-
-    visibility: np.ndarray
-    theta: np.ndarray
-    codes: np.ndarray
-    axis: np.ndarray
-
-    __reduce__ = constructor_reduce
-
-    def __post_init__(self):
-        for name in ("visibility", "theta", "codes", "axis"):
-            object.__setattr__(self, name, read_only_copy(getattr(self, name)))
-        size = len(self.axis) ** 2
-        if any(array.shape != (size,) for array in (self.visibility, self.theta, self.codes)):
-            raise ValueError(f"visibility, theta and codes must each hold len(axis)**2 = {size} points")
-        if not (np.issubdtype(self.codes.dtype, np.integer) and np.isin(self.codes, range(len(LABELS))).all()):
-            raise ValueError(f"codes must be integers in range({len(LABELS)}), got {self.codes.dtype} codes")
-
-
 def _grid_axis(resolution: int) -> np.ndarray:
     """The coordinates shared by s and t on the uniform grid over [0, 1]^2."""
     resolution = operator.index(resolution)
     if resolution < 2:
         raise ValueError(f"resolution must be at least 2, got {resolution}")
     return np.arange(resolution) * (1.0 / (resolution - 1))
-
-
-def region_grid(resolution: int) -> RegionGrid:
-    """Classified points of the uniform grid over [0, 1]^2.
-
-    Row-major with t as the outer loop and s as the inner loop.  Each
-    ``_row_blocks`` block is labelled by ``classify_arrays``, whose scalar
-    ``math.hypot`` and ``math.atan2`` the grid holds at every point.
-    """
-    axis = _grid_axis(resolution)
-    n = len(axis)
-    visibility, theta, codes = np.empty(n * n), np.empty(n * n), np.empty(n * n, dtype=np.int8)
-    for rows in _row_blocks(n):
-        t = axis[rows]
-        points = slice(rows.start * n, rows.stop * n)
-        visibility[points], theta[points], codes[points] = classify_arrays(np.tile(axis, len(t)), np.repeat(t, n))
-    return RegionGrid(visibility, theta, codes, axis)
 
 
 REGION_COMMENT = "# grid ordering: row-major, t outer loop, s inner loop"
@@ -239,28 +196,15 @@ _ROW = np.dtype({"names": ["s", "t", "v", "theta", "label"], "formats": ["u8"] *
 _ROW_WIDTHS = [36 + len(label.value) + 1 for label in LABELS]
 
 
-def write_region_csv(grid: RegionGrid, stream) -> None:
-    """Write the slice classification as CSV (6-decimal fixed formatting) to
-    a text stream.
-
-    The leading comment line records the grid ordering.  Rows are written
-    in blocks of whole t rows, at most ``BLOCK_POINTS`` points (or one t
-    row) each, one ``stream.write`` per block.  The s and t fields are
-    broadcast from the grid's axis, formatted once.
-    """
-    n = len(grid.axis)
-    arrays = [array.reshape(n, n) for array in (grid.visibility, grid.theta, grid.codes)]
-    blocks = ([array[rows] for array in arrays] for rows in _row_blocks(n))
-    _write_blocks(grid.axis, blocks, lambda data: stream.write(data.decode("ascii")))
-
-
 def stream_region_csv(resolution: int, stream) -> None:
-    """Write the CSV of ``region_grid(resolution)`` to a binary stream,
-    classifying one block of whole t rows at a time and holding only that
-    block.
+    """Write the slice classification of the uniform grid over [0, 1]^2 as
+    CSV (6-decimal fixed formatting) to a binary stream, classifying one
+    block of whole t rows at a time and holding only that block.
 
-    The resolution is checked before anything is written.  The bytes are
-    the text of ``write_region_csv(region_grid(resolution), stream)``.
+    The resolution is checked before anything is written.  The leading
+    comment line records the grid ordering, t outer and s inner.  Each row
+    is the ``"%.6f"`` text of s, t and the visibility and theta that
+    ``classify_arrays`` gives the point, then its label.
     """
     axis = _grid_axis(resolution)
     _write_blocks(axis, _classified_blocks(axis), stream.write)

@@ -9,6 +9,7 @@ import math
 import numpy as np
 
 from ccbound import attack as atk
+from ccbound import regions
 from ccbound.correlations import (
     chsh_arrangement,
     chsh_protocol_correlation,
@@ -17,7 +18,7 @@ from ccbound.correlations import (
 )
 from ccbound.infotheory import JointDistribution, minimize_intrinsic, mutual_information
 from ccbound.localset import is_local_lp, local_visibility, max_local_weight_along
-from ccbound.regions import LABELS, RegionLabel, region_grid
+from ccbound.regions import LABELS, RegionLabel, classify_arrays
 
 PI4 = math.pi / 4
 
@@ -140,11 +141,13 @@ def test_criterion_7_intrinsic_minimizer_sanity():
 
 
 def test_criterion_8_region_reproduction():
-    grid = region_grid(201)
-    assert len(grid.codes) == 201 * 201
-    # point i is (s, t) = (axis[i % n], axis[i // n])
-    s, t = np.tile(grid.axis, 201).tolist(), np.repeat(grid.axis, 201).tolist()
-    visibility, theta, labels = grid.visibility.tolist(), grid.theta.tolist(), [LABELS[c] for c in grid.codes.tolist()]
+    # point i of the 201 grid is (s, t) = (axis[i % n], axis[i // n])
+    axis = regions._grid_axis(201)
+    s, t = np.tile(axis, 201), np.repeat(axis, 201)
+    visibility, theta, codes = classify_arrays(s, t)
+    assert len(codes) == 201 * 201
+    s, t, visibility, theta = s.tolist(), t.tolist(), visibility.tolist(), theta.tolist()
+    labels = [LABELS[c] for c in codes.tolist()]
     red = [i for i, label in enumerate(labels) if label == RegionLabel.RED_ZERO_KEY]
     blue = [i for i, label in enumerate(labels) if label == RegionLabel.BLUE_POSITIVE_BOUND]
     assert red

@@ -173,6 +173,25 @@ def test_setting_pairs_outside_the_protocol_are_rejected_by_name(pair):
         atk.chsh_attack(PI4, 0.8, "auto", {pair: 1.0})
 
 
+@pytest.mark.parametrize("pair", [(True, 2), (0.5, 2)])
+def test_setting_indices_that_are_not_integers_are_rejected_by_name(pair):
+    # numpy reads a bool index as a mask, which adds an axis, and refuses a
+    # float one with its own IndexError
+    pattern = re.escape(f"setting pair {pair} must hold two integer indices")
+    with pytest.raises(atk.AttackError, match=pattern):
+        atk.tripartite(atk.cc_chsh(0.5, 0.9), *pair)
+    with pytest.raises(atk.AttackError, match=pattern):
+        atk.chsh_attack(0.5, 0.9, settings={pair: 1.0})
+
+
+def test_numpy_integer_setting_indices_are_accepted():
+    pair = (np.int64(0), np.int64(2))
+    decomposition = atk.cc_chsh(0.5, 0.9)
+    assert np.array_equal(atk.tripartite(decomposition, *pair).p, atk.tripartite(decomposition, 0, 2).p)
+    model = atk.chsh_attack(0.5, 0.9, settings={pair: 1.0})
+    assert np.array_equal(model.maps[(0, 2)].rows, atk.chsh_attack(0.5, 0.9).maps[(0, 2)].rows)
+
+
 def scalar_tripartite(decomposition, x, y):
     """The tripartite distribution entry by entry."""
     k_a, k_b = decomposition.scenario.k_a, decomposition.scenario.k_b

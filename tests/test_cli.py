@@ -19,12 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccbound import cli
+from ccbound import cli, regions
 from ccbound.attack import chsh_keyrate_bound, critical_visibility
 from ccbound.cli import main
 from ccbound.correlations import chsh_protocol_correlation, dump_correlation
 from ccbound.infotheory import JointDistribution, minimize_intrinsic
-from ccbound.regions import region_grid, write_region_csv
+from ccbound.regions import CSV_HEADER, LABELS, REGION_COMMENT, classify_arrays
 
 import pins
 
@@ -376,11 +376,14 @@ def test_region_stdout_equals_file(capsys, tmp_path):
 @pytest.mark.parametrize("resolution", [2, 128, 129, 300])
 def test_region_stream_equals_the_written_grid(capsys, resolution):
     # 16,384-point blocks: 128 is exactly one block, 129 blocks of 127 and 2
-    # rows, 300 blocks of 54 rows with a last one of 30
+    # rows, 300 blocks of 54 rows with a last one of 30; every row is the
+    # "%.6f" text of classify_arrays over the tiled axis
     code, out, _ = run(capsys, ["region", "--resolution", str(resolution)])
-    stream = io.StringIO()
-    write_region_csv(region_grid(resolution), stream)
-    assert code == 0 and out == stream.getvalue()
+    axis = regions._grid_axis(resolution)
+    s, t = np.tile(axis, resolution), np.repeat(axis, resolution)
+    columns = [column.tolist() for column in (s, t, *classify_arrays(s, t))]
+    rows = ["%.6f,%.6f,%.6f,%.6f,%s" % (*values, LABELS[label]) for *values, label in zip(*columns)]
+    assert code == 0 and out == "\n".join([REGION_COMMENT, CSV_HEADER, *rows, ""])
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,5 @@
 """Slice classification and the region grid."""
 
-import dataclasses
 import io
 import math
 import re
@@ -18,13 +17,11 @@ from ccbound import regions
 from ccbound.regions import (
     CSV_HEADER,
     LABELS,
-    RegionGrid,
+    REGION_COMMENT,
     RegionLabel,
     classify_arrays,
     fixed6_words,
-    region_grid,
     stream_region_csv,
-    write_region_csv,
 )
 
 
@@ -33,12 +30,18 @@ def _label(s, t):
     return LABELS[classify_arrays([s], [t])[2][0]]
 
 
-def _columns(grid):
-    """The grid's points as five lists: s, t, visibility, theta and label
-    code, point i being (axis[i % n], axis[i // n])."""
-    n = len(grid.axis)
-    columns = (np.tile(grid.axis, n), np.repeat(grid.axis, n), grid.visibility, grid.theta, grid.codes)
-    return [column.tolist() for column in columns]
+def _points(resolution):
+    """The grid's points as five arrays: s, t, and the visibility, theta and
+    label code that ``classify_arrays`` gives them, point i being
+    (axis[i % n], axis[i // n]).  The stream's bytes are the text of these."""
+    axis = regions._grid_axis(resolution)
+    s, t = np.tile(axis, len(axis)), np.repeat(axis, len(axis))
+    return (s, t, *classify_arrays(s, t))
+
+
+def _columns(resolution):
+    """``_points(resolution)`` as five lists."""
+    return [column.tolist() for column in _points(resolution)]
 
 
 def test_classify_examples():
@@ -100,21 +103,27 @@ def test_quantum_boundary_never_red():
         assert _label(math.cos(float(theta)), math.sin(float(theta))) == RegionLabel.BLUE_POSITIVE_BOUND
 
 
+def _streamed(resolution):
+    """The bytes ``stream_region_csv`` writes at the resolution."""
+    stream = io.BytesIO()
+    stream_region_csv(resolution, stream)
+    return stream.getvalue()
+
+
 def test_grid_shape_and_ordering():
-    grid = region_grid(2)
-    s, t, _, _, codes = _columns(grid)
-    assert len(codes) == 4
+    rows = [line.split(",") for line in _streamed(2).decode("ascii").splitlines()[2:]]
+    assert len(rows) == 4
     # row-major: t outer, s inner
-    assert (s[0], t[0]) == (0.0, 0.0)
-    assert (s[1], t[1]) == (1.0, 0.0)
-    assert (s[2], t[2]) == (0.0, 1.0)
-    assert LABELS[codes[0]] == RegionLabel.LOCAL
+    assert rows[0][:2] == ["0.000000", "0.000000"]
+    assert rows[1][:2] == ["1.000000", "0.000000"]
+    assert rows[2][:2] == ["0.000000", "1.000000"]
+    assert rows[0][4] == RegionLabel.LOCAL
     with pytest.raises(ValueError):
-        region_grid(1)
+        stream_region_csv(1, io.BytesIO())
 
 
 def test_grid_region_properties():
-    s, t, visibility, theta, codes = _columns(region_grid(101))
+    s, t, visibility, theta, codes = _columns(101)
     red = [i for i, code in enumerate(codes) if LABELS[code] == RegionLabel.RED_ZERO_KEY]
     blue = [i for i, code in enumerate(codes) if LABELS[code] == RegionLabel.BLUE_POSITIVE_BOUND]
     assert red and blue
@@ -129,7 +138,7 @@ def test_grid_region_properties():
 
 
 def test_red_points_are_nonlocal_by_lp():
-    s, t, _, _, codes = _columns(region_grid(51))
+    s, t, _, _, codes = _columns(51)
     points = [(s[i], t[i]) for i, code in enumerate(codes) if LABELS[code] == RegionLabel.RED_ZERO_KEY]
     rng = np.random.default_rng(12)
     for i in rng.choice(len(points), size=5, replace=False):
@@ -158,9 +167,7 @@ def test_classify_arrays_rejects_arrays_that_are_not_one_dimensional_pairs(s, t)
 
 
 def test_csv_format():
-    stream = io.StringIO()
-    write_region_csv(region_grid(3), stream)
-    lines = stream.getvalue().splitlines()
+    lines = _streamed(3).decode("ascii").splitlines()
     assert lines[0].startswith("#")
     assert lines[1] == CSV_HEADER
     assert len(lines) == 2 + 9
@@ -170,48 +177,54 @@ def test_csv_format():
 
 
 def test_format_point_is_stable():
-    stream = io.StringIO()
-    write_region_csv(region_grid(101), stream)
     # the point s = 0.55, t = 0.48: row-major with t outer, so row 48 * 101 + 55
-    assert stream.getvalue().splitlines()[2 + 48 * 101 + 55] == (
+    assert _streamed(101).decode("ascii").splitlines()[2 + 48 * 101 + 55] == (
         "0.550000,0.480000,0.730000,0.717541,RED_ZERO_KEY"
     )
 
 
-def _percent6_lines(grid):
+def _percent6_lines(s, t, visibility, theta, codes):
+    """The CSV rows of the points, each value formatted by "%.6f"."""
     return [
         f"{s:.6f},{t:.6f},{v:.6f},{theta:.6f},{LABELS[code]}"
-        for s, t, v, theta, code in zip(*_columns(grid))
+        for s, t, v, theta, code in zip(*(column.tolist() for column in (s, t, visibility, theta, codes)))
     ]
+
+
+def _written(axis, visibility, theta, codes):
+    """The CSV text ``_write_blocks`` makes of the arrays of the points
+    (axis[i % n], axis[i // n]), passed to it in ``_row_blocks`` blocks."""
+    n = len(axis)
+    arrays = [array.reshape(n, n) for array in (visibility, theta, codes)]
+    stream = io.BytesIO()
+    regions._write_blocks(axis, ([array[rows] for array in arrays] for rows in regions._row_blocks(n)), stream.write)
+    return stream.getvalue().decode("ascii")
 
 
 @pytest.mark.parametrize("resolution", [257, 300])
 def test_csv_rows_match_percent_format_of_the_grid(resolution):
     # 257: the axis step 1/256 puts exact binary ties into the axis fields;
     # 300: 90,000 points end on a partial block of t rows
-    grid = region_grid(resolution)
+    axis = regions._grid_axis(resolution)
+    s, t, visibility, theta, codes = _points(resolution)
     # the near-tie fallback of fixed6_words decides no byte of any grid
-    # (rint and "%.6f" both round exact ties to even), so the same grid also
-    # carries v and theta values at or an ulp from decimal ties, which
+    # (rint and "%.6f" both round exact ties to even), so the writer is also
+    # given v and theta values at or an ulp from decimal ties, which
     # rint(v * 1e6) alone gets wrong about 1% of the time
     rng = np.random.default_rng(resolution)
-    ties = (rng.integers(0, 2_000_000, size=(2, len(grid.codes))) + 0.5) / 1e6
+    ties = (rng.integers(0, 2_000_000, size=(2, len(codes))) + 0.5) / 1e6
     side = rng.integers(-1, 2, size=ties.shape)
     near = np.where(side < 0, np.nextafter(ties, 0.0), np.where(side > 0, np.nextafter(ties, 10.0), ties))
-    for case in (grid, dataclasses.replace(grid, visibility=near[0], theta=near[1])):
-        stream = io.StringIO()
-        write_region_csv(case, stream)
-        assert stream.getvalue().split("\n")[2:] == _percent6_lines(case) + [""]
+    for v, angle in ((visibility, theta), (near[0], near[1])):
+        assert _written(axis, v, angle, codes).split("\n")[2:] == _percent6_lines(s, t, v, angle, codes) + [""]
 
 
 @pytest.mark.parametrize("resolution", [2, 3, 7, 21, 100, 201, 333, 401, 801])
 def test_streamed_csv_bytes_are_the_written_text(resolution):
-    # the stream labels and formats numpy's polar form; region_grid holds
-    # the scalar formulas' values and classify_arrays' labels
-    binary, text = io.BytesIO(), io.StringIO()
-    stream_region_csv(resolution, binary)
-    write_region_csv(region_grid(resolution), text)
-    assert binary.getvalue() == text.getvalue().encode("ascii")
+    # the stream labels and formats numpy's polar form; the oracle formats
+    # the scalar formulas' values and classify_arrays' labels row by row
+    lines = [REGION_COMMENT, CSV_HEADER, *_percent6_lines(*_points(resolution)), ""]
+    assert _streamed(resolution) == "\n".join(lines).encode("ascii")
 
 
 def _shifted(function, ulps):
@@ -281,34 +294,17 @@ def test_csv_record_layout():
 
 def test_csv_rows_are_the_points_the_grid_indexes():
     # the writer reads s and t from the axis, point i being
-    # (axis[i % n], axis[i // n]), so a grid given another axis writes the
-    # points of that axis
-    grid = region_grid(51)
-    squared = dataclasses.replace(grid, axis=grid.axis**2)
-    stream = io.StringIO()
-    write_region_csv(squared, stream)
-    assert stream.getvalue().split("\n")[2:] == _percent6_lines(squared) + [""]
-
-
-def test_grid_rejects_arrays_that_do_not_fit_its_axis():
-    grid = region_grid(5)
-    with pytest.raises(ValueError, match="len\\(axis\\)\\*\\*2 = 25"):
-        dataclasses.replace(grid, codes=grid.codes[:-1])
-    with pytest.raises(ValueError):
-        dataclasses.replace(grid, axis=grid.axis[:-1])
-
-
-@pytest.mark.parametrize("codes", [[-1, 0, 0, 0], [0, 0, 0, 4], [0.0, 0.0, 0.0, 0.0]])
-def test_grid_rejects_codes_that_index_no_label(codes):
-    with pytest.raises(ValueError, match=re.escape(f"codes must be integers in range({len(LABELS)})")):
-        RegionGrid(np.zeros(4), np.zeros(4), np.array(codes), np.zeros(2))
+    # (axis[i % n], axis[i // n]), so the arrays of a grid written over
+    # another axis give the points of that axis
+    s, t, visibility, theta, codes = _points(51)
+    squared = regions._grid_axis(51) ** 2
+    rows = _percent6_lines(np.tile(squared, 51), np.repeat(squared, 51), visibility, theta, codes)
+    assert _written(squared, visibility, theta, codes).split("\n")[2:] == rows + [""]
 
 
 @pytest.mark.parametrize("resolution", [2.5, 3.0])
 def test_grid_refuses_a_resolution_that_is_not_an_integer(resolution):
     # 2.5 would give the axis [0, 0.667, 1.333] and a CSV row outside the unit square
-    with pytest.raises(TypeError):
-        region_grid(resolution)
     stream = io.BytesIO()
     with pytest.raises(TypeError):
         stream_region_csv(resolution, stream)
@@ -316,20 +312,8 @@ def test_grid_refuses_a_resolution_that_is_not_an_integer(resolution):
 
 
 def test_grid_takes_a_numpy_integer_resolution():
-    assert region_grid(np.int64(3)).axis.tolist() == [0.0, 0.5, 1.0]
-    numpy_int, python_int = io.BytesIO(), io.BytesIO()
-    stream_region_csv(np.int64(3), numpy_int)
-    stream_region_csv(3, python_int)
-    assert numpy_int.getvalue() == python_int.getvalue()
-
-
-def test_grid_keeps_read_only_copies_of_its_arrays():
-    visibility, theta, codes, axis = np.zeros(4), np.zeros(4), np.zeros(4, dtype=np.int8), np.zeros(2)
-    grid = RegionGrid(visibility, theta, codes, axis)
-    assert all(array.flags.writeable for array in (visibility, theta, codes, axis))
-    assert not any(array.flags.writeable for array in (grid.visibility, grid.theta, grid.codes, grid.axis))
-    visibility[0] = 1.0
-    assert grid.visibility[0] == 0.0
+    assert regions._grid_axis(np.int64(3)).tolist() == [0.0, 0.5, 1.0]
+    assert _streamed(np.int64(3)) == _streamed(3)
 
 
 def test_classify_labels_overflowing_coordinates_outside_quantum():
@@ -341,13 +325,15 @@ def test_classify_labels_overflowing_coordinates_outside_quantum():
 
 
 def test_grid_arrays_are_classify_arrays_of_its_points():
-    # 300 points a row give blocks of 54 rows, the last of them 30 rows
-    grid = region_grid(300)
-    n = len(grid.axis)
-    assert regions._row_blocks(n)[-1] == slice(270, 300)
-    expected = classify_arrays(np.tile(grid.axis, n), np.repeat(grid.axis, n))
-    for array, scalar in zip((grid.visibility, grid.theta, grid.codes), expected):
-        assert array.dtype == scalar.dtype and array.tobytes() == scalar.tobytes()
+    # 300 points a row give blocks of 54 rows, the last of them 30 rows; the
+    # streamed blocks hold the labels and "%.6f" text of classify_arrays
+    blocks = list(regions._classified_blocks(regions._grid_axis(300)))
+    assert [len(codes) for _, _, codes in blocks] == [54] * 5 + [30]
+    _, _, visibility, theta, codes = _points(300)
+    streamed = [np.concatenate([block[k] for block in blocks]).ravel() for k in range(3)]
+    assert streamed[2].dtype == codes.dtype and streamed[2].tobytes() == codes.tobytes()
+    for values, scalar in zip(streamed[:2], (visibility, theta)):
+        assert fixed6_words(values).tobytes() == fixed6_words(scalar).tobytes()
 
 
 def test_classify_rejects_nan():
@@ -357,7 +343,7 @@ def test_classify_rejects_nan():
 
 def test_grid_polar_fields_and_labels_match_scalar_formulas():
     red = blue = 0
-    for s, t, visibility, theta, code in zip(*_columns(region_grid(201))):
+    for s, t, visibility, theta, code in zip(*_columns(201)):
         assert visibility == math.hypot(s, t)
         assert theta == math.atan2(t, s)
         if s + t > 1.0 + 1e-12 and visibility <= 1.0 + 1e-12:

@@ -40,7 +40,6 @@ def _values():
         "JointDistribution": joint,
         "StochasticMap": attack.eve_map(0.9, 0.5),
         "MeasurementArrangement": correlations.chsh_arrangement(0.3),
-        "RegionGrid": regions.region_grid(5),
         "CCDecomposition": decomposition,
         "AttackModel": attack.chsh_attack(PI4, 0.9),
         "NSLocalWeight": localset.max_local_weight_ns(corr),
