@@ -2,9 +2,11 @@
 
 ``json`` gives integers, floats, bools, strings, None, lists and dicts; a
 size must be an integer (a bool is not one) and a table must nest lists of
-numbers, so that a typo fails instead of being truncated or coerced.  Every
-probability table (a correlation, a joint distribution, a stochastic map),
-read from a file or built in code, passes :func:`probability_table`.
+numbers, so that a typo fails instead of being truncated or coerced.
+:func:`is_index` is the one integer test of sizes, counts and setting
+indices, read or passed in code.  Every probability table (a correlation,
+a joint distribution, a stochastic map), read from a file or built in
+code, passes :func:`probability_table`.
 The value types hold :func:`read_only_copy` arrays and stay frozen through
 copies with :func:`constructor_reduce` and :class:`FrozenDict`.
 """
@@ -28,9 +30,17 @@ def json_document(path, error: type[Exception]):
             raise error(f"invalid JSON in {path}: {exc}") from exc
 
 
+def is_index(value) -> bool:
+    """Whether ``value`` is a Python int or a numpy integer: not a bool, which
+    numpy would read as a mask and Python as 0 or 1, nor a float.  The
+    concrete types, not ``numbers.Integral``, keep the test cheap on the
+    sweep's paths."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 def json_int(value, name: str, error: type[Exception]) -> int:
     """``value`` if it is a JSON integer, else raise ``error``."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not is_index(value):
         raise error(f"{name} must be a JSON integer, got {value!r}")
     return value
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from ._jsondoc import ATOL, FrozenDict
+from ._jsondoc import ATOL, FrozenDict, is_index
 from .correlations import Correlation, MeasurementArrangement, chsh_arrangement, werner_correlation
 from .infotheory import JointDistribution, StochasticMap
 from .localset import local_visibility
@@ -60,18 +60,12 @@ class CCDecomposition:
         return self.local.mix(self.nonlocal_part, self.local_weight)
 
 
-def _is_index(i) -> bool:
-    """Whether i is a Python or numpy integer and not a bool, which numpy
-    would read as a mask."""
-    return isinstance(i, (int, np.integer)) and not isinstance(i, bool)
-
-
 def _check_settings(scenario, setting_weights: dict, maps=()) -> None:
     """Raise AttackError unless every setting pair (x, y), weighted or
-    mapped, is two ``_is_index`` integers that index the scenario's settings
+    mapped, is two ``is_index`` integers that index the scenario's settings
     and every weight is finite and >= 0."""
     for x, y in [*setting_weights, *maps]:
-        if not (_is_index(x) and _is_index(y)):
+        if not (is_index(x) and is_index(y)):
             raise AttackError(f"setting pair {(x, y)} must hold two integer indices")
         if not (0 <= x < scenario.n_a and 0 <= y < scenario.n_b):
             raise AttackError(f"setting pair {(x, y)} is outside the {scenario.n_a}x{scenario.n_b} settings")

@@ -2,9 +2,8 @@
 
 Subcommands: constants, curve, region, bound, intrinsic, localweight.
 All outputs use 6-decimal fixed formatting, '.' decimals, ',' separators
-and LF line endings so repeated runs are byte-identical.  The environment
-variable CCBOUND_SEED overrides the default seed 0 for the
-intrinsic-information minimizer; --seed overrides both.
+and LF line endings so repeated runs are byte-identical: an output depends
+only on the arguments and the input files.
 """
 
 from __future__ import annotations
@@ -34,14 +33,6 @@ from .infotheory import MinimizerError, load_distribution, minimize_intrinsic
 from .localset import LPError, local_visibility, max_local_weight_along, max_local_weight_ns
 
 USER_ERRORS = (LPError, MinimizerError, ValueError, OSError, MemoryError)
-
-
-def _default_seed() -> int:
-    raw = os.environ.get("CCBOUND_SEED", "0")
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CCBOUND_SEED must be an integer, got {raw!r}") from None
 
 
 def _resolve_theta(parser: argparse.ArgumentParser, args) -> float:
@@ -241,8 +232,7 @@ def cmd_bound(parser, args) -> int:
 
 def cmd_intrinsic(parser, args) -> int:
     dist = load_distribution(args.distribution)
-    seed = args.seed if args.seed is not None else _default_seed()
-    result = minimize_intrinsic(dist, restarts=args.restarts, seed=seed)
+    result = minimize_intrinsic(dist, restarts=args.restarts, seed=args.seed)
     if args.json:
         print(
             json.dumps(
@@ -285,9 +275,6 @@ def cmd_localweight(parser, args) -> int:
 # --------------------------------------------------------------------- main
 
 
-JOBS_HELP = "accepted for compatibility and ignored; the sweep runs in one process"
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccbound",
@@ -311,12 +298,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--v-max", type=float, default=1.0)
     p_curve.add_argument("--step", type=float, default=0.005)
     p_curve.add_argument("--out", default="-", help="output path or '-' for stdout")
-    p_curve.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p_region = sub.add_parser("region", help="classify the two-parameter slice grid (CSV)")
     p_region.add_argument("--resolution", type=int, default=201, help="points per axis")
     p_region.add_argument("--out", default="-", help="output path or '-' for stdout")
-    p_region.add_argument("--jobs", type=int, default=1, help=JOBS_HELP)
 
     p_bound = sub.add_parser("bound", help="attack a protocol correlation from a JSON file")
     p_bound.add_argument("correlation", help="correlation JSON file")
@@ -337,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_intr = sub.add_parser("intrinsic", help="minimize I(A:B|F) for a joint distribution file")
     p_intr.add_argument("distribution", help="joint distribution JSON file")
     p_intr.add_argument("--restarts", type=int, default=32)
-    p_intr.add_argument("--seed", type=int, default=None, help="overrides CCBOUND_SEED (default 0)")
+    p_intr.add_argument("--seed", type=int, default=0)
     p_intr.add_argument("--json", action="store_true")
 
     p_lw = sub.add_parser("localweight", help="maximal local weight of a correlation")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsondoc import ATOL, constructor_reduce, json_document, json_int, json_table, probability_table, read_only_copy
+from ._jsondoc import ATOL, constructor_reduce, is_index, json_document, json_int, json_table, probability_table, read_only_copy
 
 
 class CorrelationError(ValueError):
@@ -27,7 +27,8 @@ class OutsideQuantumDiscError(CorrelationError):
 
 @dataclass(frozen=True)
 class Scenario:
-    """Input/output counts of a bipartite measurement scenario."""
+    """Input/output counts of a bipartite measurement scenario, stored as
+    Python ints (a numpy integer count is converted, a bool refused)."""
 
     n_a: int
     n_b: int
@@ -37,8 +38,10 @@ class Scenario:
     def __post_init__(self):
         for name in ("n_a", "n_b", "k_a", "k_b"):
             value = getattr(self, name)
-            if not isinstance(value, int) or value < 1:
+            if not (is_index(value) and value >= 1):
                 raise CorrelationError(f"{name} must be a positive integer, got {value!r}")
+            if type(value) is not int:
+                object.__setattr__(self, name, int(value))
 
     @property
     def table_shape(self) -> tuple[int, int, int, int]:
@@ -96,7 +99,11 @@ class Correlation:
         object.__setattr__(self, "table", probability_table(self.table, (0, 1), CorrelationError))
 
     def block(self, x: int, y: int) -> np.ndarray:
-        """The 2D outcome table p(.,.|x,y)."""
+        """The 2D outcome table p(.,.|x,y); x and y must be integer indices of
+        the settings (numpy would read a bool as a mask and wrap a negative)."""
+        s = self.scenario
+        if not (is_index(x) and is_index(y) and 0 <= x < s.n_a and 0 <= y < s.n_b):
+            raise CorrelationError(f"setting pair {(x, y)} is not an index pair of the {s.n_a}x{s.n_b} settings")
         return self.table[:, :, x, y]
 
     def is_nonsignaling(self, atol: float = ATOL) -> bool:

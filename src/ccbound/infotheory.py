@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from ._jsondoc import constructor_reduce, json_document, json_int, json_table, probability_table
+from ._jsondoc import constructor_reduce, is_index, json_document, json_int, json_table, probability_table
 
 SWEEP_GUARD = 10**7
 
@@ -87,8 +87,9 @@ class StochasticMap:
 
     @classmethod
     def deterministic(cls, assignment, n_f: int) -> "StochasticMap":
-        assignment = np.asarray(assignment, dtype=int)
-        if not ((0 <= assignment) & (assignment < n_f)).all():
+        # integer symbols only: a float would be truncated and a bool read as 0 or 1
+        assignment = np.asarray(assignment)
+        if not (is_index(n_f) and assignment.dtype.kind in "iu" and ((0 <= assignment) & (assignment < n_f)).all()):
             raise DistributionError(f"assignment entries must lie in range({n_f}), got {assignment.tolist()}")
         rows = np.zeros((assignment.shape[0], n_f))
         rows[np.arange(assignment.shape[0]), assignment] = 1.0
@@ -289,10 +290,11 @@ def minimize_intrinsic(
     and lanes are 0).  An |E| whose Nelder-Mead state would exceed
     NELDER_MEAD_GUARD entries raises ValueError before anything is built.
     """
-    if restarts < 0:
-        raise ValueError(f"restarts must be >= 0, got {restarts}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    for name, value in (("restarts", restarts), ("seed", seed)):
+        if not is_index(value):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+        if value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
     n_e = dist.p.shape[2]
     n_f = n_e
     n = n_e * n_f

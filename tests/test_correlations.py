@@ -56,6 +56,19 @@ def test_scenario_rejects_nonpositive_counts():
         Scenario(2, 3, 2, -1)
 
 
+@pytest.mark.parametrize("count", [True, 2.0, "2"])
+def test_scenario_refuses_a_count_that_is_not_an_integer(count):
+    # True would be read as 1
+    with pytest.raises(CorrelationError, match=re.escape(f"n_a must be a positive integer, got {count!r}")):
+        Scenario(count, 3, 2, 2)
+
+
+def test_scenario_stores_a_numpy_integer_count_as_an_int():
+    scenario = Scenario(np.int64(2), np.uint8(3), 2, 2)
+    assert scenario == Scenario(2, 3, 2, 2) and type(scenario.n_a) is type(scenario.n_b) is int
+    assert repr(scenario) == "Scenario(n_a=2, n_b=3, k_a=2, k_b=2)"
+
+
 def test_unit_vector_validation():
     v = unit_vector((0.0, 0.0, 1.0))
     assert not v.flags.writeable
@@ -104,6 +117,19 @@ def test_perfect_anticorrelation_axes():
     assert block[1, 1] == pytest.approx(0.5, abs=1e-15)
     assert block[0, 1] == 0.0
     assert block[1, 0] == 0.0
+
+
+@pytest.mark.parametrize("pair", [(True, 0), (0, 0.0), (-1, -1), (2, 0), (0, 3)])
+def test_block_refuses_a_pair_that_is_not_a_setting(pair):
+    # numpy would read True as a mask, which adds an axis, and -1 as the last setting
+    pattern = re.escape(f"setting pair {pair!r} is not an index pair of the 2x3 settings")
+    with pytest.raises(CorrelationError, match=pattern):
+        chsh_protocol_correlation(0.5, 0.8).block(*pair)
+
+
+def test_block_takes_numpy_integer_indices():
+    corr = chsh_protocol_correlation(0.5, 0.8)
+    assert np.array_equal(corr.block(np.int64(1), np.uint8(2)), corr.table[:, :, 1, 2])
 
 
 def test_zero_visibility_is_uniform():

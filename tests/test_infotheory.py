@@ -56,11 +56,17 @@ def test_stochastic_map_validation():
     assert np.array_equal(ident.rows, np.eye(4))
 
 
-@pytest.mark.parametrize("assignment", [[0, -1], [0, 5]])
+@pytest.mark.parametrize("assignment", [[0, -1], [0, 5], [0.9, 1.7], [True, False], [0.0, 1.0]])
 def test_deterministic_map_refuses_symbols_outside_its_alphabet(assignment):
-    # -1 must not wrap round to the last symbol, and 5 must not raise numpy's IndexError
+    # -1 must not wrap round to the last symbol, 5 must not raise numpy's IndexError,
+    # [0.9, 1.7] must not be truncated to the identity, nor [True, False] read as the swap
     with pytest.raises(DistributionError, match=re.escape(f"assignment entries must lie in range(2), got {assignment}")):
         StochasticMap.deterministic(assignment, 2)
+
+
+def test_deterministic_map_refuses_an_output_alphabet_that_is_not_an_integer():
+    with pytest.raises(DistributionError, match=re.escape("range(2.0)")):
+        StochasticMap.deterministic([0, 1], 2.0)
 
 
 def _correlation_with(bad):
@@ -331,6 +337,21 @@ def test_minimizer_rejects_negative_restarts():
     with pytest.raises(ValueError, match="restarts must be >= 0, got -3"):
         minimize_intrinsic(dist, restarts=-3, seed=0)
     assert minimize_intrinsic(dist, restarts=0, seed=0).record.starts == 1
+
+
+@pytest.mark.parametrize("name, value", [("restarts", 1.5), ("restarts", True), ("seed", 0.5), ("seed", False)])
+def test_minimizer_rejects_counts_that_are_not_integers(name, value):
+    # range(1.5) and numpy's seeding would raise their own errors, and True would run one restart
+    dist = random_joint((2, 2, 3), np.random.default_rng(8))
+    with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {value!r}")):
+        minimize_intrinsic(dist, **{name: value})
+
+
+def test_minimizer_takes_numpy_integer_counts():
+    dist = random_joint((2, 2, 3), np.random.default_rng(8))
+    result = minimize_intrinsic(dist, restarts=np.int64(2), seed=np.uint8(3))
+    expected = minimize_intrinsic(dist, restarts=2, seed=3)
+    assert result.bound == expected.bound and np.array_equal(result.map.rows, expected.map.rows)
 
 
 @pytest.mark.parametrize("restarts", [0, 2])
