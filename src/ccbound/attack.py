@@ -258,7 +258,9 @@ def chsh_attack(
     is used for every pair (any fraction still yields a valid upper bound).
     """
     auto = isinstance(unknown_fraction, str) and unknown_fraction == "auto"
-    if not auto and not (isinstance(unknown_fraction, numbers.Real) and 0.0 <= unknown_fraction <= 1.0):
+    # a bool is a numbers.Real, but not a fraction
+    real = isinstance(unknown_fraction, numbers.Real) and not isinstance(unknown_fraction, bool)
+    if not auto and not (real and 0.0 <= unknown_fraction <= 1.0):
         raise AttackError(f"unknown_fraction must be 'auto' or a real number in [0, 1], got {unknown_fraction!r}")
     if settings is None:
         settings = {(0, 2): 1.0}

@@ -1,6 +1,7 @@
 """Command-line interface.
 
 Subcommands: constants, curve, region, bound, intrinsic, localweight.
+Run as ``ccbound`` or ``python -m ccbound.cli``; the angle ``--theta`` is in radians.
 All outputs use 6-decimal fixed formatting, '.' decimals, ',' separators
 and LF line endings so repeated runs are byte-identical: an output depends
 only on the arguments and the input files.
@@ -35,8 +36,7 @@ from .localset import LPError, local_visibility, max_local_weight_along, max_loc
 USER_ERRORS = (LPError, MinimizerError, ValueError, OSError, MemoryError)
 
 
-def _resolve_theta(parser: argparse.ArgumentParser, args) -> float:
-    theta = args.theta if args.theta_deg is None else math.radians(args.theta_deg)
+def _checked_theta(parser: argparse.ArgumentParser, theta: float) -> float:
     if not 0.0 < theta < math.pi / 2:
         parser.error(f"theta must lie strictly between 0 and pi/2, got {theta}")
     if local_visibility(theta) >= 1.0:
@@ -68,7 +68,7 @@ CURVE_ROW = np.dtype({"names": ["v", "S", "bound"], "formats": ["u8"] * 3, "offs
 
 
 def cmd_constants(parser, args) -> int:
-    theta = _resolve_theta(parser, args)
+    theta = _checked_theta(parser, args.theta)
     values = {
         "werner_local_visibility": atk.WERNER_LOCAL_VISIBILITY,
         "werner_nonlocal_visibility": atk.WERNER_NONLOCAL_VISIBILITY,
@@ -88,7 +88,7 @@ def cmd_constants(parser, args) -> int:
 # -------------------------------------------------------------------- curve
 
 def cmd_curve(parser, args) -> int:
-    theta = _resolve_theta(parser, args)
+    theta = _checked_theta(parser, args.theta)
     if not args.step > 0:
         parser.error("--step must be positive")
     if math.isinf(args.step):
@@ -156,7 +156,7 @@ def _parse_fraction(text: str):
 
 
 def cmd_bound(parser, args) -> int:
-    theta = _resolve_theta(parser, args)
+    theta = _checked_theta(parser, args.theta)
     observed = load_correlation(args.correlation)
     if observed.scenario != chsh_arrangement(theta).scenario:
         raise CorrelationError(
@@ -261,14 +261,16 @@ def cmd_localweight(parser, args) -> int:
         result = max_local_weight_ns(corr)
     else:
         result = max_local_weight_along(corr, load_correlation(args.target))
-    print(f"q_max = {result.q:.6f}")
+    # the file is written before any line is printed, so a failed write prints none
+    lines = [f"q_max = {result.q:.6f}"]
     if not (args.ns or result.on_segment):
-        print("note: no local decomposition along this target")
+        lines.append("note: no local decomposition along this target")
     if args.out and result.local is None:
-        print(f"note: no local component, so {args.out} was not written")
+        lines.append(f"note: no local component, so {args.out} was not written")
     elif args.out:
         dump_correlation(result.local, args.out)
-        print(f"local component written to {args.out}")
+        lines.append(f"local component written to {args.out}")
+    print("\n".join(lines))
     return 0
 
 
@@ -284,15 +286,15 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_theta(p):
-        group = p.add_mutually_exclusive_group()
-        group.add_argument("--theta", type=float, default=math.pi / 4, help="protocol angle in radians (default pi/4)")
-        group.add_argument("--theta-deg", type=float, default=None, help="protocol angle in degrees")
+        p.add_argument("--theta", type=float, default=math.pi / 4, help="protocol angle in radians (default pi/4)")
 
     p_const = sub.add_parser("constants", help="print the locality and critical visibilities")
+    p_const.set_defaults(run=cmd_constants)
     add_theta(p_const)
     p_const.add_argument("--json", action="store_true")
 
     p_curve = sub.add_parser("curve", help="key-rate bound curve over a visibility range (CSV)")
+    p_curve.set_defaults(run=cmd_curve)
     add_theta(p_curve)
     p_curve.add_argument("--v-min", type=float, default=0.65)
     p_curve.add_argument("--v-max", type=float, default=1.0)
@@ -300,10 +302,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--out", default="-", help="output path or '-' for stdout")
 
     p_region = sub.add_parser("region", help="classify the two-parameter slice grid (CSV)")
+    p_region.set_defaults(run=cmd_region)
     p_region.add_argument("--resolution", type=int, default=201, help="points per axis")
     p_region.add_argument("--out", default="-", help="output path or '-' for stdout")
 
     p_bound = sub.add_parser("bound", help="attack a protocol correlation from a JSON file")
+    p_bound.set_defaults(run=cmd_bound)
     p_bound.add_argument("correlation", help="correlation JSON file")
     add_theta(p_bound)
     p_bound.add_argument(
@@ -320,12 +324,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.add_argument("--json", action="store_true")
 
     p_intr = sub.add_parser("intrinsic", help="minimize I(A:B|F) for a joint distribution file")
+    p_intr.set_defaults(run=cmd_intrinsic)
     p_intr.add_argument("distribution", help="joint distribution JSON file")
     p_intr.add_argument("--restarts", type=int, default=32)
     p_intr.add_argument("--seed", type=int, default=0)
     p_intr.add_argument("--json", action="store_true")
 
     p_lw = sub.add_parser("localweight", help="maximal local weight of a correlation")
+    p_lw.set_defaults(run=cmd_localweight)
     p_lw.add_argument("correlation", help="correlation JSON file")
     group = p_lw.add_mutually_exclusive_group(required=True)
     group.add_argument("--target", help="nonlocal-part correlation JSON file")
@@ -335,23 +341,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "constants": cmd_constants,
-    "curve": cmd_curve,
-    "region": cmd_region,
-    "bound": cmd_bound,
-    "intrinsic": cmd_intrinsic,
-    "localweight": cmd_localweight,
-}
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
         # an overflowing table sum is reported by its own check, in one line
         with np.errstate(over="ignore"):
-            code = COMMANDS[args.command](parser, args)
+            code = args.run(parser, args)
         sys.stdout.flush()
         return code
     except BrokenPipeError:
@@ -366,9 +362,5 @@ def main(argv=None) -> int:
         return 1
 
 
-def entrypoint() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

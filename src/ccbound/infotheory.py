@@ -82,10 +82,6 @@ class StochasticMap:
         object.__setattr__(self, "rows", probability_table(arr, 1, DistributionError))
 
     @classmethod
-    def identity(cls, n: int) -> "StochasticMap":
-        return cls(np.eye(n))
-
-    @classmethod
     def deterministic(cls, assignment, n_f: int) -> "StochasticMap":
         # integer symbols only: a float would be truncated and a bool read as 0 or 1
         assignment = np.asarray(assignment)

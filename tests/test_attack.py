@@ -443,7 +443,7 @@ def test_attack_model_validates_weights():
 def test_attack_model_rejects_a_map_of_the_wrong_alphabet():
     # setting_information pushes the 5-symbol side information through each map
     with pytest.raises(atk.AttackError, match=r"^map for setting \(0, 2\) takes 3 symbols, expected 5$"):
-        atk.AttackModel(atk.cc_chsh(PI4, 0.9), {(0, 2): StochasticMap.identity(3)}, {(0, 2): 1.0})
+        atk.AttackModel(atk.cc_chsh(PI4, 0.9), {(0, 2): StochasticMap(np.eye(3))}, {(0, 2): 1.0})
 
 
 def step_by_step_attack(theta, v, unknown_fraction, settings):
@@ -526,7 +526,10 @@ def test_chsh_attack_default_settings_and_recorded_fraction():
     assert atk.AttackModel(model.decomposition, model.maps, model.setting_weights).unknown_fractions == {}
 
 
-@pytest.mark.parametrize("fraction", ["x", "Auto", "0.5", "", None, math.nan, 1.5, -0.1, np.array([0.5, 0.6])])
+# a bool is a numbers.Real, but True must not be read as the fraction 1.0
+@pytest.mark.parametrize(
+    "fraction", ["x", "Auto", "0.5", "", None, math.nan, 1.5, -0.1, np.array([0.5, 0.6]), True, False]
+)
 def test_chsh_attack_names_a_fraction_it_cannot_use(fraction):
     message = f"unknown_fraction must be 'auto' or a real number in [0, 1], got {fraction!r}"
     with pytest.raises(atk.AttackError, match=f"^{re.escape(message)}$"):

@@ -87,13 +87,16 @@ def _into_closed_pipe(argv):
         proc.stderr.close()
 
 
-def test_python_m_ccbound_runs_the_cli():
-    procs = [
+def test_python_m_ccbound_runs_the_cli(capsys):
+    # ccbound.cli is the one module entry: it prints main's bytes, and the package has no __main__
+    code, out, _ = run(capsys, ["constants"])
+    cli_proc, package_proc = (
         subprocess.run([sys.executable, "-m", module, "constants"], capture_output=True, env=CHILD_ENV, timeout=60)
-        for module in ("ccbound", "ccbound.cli")
-    ]
-    assert [proc.returncode for proc in procs] == [0, 0]
-    assert procs[0].stdout == procs[1].stdout != b""
+        for module in ("ccbound.cli", "ccbound")
+    )
+    assert (cli_proc.returncode, cli_proc.stdout, cli_proc.stderr) == (code, out.encode(), b"")
+    assert (package_proc.returncode, package_proc.stdout) == (1, b"")
+    assert b"'ccbound' is a package and cannot be directly executed" in package_proc.stderr
 
 
 def test_importing_a_module_loads_only_what_it_uses():
@@ -132,12 +135,6 @@ def test_constants_custom_theta(capsys):
     assert "protocol_critical_visibility = 0.763708" in out
 
 
-def test_constants_theta_deg(capsys):
-    code, out, _ = run(capsys, ["constants", "--theta-deg", "45"])
-    assert code == 0
-    assert "protocol_local_visibility = 0.707107" in out
-
-
 def test_constants_zero_theta_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["constants", "--theta", "0"])
@@ -145,7 +142,7 @@ def test_constants_zero_theta_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("command", ["constants", "curve", "bound"])
-@pytest.mark.parametrize("theta", [["--theta", "1e-17"], ["--theta", "1.1e-16"], ["--theta-deg", "1e-15"]])
+@pytest.mark.parametrize("theta", [["--theta", "1e-17"], ["--theta", "1.1e-16"]])
 def test_theta_whose_local_visibility_rounds_to_one_is_usage_error(capsys, tmp_path, command, theta):
     # cos theta + sin theta rounds to 1, so the local visibility is 1: refused
     # before any output file is opened (or the correlation file is read)
@@ -165,12 +162,15 @@ def test_smallest_theta_above_the_rounding_is_accepted(capsys):
     assert code == 0 and "protocol_local_visibility = 1.000000" in out
 
 
-def test_theta_options_are_exclusive(capsys):
+@pytest.mark.parametrize("command", ["constants", "curve", "bound"])
+def test_theta_deg_is_not_an_option(capsys, tmp_path, command):
+    # the angle is given in radians, by --theta alone
+    argv = {"constants": ["constants"], "curve": ["curve"], "bound": ["bound", str(tmp_path / "missing.json")]}[command]
     with pytest.raises(SystemExit) as excinfo:
-        main(["constants", "--theta", "0.3", "--theta-deg", "60"])
+        main(argv + ["--theta-deg", "45"])
     captured = capsys.readouterr()
     assert excinfo.value.code == 2 and captured.out == ""
-    assert "not allowed with argument" in captured.err
+    assert "unrecognized arguments: --theta-deg 45" in captured.err
 
 
 def test_constants_json(capsys):
@@ -823,6 +823,18 @@ def test_localweight_ns_with_component_output(capsys, tmp_path):
     assert is_local_lp(load_correlation(local_path)).is_local
 
 
+@pytest.mark.parametrize("mode", [["--target", "target.json"], ["--ns"]])
+def test_localweight_out_that_cannot_be_written_prints_nothing(capsys, tmp_path, monkeypatch, mode):
+    # the local component exists (q_max 0.682843 or 0.868629), but its file
+    # cannot be written: exit 1 with the error alone, as every other command
+    monkeypatch.chdir(tmp_path)
+    dump_correlation(chsh_protocol_correlation(math.pi / 4, 0.8), "corr.json")
+    dump_correlation(chsh_protocol_correlation(math.pi / 4, 1.0), "target.json")
+    code, out, err = run(capsys, ["localweight", "corr.json", *mode, "--out", "missing/local.json"])
+    assert (code, out) == (1, "")
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_localweight_ns_refuses_a_signaling_correlation(capsys, tmp_path):
     from ccbound.correlations import Correlation, Scenario
 
@@ -905,7 +917,7 @@ def test_localweight_out_is_the_same_on_every_blas_kernel(tmp_path, mode):
     default = {key: value for key, value in CHILD_ENV.items() if key != "OPENBLAS_CORETYPE"}
     files = []
     for env in (default, {**default, "OPENBLAS_CORETYPE": "Sandybridge"}):
-        argv = [sys.executable, "-m", "ccbound", "localweight", "corr.json", mode, "--out", "local.json"]
+        argv = [sys.executable, "-m", "ccbound.cli", "localweight", "corr.json", mode, "--out", "local.json"]
         subprocess.run(argv, cwd=tmp_path, env=env, capture_output=True, check=True, timeout=120)
         files.append((tmp_path / "local.json").read_bytes())
     assert files[0] == files[1] != b""
@@ -928,7 +940,7 @@ def test_csv_bytes_are_the_same_on_every_numpy_simd_target(tmp_path):
     for env in (default, {**default, "NPY_DISABLE_CPU_FEATURES": "X86_V4 AVX512_ICL AVX512_SPR"}):
         outputs.append([
             subprocess.run(
-                [sys.executable, "-m", "ccbound", *argv], env=env, capture_output=True, check=True, timeout=120,
+                [sys.executable, "-m", "ccbound.cli", *argv], env=env, capture_output=True, check=True, timeout=120,
             ).stdout
             for argv in (["curve", "--step", "1e-5"], ["region", "--resolution", "401"])
         ])
@@ -985,7 +997,7 @@ def test_oversized_inputs_fail_in_one_line(tmp_path, argv, document, message):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document))
     proc = subprocess.run(
-        [sys.executable, "-m", "ccbound", argv[0], str(path), *argv[1:]],
+        [sys.executable, "-m", "ccbound.cli", argv[0], str(path), *argv[1:]],
         capture_output=True, env=CHILD_ENV, timeout=60, preexec_fn=_cap_address_space,
     )
     assert (proc.returncode, proc.stdout) == (1, b"")
@@ -1006,7 +1018,7 @@ def test_overflowing_table_sums_fail_in_one_line(tmp_path, argv, document):
     path = tmp_path / "input.json"
     path.write_text(json.dumps(document))
     proc = subprocess.run(
-        [sys.executable, "-m", "ccbound", argv[0], str(path), *argv[1:]],
+        [sys.executable, "-m", "ccbound.cli", argv[0], str(path), *argv[1:]],
         capture_output=True, env=CHILD_ENV, timeout=60,
     )
     assert (proc.returncode, proc.stdout) == (1, b"")
@@ -1018,7 +1030,7 @@ def test_memory_error_is_one_line(capsys, monkeypatch):
     def exhausted(parser, args):
         raise MemoryError
 
-    monkeypatch.setitem(cli.COMMANDS, "constants", exhausted)
+    monkeypatch.setattr(cli, "cmd_constants", exhausted)
     assert run(capsys, ["constants"]) == (1, "", "error: MemoryError\n")
 
 
