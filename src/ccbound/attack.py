@@ -63,15 +63,18 @@ class CCDecomposition:
 def _check_settings(scenario, setting_weights: dict, maps=()) -> None:
     """Raise AttackError unless every setting pair (x, y), weighted or
     mapped, is two ``is_index`` integers that index the scenario's settings
-    and every weight is finite and >= 0."""
+    and every weight is a real number (not a bool), finite and >= 0."""
     for x, y in [*setting_weights, *maps]:
         if not (is_index(x) and is_index(y)):
             raise AttackError(f"setting pair {(x, y)} must hold two integer indices")
         if not (0 <= x < scenario.n_a and 0 <= y < scenario.n_b):
             raise AttackError(f"setting pair {(x, y)} is outside the {scenario.n_a}x{scenario.n_b} settings")
     for pair, weight in setting_weights.items():
-        if not (math.isfinite(weight) and weight >= 0.0):
-            raise AttackError(f"setting weight for {pair} must be finite and >= 0, got {weight!r}")
+        # a bool is a numbers.Real, but not a weight; np.bool_ is neither.  A
+        # float skips the ABC test, which costs about 1 us on the sweep's path
+        real = type(weight) is float or isinstance(weight, numbers.Real) and not isinstance(weight, bool)
+        if not (real and math.isfinite(weight) and weight >= 0.0):
+            raise AttackError(f"setting weight for {pair} must be a finite real number >= 0, got {weight!r}")
 
 
 @dataclass(frozen=True, eq=False)

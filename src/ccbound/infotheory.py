@@ -81,37 +81,14 @@ class StochasticMap:
             raise DistributionError(f"output alphabet {arr.shape[1]} exceeds input alphabet {arr.shape[0]}")
         object.__setattr__(self, "rows", probability_table(arr, 1, DistributionError))
 
-    @classmethod
-    def deterministic(cls, assignment, n_f: int) -> "StochasticMap":
-        # integer symbols only: a float would be truncated and a bool read as 0 or 1
-        assignment = np.asarray(assignment)
-        if not (is_index(n_f) and assignment.dtype.kind in "iu" and ((0 <= assignment) & (assignment < n_f)).all()):
-            raise DistributionError(f"assignment entries must lie in range({n_f}), got {assignment.tolist()}")
-        rows = np.zeros((assignment.shape[0], n_f))
-        rows[np.arange(assignment.shape[0]), assignment] = 1.0
-        return cls(rows)
-
 
 def mutual_information(p_ab) -> float:
     """I(A:B) in bits of a bipartite distribution (2D array or nested list)."""
     arr = np.asarray(p_ab, dtype=float)
     if arr.ndim != 2:
         raise DistributionError(f"expected a bipartite table, got shape {arr.shape}")
-    return float(kernels.mutual_information_bits(probability_table(arr, None, DistributionError)))
-
-
-def apply_map(dist: JointDistribution, m: StochasticMap) -> JointDistribution:
-    """Push the third variable through a stochastic map: p(a,b,f) = sum_e p(a,b,e) m(f|e)."""
-    if m.rows.shape[0] != dist.p.shape[2]:
-        raise DistributionError(
-            f"map input alphabet {m.rows.shape[0]} != distribution alphabet {dist.p.shape[2]}"
-        )
-    return JointDistribution(np.einsum("abe,ef->abf", dist.p, m.rows))
-
-
-def conditional_mutual_information(dist: JointDistribution) -> float:
-    """I(A:B|F) in bits, the p(f)-weighted mutual information per branch."""
-    return float(kernels.conditional_mutual_information_bits(dist.p))
+    table = probability_table(arr, None, DistributionError)
+    return float(kernels.conditional_mutual_information_bits(table[..., None]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -312,7 +289,7 @@ def minimize_intrinsic(
         maps += n_f**n_e
         if sweep_best < best:
             best = float(sweep_best)
-            best_rows = StochasticMap.deterministic(sweep_assign, n_f).rows.copy()
+            best_rows = np.eye(n_f)[sweep_assign]
             winner = "sweep"
     if best <= 0.0:
         return _checked_result(p, best, best_rows, MinimizerRecord(0, 0, (), maps + 1, calls + 1, winner))

@@ -184,16 +184,11 @@ def conditional_mutual_information_bits(p_abf):
     return total if batch else float(total)
 
 
-def mutual_information_bits(p_ab):
-    """I(A:B) in bits of a normalized joint table p_ab[a, b]."""
-    return conditional_mutual_information_bits(np.asarray(p_ab, dtype=float)[..., None])
-
-
 def cmi_after_map_bits(p_abe, rows):
     """I(A:B|F) after pushing e through the row-stochastic maps rows[..., e, f]."""
-    # einsum sums over e in order, like infotheory.apply_map; a matrix product
-    # goes through BLAS, whose fused multiply-adds move the last bit and with
-    # it the minimizer's Nelder-Mead path
+    # einsum sums over e in order; a matrix product goes through BLAS, whose
+    # fused multiply-adds move the last bit and with it the minimizer's
+    # Nelder-Mead path
     return conditional_mutual_information_bits(np.einsum("abe,...ef->...abf", p_abe, rows))
 
 

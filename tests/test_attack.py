@@ -9,6 +9,7 @@ import pytest
 from hypothesis import strategies as st
 
 from ccbound import attack as atk
+from ccbound import kernels
 from ccbound._jsondoc import ATOL
 from ccbound.correlations import (
     Correlation,
@@ -18,10 +19,20 @@ from ccbound.correlations import (
     chsh_protocol_correlation,
     werner_correlation,
 )
-from ccbound.infotheory import StochasticMap, apply_map, conditional_mutual_information, minimize_intrinsic
+from ccbound.infotheory import StochasticMap, minimize_intrinsic
 from ccbound.localset import is_local_lp, local_visibility
 
 PI4 = math.pi / 4
+
+
+def relabelled(joint, m):
+    """p(a, b, f) = sum_e p(a, b, e) m(f|e) by a contraction of its own, so
+    that its I(A:B|F) checks the attack's map apart from cmi_after_map_bits."""
+    return np.einsum("abe,ef->abf", joint.p, m.rows)
+
+
+def relabelled_information(joint, m):
+    return kernels.conditional_mutual_information_bits(relabelled(joint, m))
 
 
 # ---------------------------------------------------------------- constants
@@ -248,7 +259,7 @@ def test_eve_map_matches_symbolic_relabelled_distribution():
     # equal the relabelled distribution written out symbol by symbol
     dec = atk.cc_chsh(PI4, 0.85)
     q = dec.local_weight
-    mapped = apply_map(atk.tripartite(dec, 0, 2), atk.eve_map(1.0, 1.0))
+    mapped = relabelled(atk.tripartite(dec, 0, 2), atk.eve_map(1.0, 1.0))
     expected = np.zeros((2, 2, 5))
     for a in (0, 1):
         for b in (0, 1):
@@ -259,7 +270,7 @@ def test_eve_map_matches_symbolic_relabelled_distribution():
                 expected[a, b, 4] += nonlocal_mass
             else:
                 expected[a, b, 4] += local_mass + nonlocal_mass
-    assert np.abs(mapped.p - expected).max() < 1e-15
+    assert np.abs(mapped - expected).max() < 1e-15
 
 
 # -------------------------------------------------------- balancing fraction
@@ -289,10 +300,10 @@ def test_fraction_known_value_and_zeroing():
     fraction = atk.solve_unknown_fraction(0.72, local_visibility(PI4), 1.0)
     assert fraction == pytest.approx(0.31443001811095117, abs=1e-12)
     dec = atk.cc_chsh(PI4, 0.72)
-    mapped = apply_map(atk.tripartite(dec, 0, 2), atk.eve_map(1.0, fraction))
-    assert conditional_mutual_information(mapped) <= 1e-12
+    mapped = relabelled(atk.tripartite(dec, 0, 2), atk.eve_map(1.0, fraction))
+    assert kernels.conditional_mutual_information_bits(mapped) <= 1e-12
     # the hidden branch is exactly balanced
-    branch = mapped.p[:, :, 4]
+    branch = mapped[:, :, 4]
     assert branch[0, 0] == pytest.approx(branch[0, 1], abs=1e-15)
 
 
@@ -356,8 +367,7 @@ def test_fraction_mirror_branch_zeroes_too():
     agreement = float(ideal[0, 0] + ideal[1, 1])
     assert agreement == pytest.approx(0.0, abs=1e-15)
     fraction = atk.solve_unknown_fraction(v, v_l, agreement)
-    mapped = apply_map(atk.tripartite(dec, 0, 2), atk.eve_map(agreement, fraction))
-    assert conditional_mutual_information(mapped) <= 1e-12
+    assert relabelled_information(atk.tripartite(dec, 0, 2), atk.eve_map(agreement, fraction)) <= 1e-12
 
 
 # ------------------------------------------------------- zero-key visibility
@@ -462,9 +472,7 @@ def step_by_step_attack(theta, v, unknown_fraction, settings):
             fraction = float(unknown_fraction)
         fractions[pair] = fraction
         joint = atk.tripartite(decomposition, *pair)
-        information[pair] = conditional_mutual_information(
-            apply_map(joint, atk.eve_map(agreement, fraction))
-        )
+        information[pair] = relabelled_information(joint, atk.eve_map(agreement, fraction))
     total = 0.0
     for pair, weight in settings.items():
         if weight != 0.0:
@@ -503,7 +511,7 @@ def test_multi_setting_attack_matches_step_by_step_construction(settings):
 
 def test_setting_information_matches_the_relabelled_distribution():
     # setting_information calls the minimizer's kernel on the map's rows;
-    # apply_map plus conditional_mutual_information gives the same float
+    # a separate contraction, then the table's kernel, gives the same float
     rng = np.random.default_rng(7)
     settings = {(0, 2): 0.5, (1, 1): 0.25, (0, 0): 0.25}
     for _ in range(100):
@@ -511,7 +519,7 @@ def test_setting_information_matches_the_relabelled_distribution():
         for fraction in ("auto", rng.uniform()):
             model = atk.chsh_attack(theta, v, fraction, settings)
             assert atk.setting_information(model) == {
-                pair: conditional_mutual_information(apply_map(atk.tripartite(model.decomposition, *pair), m))
+                pair: relabelled_information(atk.tripartite(model.decomposition, *pair), m)
                 for pair, m in model.maps.items()
             }
 
@@ -571,6 +579,28 @@ def test_attack_model_rejects_out_of_range_pairs_and_nan_weights():
         atk.AttackModel(dec, {(0, 2): rows, (0, 3): rows}, {(0, 2): 1.0})  # map at a bad pair
     with pytest.raises(atk.AttackError):
         atk.AttackModel(dec, {(0, 2): rows}, {(0, 2): math.nan})
+
+
+@pytest.mark.parametrize("weight", [True, np.True_, "1", 1j])
+def test_a_setting_weight_that_is_not_a_real_number_is_refused_by_name(weight):
+    # a bool must not be stored as the weight 1, and a string or a complex
+    # number must not escape as math.isfinite's bare TypeError
+    model = atk.chsh_attack(PI4, 0.8)
+    message = f"setting weight for (0, 2) must be a finite real number >= 0, got {weight!r}"
+    with pytest.raises(atk.AttackError, match=f"^{re.escape(message)}$"):
+        atk.chsh_attack(PI4, 0.8, settings={(0, 2): weight})
+    with pytest.raises(atk.AttackError, match=f"^{re.escape(message)}$"):
+        atk.AttackModel(model.decomposition, dict(model.maps), {(0, 2): weight})
+
+
+@pytest.mark.parametrize("weight", [1, np.float64(1.0)])
+def test_int_and_numpy_float_setting_weights_are_accepted(weight):
+    observed = chsh_protocol_correlation(PI4, 0.8)
+    default = atk.chsh_attack(PI4, 0.8)
+    for model in (atk.chsh_attack(PI4, 0.8, settings={(0, 2): weight}),
+                  atk.AttackModel(default.decomposition, dict(default.maps), {(0, 2): weight})):
+        assert model.setting_weights == {(0, 2): 1.0}
+        assert atk.keyrate_bound(observed, model) == atk.keyrate_bound(observed, default)
 
 
 # ------------------------------------------------------------- closed form

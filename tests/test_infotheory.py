@@ -14,12 +14,11 @@ from ccbound.infotheory import (
     JointDistribution,
     MinimizerError,
     StochasticMap,
-    apply_map,
-    conditional_mutual_information,
     load_distribution,
     minimize_intrinsic,
     mutual_information,
 )
+from test_kernels import cmi_by_entropies
 
 RNG = np.random.default_rng(99)
 
@@ -52,19 +51,6 @@ def test_stochastic_map_validation():
         StochasticMap(np.array([[0.5, 0.4], [0.5, 0.5]]))  # row sum 0.9
     with pytest.raises(DistributionError):
         StochasticMap(np.full((2, 3), 1 / 3))  # |F| > |E|
-
-
-@pytest.mark.parametrize("assignment", [[0, -1], [0, 5], [0.9, 1.7], [True, False], [0.0, 1.0]])
-def test_deterministic_map_refuses_symbols_outside_its_alphabet(assignment):
-    # -1 must not wrap round to the last symbol, 5 must not raise numpy's IndexError,
-    # [0.9, 1.7] must not be truncated to the identity, nor [True, False] read as the swap
-    with pytest.raises(DistributionError, match=re.escape(f"assignment entries must lie in range(2), got {assignment}")):
-        StochasticMap.deterministic(assignment, 2)
-
-
-def test_deterministic_map_refuses_an_output_alphabet_that_is_not_an_integer():
-    with pytest.raises(DistributionError, match=re.escape("range(2.0)")):
-        StochasticMap.deterministic([0, 1], 2.0)
 
 
 def _correlation_with(bad):
@@ -207,26 +193,11 @@ def test_mutual_information_rejects_invalid():
 # ------------------------------------------------------------------ mappings
 
 
-def test_apply_identity_map():
-    dist = random_joint((2, 2, 4))
-    mapped = apply_map(dist, StochasticMap(np.eye(4)))
-    assert np.abs(mapped.p - dist.p).max() < 1e-15
-
-
 def test_apply_constant_map_erases_information():
     dist = random_joint((2, 3, 4))
-    mapped = apply_map(dist, StochasticMap.deterministic([0, 0, 0, 0], 4))
-    assert conditional_mutual_information(mapped) == pytest.approx(
+    assert kernels.cmi_after_map_bits(dist.p, np.eye(4)[[0, 0, 0, 0]]) == pytest.approx(
         mutual_information(dist.p.sum(axis=2)), abs=1e-12
     )
-
-
-def test_apply_map_preserves_mass_and_checks_shapes():
-    dist = random_joint((2, 2, 3))
-    mapped = apply_map(dist, random_map(3, 3))
-    assert mapped.p.sum() == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(DistributionError):
-        apply_map(dist, StochasticMap(np.eye(4)))
 
 
 # --------------------------------------------------- conditional information
@@ -238,39 +209,39 @@ def test_cmi_zero_when_f_copies_outcomes():
     for a in (0, 1):
         for b in (0, 1):
             p[a, b, 2 * a + b] = joint[a, b]
-    assert conditional_mutual_information(JointDistribution(p)) == pytest.approx(0.0, abs=1e-14)
+    assert kernels.conditional_mutual_information_bits(p) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_cmi_constant_f_equals_mi():
     p = np.zeros((2, 2, 2))
     p[0, 0, 0] = 0.5
     p[1, 1, 0] = 0.5
-    assert conditional_mutual_information(JointDistribution(p)) == pytest.approx(1.0, abs=1e-12)
+    assert kernels.conditional_mutual_information_bits(p) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_cmi_independent_side_information():
     dist = random_joint((2, 3, 1))
     base = mutual_information(dist.p.sum(axis=2))
-    widened = JointDistribution(np.repeat(dist.p, 3, axis=2) / 3.0)
-    assert conditional_mutual_information(widened) == pytest.approx(base, abs=1e-12)
+    widened = np.repeat(dist.p, 3, axis=2) / 3.0
+    assert kernels.conditional_mutual_information_bits(widened) == pytest.approx(base, abs=1e-12)
 
 
 def test_information_invariant_under_relabelling():
     dist = random_joint((3, 3, 4))
     base_mi = mutual_information(dist.p.sum(axis=2))
-    base_cmi = conditional_mutual_information(dist)
+    base_cmi = kernels.conditional_mutual_information_bits(dist.p)
     perm_a = RNG.permutation(3)
     perm_b = RNG.permutation(3)
     perm_e = RNG.permutation(4)
     permuted = JointDistribution(dist.p[np.ix_(perm_a, perm_b, perm_e)])
     assert mutual_information(permuted.p.sum(axis=2)) == pytest.approx(base_mi, abs=1e-12)
-    assert conditional_mutual_information(permuted) == pytest.approx(base_cmi, abs=1e-12)
+    assert kernels.conditional_mutual_information_bits(permuted.p) == pytest.approx(base_cmi, abs=1e-12)
 
 
 def test_cmi_nonnegative_and_bounded():
     for _ in range(20):
         dist = random_joint((2, 4, 3))
-        value = conditional_mutual_information(dist)
+        value = kernels.conditional_mutual_information_bits(dist.p)
         assert -1e-12 <= value <= 1.0 + 1e-12  # log2 min(2, 4) = 1
 
 
@@ -292,14 +263,19 @@ def test_minimizer_exact_copy_reaches_zero():
     assert result.bound <= 1e-12
 
 
+def _pushed(dist, rows):
+    """p(a, b, f) = sum_e p(a, b, e) rows[e, f], summed in a loop over e."""
+    return sum(dist.p[:, :, e, None] * rows[e] for e in range(rows.shape[0]))
+
+
 def test_minimizer_never_beaten_by_sampled_maps():
+    # the sampled maps' values come from the entropy formula, not the kernel
     dist = random_joint((2, 2, 3))
     result = minimize_intrinsic(dist, restarts=6, seed=1)
     for _ in range(20):
-        sampled = conditional_mutual_information(apply_map(dist, random_map(3, 3)))
+        sampled = cmi_by_entropies(_pushed(dist, random_map(3, 3).rows))
         assert result.bound <= sampled + 1e-9
-    identity_value = conditional_mutual_information(dist)
-    assert result.bound <= identity_value + 1e-12
+    assert result.bound <= cmi_by_entropies(dist.p) + 1e-12
 
 
 def test_minimizer_returns_valid_map():
@@ -308,9 +284,7 @@ def test_minimizer_returns_valid_map():
     rows = result.map.rows
     assert rows.shape == (4, 4)
     assert np.allclose(rows.sum(axis=1), 1.0, atol=1e-12)
-    assert conditional_mutual_information(apply_map(dist, result.map)) == pytest.approx(
-        result.bound, abs=1e-9
-    )
+    assert abs(cmi_by_entropies(_pushed(dist, rows)) - result.bound) <= 1e-9
 
 
 def test_minimizer_reproducible():
@@ -585,7 +559,7 @@ def _reference_minimize(p, restarts, seed=0):
     winner = "identity"
     sweep_best, assign = kernels.sweep_deterministic_maps(p, n)
     if sweep_best < best:
-        best, best_rows, winner = float(sweep_best), StochasticMap.deterministic(assign, n).rows, "sweep"
+        best, best_rows, winner = float(sweep_best), np.eye(n)[assign], "sweep"
     starts = _starts(p, restarts, seed)
     starts[0] = np.sqrt(best_rows + 0.05).ravel()
     iterations = []
@@ -725,7 +699,7 @@ def test_minimizer_stops_at_a_sweep_value_below_zero():
     assert kernels.cmi_after_map_bits(p, np.eye(4)) > 0.1 and sweep_best < 0.0
     result = minimize_intrinsic(JointDistribution(p), restarts=4, seed=0)
     assert result.bound == 0.0
-    assert np.array_equal(result.map.rows, StochasticMap.deterministic(assign, 4).rows)
+    assert np.array_equal(result.map.rows, np.eye(4)[assign])
     assert result.record == infotheory.MinimizerRecord(0, 0, (), 1 + 4**4 + 1, 1 + 1 + 1, "sweep")
 
 
