@@ -20,7 +20,7 @@ import numpy as np
 
 from . import kernels
 from ._jsondoc import ATOL, FrozenDict, is_index
-from .correlations import Correlation, MeasurementArrangement, chsh_arrangement, werner_correlation
+from .correlations import Correlation, MeasurementArrangement, _werner_correlations, chsh_arrangement
 from .infotheory import JointDistribution, StochasticMap
 from .localset import local_visibility
 
@@ -131,11 +131,9 @@ def cc_werner(
     attack degenerates: weight 1 with the full (local) correlation as the
     local part.
     """
-    return CCDecomposition(
-        local_weight(visibility, local_visibility_value),
-        werner_correlation(min(visibility, local_visibility_value), arrangement),
-        werner_correlation(1.0, arrangement),
-    )
+    weight = local_weight(visibility, local_visibility_value)  # checks both visibilities
+    local, nonlocal_part = _werner_correlations(arrangement, min(visibility, local_visibility_value), 1.0)
+    return CCDecomposition(weight, local, nonlocal_part)
 
 
 def cc_chsh(theta: float, visibility: float) -> CCDecomposition:

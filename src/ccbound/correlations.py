@@ -61,7 +61,12 @@ def unit_vector(components) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class MeasurementArrangement:
-    """Projective binary measurements in Bloch form, one vector per setting."""
+    """Projective binary measurements in Bloch form, one vector per setting.
+
+    ``scenario``, its ``Scenario(len(alice), len(bob), 2, 2)``, is built once
+    by the constructor; it is not a field, so copies, pickles and ``asdict``
+    hold only the two vector tuples.
+    """
 
     alice: tuple
     bob: tuple
@@ -73,10 +78,7 @@ class MeasurementArrangement:
         object.__setattr__(self, "bob", tuple(unit_vector(v) for v in self.bob))
         if not self.alice or not self.bob:
             raise CorrelationError("arrangement needs at least one setting per side")
-
-    @property
-    def scenario(self) -> Scenario:
-        return Scenario(len(self.alice), len(self.bob), 2, 2)
+        object.__setattr__(self, "scenario", Scenario(len(self.alice), len(self.bob), 2, 2))
 
 
 @dataclass(frozen=True, eq=False, slots=True)
@@ -123,7 +125,7 @@ class Correlation:
 
     def allclose(self, other: "Correlation", atol: float = ATOL) -> bool:
         return self.scenario == other.scenario and bool(
-            np.all(np.abs(self.table - other.table) <= atol)
+            np.maximum.reduce(np.abs(self.table - other.table), axis=None) <= atol
         )
 
     def to_json_dict(self) -> dict:
@@ -170,14 +172,23 @@ def werner_correlation(visibility: float, arrangement: MeasurementArrangement) -
     """
     if not 0.0 <= visibility <= 1.0:
         raise CorrelationError(f"visibility must lie in [0, 1], got {visibility!r}")
-    scenario = arrangement.scenario
-    # a.b summed by numpy, not BLAS, so the table does not depend on the BLAS kernel
+    return _werner_correlations(arrangement, visibility)[0]
+
+
+def _werner_correlations(arrangement: MeasurementArrangement, *visibilities: float) -> list[Correlation]:
+    """:func:`werner_correlation` at each visibility, which must lie in
+    [0, 1], all from one a.b matrix (a convex split takes two)."""
+    # a.b summed by numpy, not BLAS, so the tables do not depend on the BLAS kernel
     dots = np.add.reduce(np.array(arrangement.alice)[:, None] * np.array(arrangement.bob), axis=-1)
-    s = 0.5 * (1.0 - visibility * dots)
-    table = np.empty(scenario.table_shape)
-    table[0, 0] = table[1, 1] = 0.5 * s
-    table[0, 1] = table[1, 0] = 0.5 * (1.0 - s)
-    return Correlation(scenario, table)
+    scenario = arrangement.scenario
+    out = []
+    for visibility in visibilities:
+        s = 0.5 * (1.0 - visibility * dots)
+        table = np.empty(scenario.table_shape)
+        table[0, 0] = table[1, 1] = 0.5 * s
+        table[0, 1] = table[1, 0] = 0.5 * (1.0 - s)
+        out.append(Correlation(scenario, table))
+    return out
 
 
 def chsh_arrangement(theta: float, fourth_bob_setting: bool = False) -> MeasurementArrangement:

@@ -79,6 +79,9 @@ class StochasticMap:
             raise DistributionError(f"expected a matrix, got shape {arr.shape}")
         if arr.shape[1] > arr.shape[0]:
             raise DistributionError(f"output alphabet {arr.shape[1]} exceeds input alphabet {arr.shape[0]}")
+        if arr.shape[0] == 0:
+            # no rows, so no row sum to fail the table check
+            raise DistributionError(f"a map needs at least one input symbol, got shape {arr.shape}")
         object.__setattr__(self, "rows", probability_table(arr, 1, DistributionError))
 
 

@@ -21,6 +21,7 @@ from ccbound.correlations import (
 )
 from ccbound.infotheory import StochasticMap, minimize_intrinsic
 from ccbound.localset import is_local_lp, local_visibility
+from test_correlations import random_arrangement, scalar_werner_table
 
 PI4 = math.pi / 4
 
@@ -141,6 +142,24 @@ def test_cc_werner_uses_global_threshold():
     expected_q = (1 - 0.9) / (1 - atk.WERNER_LOCAL_VISIBILITY)
     assert dec.local_weight == pytest.approx(expected_q, abs=1e-12)
     assert dec.local.allclose(werner_correlation(atk.WERNER_LOCAL_VISIBILITY, arr), atol=1e-15)
+
+
+@pytest.mark.parametrize("case", [*range(8), 0.1, PI4, 1.3])
+def test_split_parts_are_the_scalar_werner_tables_bit_for_bit(case):
+    # both parts come from one a.b matrix, as each setting pair's own a.b
+    # gives them: the seeded arrangements of
+    # test_werner_table_is_the_scalar_formula_bit_for_bit and three protocols
+    if isinstance(case, int):
+        rng = np.random.default_rng(case)
+        arr = random_arrangement(int(rng.integers(1, 7)), int(rng.integers(1, 7)), rng)
+    else:
+        rng = np.random.default_rng(3)
+        arr = chsh_arrangement(case)
+    v_l = float(rng.uniform(0.05, 0.95))
+    for v in (0.0, v_l, float(rng.uniform(0, 1)), 1.0):
+        dec = atk.cc_werner(v, arr, v_l)
+        assert dec.local.table.tobytes() == scalar_werner_table(min(v, v_l), arr).tobytes()
+        assert dec.nonlocal_part.table.tobytes() == scalar_werner_table(1.0, arr).tobytes()
 
 
 # ----------------------------------------------------------------- tripartite

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from ccbound import attack, infotheory, kernels
+from ccbound._jsondoc import ATOL
 from ccbound.correlations import Correlation, CorrelationError, Scenario
 from ccbound.infotheory import (
     DistributionError,
@@ -114,6 +115,79 @@ def test_map_entries_above_one_are_rejected():
         StochasticMap([[1.5, 0.0], [0.0, 1.0]])
     # an entry above 1 by less than the rows' 1e-12 slack is rounding
     assert StochasticMap([[1.0 + 5e-13, 0.0], [0.0, 1.0]]).rows[0, 0] > 1.0
+
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2), (3, 0)])
+def test_a_map_without_input_symbols_or_rows_is_refused(shape):
+    # a 0x0 map has no row sum to fail; the other two fail as before
+    message = {
+        (0, 0): r"^a map needs at least one input symbol, got shape \(0, 0\)$",
+        (0, 2): "^output alphabet 2 exceeds input alphabet 0$",
+        (3, 0): f"^{SUM_MESSAGE}1.0$",
+    }[shape]
+    with pytest.raises(DistributionError, match=message):
+        StochasticMap(np.zeros(shape))
+
+
+def _sum_rule_oracle(arr, sum_axes):
+    """The diagnostic of the table rule written with the array methods, or
+    None for a valid table: every entry >= 0, every sum within ATOL of 1."""
+    if not (arr >= 0).all():
+        return f"negative or NaN probability entry: min = {float(arr.min())!r}"
+    deviation = abs(arr.sum(axis=sum_axes) - 1.0)
+    if (deviation > ATOL).any():
+        return f"probabilities must sum to 1 within {ATOL}; worst deviation {float(deviation.max())!r}"
+    return None
+
+
+# each kind of table: a seeded valid table, its sum axes, its error and its constructor
+_TABLE_KINDS = {
+    "correlation": (
+        lambda rng: np.moveaxis(rng.dirichlet(np.ones(4), size=(2, 3)), -1, 0).reshape(2, 2, 2, 3),
+        (0, 1),
+        CorrelationError,
+        lambda arr: Correlation(Scenario(2, 3, 2, 2), arr),
+    ),
+    "joint": (lambda rng: rng.dirichlet(np.ones(12)).reshape(2, 2, 3), None, DistributionError, JointDistribution),
+    "map": (lambda rng: rng.dirichlet(np.ones(3), size=4), 1, DistributionError, StochasticMap),
+    "bipartite": (lambda rng: rng.dirichlet(np.ones(6)).reshape(2, 3), None, DistributionError, mutual_information),
+}
+
+
+def _oracle_cases():
+    for kind, (draw, axes, _, _) in _TABLE_KINDS.items():
+        rng = np.random.default_rng(len(kind))
+        for k in range(-8, 9):
+            table = draw(rng)
+            sums = table.sum(axis=axes, keepdims=axes is not None)
+            yield pytest.param(kind, table / sums * (1.0 + k * ATOL / 4), id=f"{kind}-sum{k:+d}")
+        for name, entry in [("nan", math.nan), ("inf", math.inf), ("-inf", -math.inf),
+                            ("-0.0", -0.0), ("-1e-300", -1e-300)]:
+            # the entry replaces a zero of an otherwise valid table
+            table = draw(rng)
+            i = np.unravel_index(int(rng.integers(table.size)), table.shape)
+            table[i] = 0.0
+            table /= table.sum(axis=axes, keepdims=axes is not None)
+            table[i] = entry
+            yield pytest.param(kind, table, id=f"{kind}-{name}")
+    yield pytest.param("map", np.zeros((3, 0)), id="map-3x0")
+    yield pytest.param("joint", np.zeros((0, 2, 2)), id="joint-0x2x2")
+    yield pytest.param("bipartite", np.zeros((0, 2)), id="bipartite-0x2")
+
+
+@pytest.mark.parametrize("kind, table", _oracle_cases())
+def test_probability_tables_follow_the_method_oracle(kind, table):
+    # the same verdict, exception type and message as the rule written out
+    # with the array methods: at sums 1 + k ATOL/4 for k in -8..8, on either
+    # side of the ATOL edge, with one bad entry, and on empty tables
+    _, axes, error, build = _TABLE_KINDS[kind]
+    expected = _sum_rule_oracle(table, axes)
+    if expected is None:
+        build(table)
+    else:
+        with pytest.raises(error) as excinfo:
+            build(table)
+        assert type(excinfo.value) is error and str(excinfo.value) == expected
 
 
 def test_tables_are_read_only_copies():

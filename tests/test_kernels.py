@@ -534,10 +534,10 @@ def _frozen_rows_from_squares(z, shape):
 
 def _sparse_tables(rng, shape):
     """Normalized tables of ``shape`` with about 30% zero entries, some
-    entries of 1e-17 (below the pruning floor) and some of -0.0."""
+    entries of about 1e-17 (below the pruning floor) and some of -0.0."""
     p = rng.random(shape) * (rng.random(shape) > 0.3)
-    p /= p.sum(axis=(-3, -2, -1), keepdims=True)
     p[rng.random(shape) < 0.1] = 1e-17
+    p /= p.sum(axis=(-3, -2, -1), keepdims=True)
     p[(p == 0.0) & (rng.random(shape) < 0.5)] = -0.0
     return p
 
@@ -554,10 +554,7 @@ def test_cmi_kernel_equals_frozen_reference_bit_for_bit(shape):
         assert isinstance(value, float)
         assert np.float64(value).tobytes() == np.float64(_frozen_cmi_bits(p)).tobytes()
     if shape[2] == 1:
-        # mutual_information refuses a table whose 1e-17 entries moved its sum
-        # off 1; rescaled, the zeros, -0.0 and sub-floor entries stay
         for p in batched.reshape(-1, *shape[:2]):
-            p = p / p.sum()
             assert np.float64(mutual_information(p)).tobytes() == (
                 np.float64(_frozen_cmi_bits(p[..., None])).tobytes()
             )

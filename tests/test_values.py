@@ -106,6 +106,16 @@ def test_asdict_and_frozen_fields(name):
         setattr(value, fields[0], None)
 
 
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_arrangement_builds_its_scenario_once_and_copies_only_its_fields(how):
+    arrangement = correlations.chsh_arrangement(0.3)
+    scenario = arrangement.scenario
+    assert arrangement.scenario is scenario == correlations.Scenario(2, 3, 2, 2)
+    duplicate = COPIES[how](arrangement)
+    assert duplicate.scenario == scenario and duplicate.scenario is not scenario
+    assert list(dataclasses.asdict(arrangement)) == ["alice", "bob"]
+
+
 def test_copies_are_rebuilt_by_the_constructor(monkeypatch):
     corr = VALUES["Correlation"]
     built = []
