@@ -4,14 +4,16 @@
 size must be an integer (a bool is not one) and a table must nest lists of
 numbers, so that a typo fails instead of being truncated or coerced.
 :func:`is_index` is the one integer test of sizes, counts and setting
-indices, read or passed in code.  Every probability table (a correlation,
-a joint distribution, a stochastic map), read from a file or built in
-code, passes :func:`probability_table`.
+indices, read or passed in code, and :func:`is_real` the one test of a real
+number passed in code (a setting weight, a fraction, a Bloch component).
+Every probability table (a correlation, a joint distribution, a stochastic
+map), read from a file or built in code, passes :func:`probability_table`.
 The value types hold :func:`read_only_copy` arrays and stay frozen through
 copies with :func:`constructor_reduce` and :class:`FrozenDict`.
 """
 
 import json
+import numbers
 from dataclasses import fields
 
 import numpy as np
@@ -36,6 +38,13 @@ def is_index(value) -> bool:
     concrete types, not ``numbers.Integral``, keep the test cheap on the
     sweep's paths."""
     return type(value) is int or isinstance(value, np.integer)
+
+
+def is_real(value) -> bool:
+    """Whether ``value`` is a real number: a ``numbers.Real`` that is not a
+    bool (np.bool_, a string and a complex number are not Reals).  A float
+    skips the ABC test, which costs about 1 us on the sweep's paths."""
+    return type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def json_int(value, name: str, error: type[Exception]) -> int:

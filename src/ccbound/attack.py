@@ -13,14 +13,13 @@ setting-announcing protocols.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import kernels
-from ._jsondoc import ATOL, FrozenDict, is_index
-from .correlations import Correlation, MeasurementArrangement, _werner_correlations, chsh_arrangement
+from ._jsondoc import ATOL, FrozenDict, is_index, is_real
+from .correlations import Correlation, MeasurementArrangement, _mixed_table, _table_close, _werner_correlations, chsh_arrangement
 from .infotheory import JointDistribution, StochasticMap
 from .localset import local_visibility
 
@@ -70,10 +69,7 @@ def _check_settings(scenario, setting_weights: dict, maps=()) -> None:
         if not (0 <= x < scenario.n_a and 0 <= y < scenario.n_b):
             raise AttackError(f"setting pair {(x, y)} is outside the {scenario.n_a}x{scenario.n_b} settings")
     for pair, weight in setting_weights.items():
-        # a bool is a numbers.Real, but not a weight; np.bool_ is neither.  A
-        # float skips the ABC test, which costs about 1 us on the sweep's path
-        real = type(weight) is float or isinstance(weight, numbers.Real) and not isinstance(weight, bool)
-        if not (real and math.isfinite(weight) and weight >= 0.0):
+        if not (is_real(weight) and math.isfinite(weight) and weight >= 0.0):
             raise AttackError(f"setting weight for {pair} must be a finite real number >= 0, got {weight!r}")
 
 
@@ -235,10 +231,15 @@ def keyrate_bound(observed: Correlation, attack: AttackModel) -> float:
     """Upper bound on the two-way key rate: the setting-weighted conditional
     mutual information after the eavesdropper's relabelling.
 
-    The attack's mixture must reproduce the observed correlation entrywise.
+    The attack's mixture must reproduce the observed correlation entrywise:
+    ``decomposition.mixture().allclose(observed)``, with the mixture's table
+    compared as it is computed.  It is not checked as a Correlation: both
+    parts are checked tables and 0 <= q <= 1, so its entries are >= 0 and its
+    block sums within ATOL of 1 up to rounding.
     """
-    mixture = attack.decomposition.mixture()
-    if not mixture.allclose(observed, atol=ATOL):
+    d = attack.decomposition
+    mixture = _mixed_table(d.local_weight, d.local.table, d.nonlocal_part.table)
+    if not _table_close(d.scenario, mixture, observed, ATOL):
         raise AttackError("attack decomposition does not reproduce the observed correlation")
     information = setting_information(attack)
     total = 0.0
@@ -259,9 +260,7 @@ def chsh_attack(
     is used for every pair (any fraction still yields a valid upper bound).
     """
     auto = isinstance(unknown_fraction, str) and unknown_fraction == "auto"
-    # a bool is a numbers.Real, but not a fraction
-    real = isinstance(unknown_fraction, numbers.Real) and not isinstance(unknown_fraction, bool)
-    if not auto and not (real and 0.0 <= unknown_fraction <= 1.0):
+    if not auto and not (is_real(unknown_fraction) and 0.0 <= unknown_fraction <= 1.0):
         raise AttackError(f"unknown_fraction must be 'auto' or a real number in [0, 1], got {unknown_fraction!r}")
     if settings is None:
         settings = {(0, 2): 1.0}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._jsondoc import ATOL, constructor_reduce, is_index, json_document, json_int, json_table, probability_table, read_only_copy
+from ._jsondoc import ATOL, constructor_reduce, is_index, is_real, json_document, json_int, json_table, probability_table, read_only_copy
 
 
 class CorrelationError(ValueError):
@@ -49,34 +49,64 @@ class Scenario:
 
 
 def unit_vector(components) -> np.ndarray:
-    """A validated read-only copy of a unit Bloch vector."""
-    v = read_only_copy(components, float)
-    if v.shape != (3,):
-        raise CorrelationError(f"Bloch vector must have 3 components, got shape {v.shape}")
-    norm = math.hypot(*v.tolist())
-    if not abs(norm - 1.0) <= ATOL:
-        raise CorrelationError(f"Bloch vector must be unit norm, got |v| = {norm!r}")
+    """A validated read-only copy of a unit Bloch vector: three real numbers
+    (not bools or strings, see ``is_real``) of norm 1 within ATOL."""
+    raw = np.array(components, dtype=object)
+    if raw.shape != (3,):
+        raise CorrelationError(f"Bloch vector must have 3 components, got shape {raw.shape}")
+    for component in raw.tolist():
+        if not is_real(component):
+            raise CorrelationError(f"Bloch vector components must be real numbers, got {component!r}")
+    v = read_only_copy(raw, float)
+    _check_unit_norms([v.tolist()])
     return v
+
+
+def _check_unit_norms(vectors: list) -> None:
+    """Raise unless each vector, a list of three floats, has norm 1 within ATOL."""
+    for components in vectors:
+        norm = math.hypot(*components)
+        if not abs(norm - 1.0) <= ATOL:
+            raise CorrelationError(f"Bloch vector must be unit norm, got |v| = {norm!r}")
+
+
+def _unit_vectors(vectors) -> np.ndarray:
+    """One side of an arrangement as a read-only (k, 3) float copy of its k
+    unit vectors.  A (k, 3) integer or float array is converted and checked
+    in one pass; any other side goes vector by vector through
+    :func:`unit_vector`, so that a bad side raises its message for the first
+    bad vector."""
+    if isinstance(vectors, np.ndarray) and vectors.dtype.kind in "iuf" and vectors.ndim == 2 and vectors.shape[1] == 3:
+        side = np.array(vectors, dtype=float)
+        _check_unit_norms(side.tolist())
+    else:
+        side = np.array([unit_vector(v) for v in vectors]).reshape(-1, 3)
+    side.setflags(write=False)
+    return side
 
 
 @dataclass(frozen=True, eq=False)
 class MeasurementArrangement:
-    """Projective binary measurements in Bloch form, one vector per setting.
+    """Projective binary measurements in Bloch form, one unit vector per setting.
 
-    ``scenario``, its ``Scenario(len(alice), len(bob), 2, 2)``, is built once
-    by the constructor; it is not a field, so copies, pickles and ``asdict``
-    hold only the two vector tuples.
+    ``alice`` and ``bob`` are read-only (k, 3) float arrays, one row per
+    setting, copied from the k vectors the caller passed (any sequence of
+    3-component sequences of real numbers, or a (k, 3) array), so indexing,
+    ``len`` and iteration give the vectors.  ``scenario``, its
+    ``Scenario(len(alice), len(bob), 2, 2)``, is built once by the
+    constructor; it is not a field, so copies, pickles and ``asdict`` hold
+    only the two sides.
     """
 
-    alice: tuple
-    bob: tuple
+    alice: np.ndarray
+    bob: np.ndarray
 
     __reduce__ = constructor_reduce
 
     def __post_init__(self):
-        object.__setattr__(self, "alice", tuple(unit_vector(v) for v in self.alice))
-        object.__setattr__(self, "bob", tuple(unit_vector(v) for v in self.bob))
-        if not self.alice or not self.bob:
+        object.__setattr__(self, "alice", _unit_vectors(self.alice))
+        object.__setattr__(self, "bob", _unit_vectors(self.bob))
+        if not len(self.alice) or not len(self.bob):
             raise CorrelationError("arrangement needs at least one setting per side")
         object.__setattr__(self, "scenario", Scenario(len(self.alice), len(self.bob), 2, 2))
 
@@ -121,12 +151,10 @@ class Correlation:
             raise CorrelationError("cannot mix correlations on different scenarios")
         if not 0.0 <= weight <= 1.0:
             raise CorrelationError(f"mixing weight must lie in [0,1], got {weight!r}")
-        return Correlation(self.scenario, weight * self.table + (1.0 - weight) * other.table)
+        return Correlation(self.scenario, _mixed_table(weight, self.table, other.table))
 
     def allclose(self, other: "Correlation", atol: float = ATOL) -> bool:
-        return self.scenario == other.scenario and bool(
-            np.maximum.reduce(np.abs(self.table - other.table), axis=None) <= atol
-        )
+        return _table_close(self.scenario, self.table, other, atol)
 
     def to_json_dict(self) -> dict:
         # nested [x][y][a][b] per the documented wire format
@@ -151,6 +179,17 @@ class Correlation:
                 f"table shape {nested.shape} inconsistent with scenario fields"
             )
         return cls(scenario, np.transpose(nested, (2, 3, 0, 1)))
+
+
+def _mixed_table(weight: float, table: np.ndarray, other_table: np.ndarray) -> np.ndarray:
+    """weight*table + (1-weight)*other_table, the table of :meth:`Correlation.mix`."""
+    return weight * table + (1.0 - weight) * other_table
+
+
+def _table_close(scenario: Scenario, table: np.ndarray, other: Correlation, atol: float) -> bool:
+    """:meth:`Correlation.allclose` of a table on ``scenario`` that no
+    Correlation holds: the same scenario and no entry more than atol apart."""
+    return scenario == other.scenario and bool(np.maximum.reduce(np.abs(table - other.table), axis=None) <= atol)
 
 
 def load_correlation(path) -> Correlation:
@@ -179,7 +218,7 @@ def _werner_correlations(arrangement: MeasurementArrangement, *visibilities: flo
     """:func:`werner_correlation` at each visibility, which must lie in
     [0, 1], all from one a.b matrix (a convex split takes two)."""
     # a.b summed by numpy, not BLAS, so the tables do not depend on the BLAS kernel
-    dots = np.add.reduce(np.array(arrangement.alice)[:, None] * np.array(arrangement.bob), axis=-1)
+    dots = np.add.reduce(arrangement.alice[:, None] * arrangement.bob, axis=-1)
     scenario = arrangement.scenario
     out = []
     for visibility in visibilities:
@@ -189,6 +228,9 @@ def _werner_correlations(arrangement: MeasurementArrangement, *visibilities: flo
         table[0, 1] = table[1, 0] = 0.5 * (1.0 - s)
         out.append(Correlation(scenario, table))
     return out
+
+
+_CHSH_ALICE = read_only_copy(((0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)), float)
 
 
 def chsh_arrangement(theta: float, fourth_bob_setting: bool = False) -> MeasurementArrangement:
@@ -206,10 +248,8 @@ def chsh_arrangement(theta: float, fourth_bob_setting: bool = False) -> Measurem
     ]
     if fourth_bob_setting:
         bob.append((1.0, 0.0, 0.0))
-    return MeasurementArrangement(
-        alice=((0.0, 0.0, -1.0), (-1.0, 0.0, 0.0)),
-        bob=tuple(bob),
-    )
+    # float arrays, whose components the arrangement need not test one by one
+    return MeasurementArrangement(alice=_CHSH_ALICE, bob=np.array(bob))
 
 
 def chsh_protocol_correlation(theta: float, visibility: float) -> Correlation:

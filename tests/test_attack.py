@@ -1,5 +1,6 @@
 """Convex-combination attacks, relabelling maps, and key-rate bounds."""
 
+import hashlib
 import math
 import re
 
@@ -445,6 +446,84 @@ def test_bound_rejects_inconsistent_decomposition():
     model = atk.chsh_attack(PI4, 0.8)
     with pytest.raises(atk.AttackError):
         atk.keyrate_bound(observed, model)
+
+
+def mixture_reproduces(observed, model):
+    """The verdict keyrate_bound keeps, ``mixture().allclose(observed,
+    atol=ATOL)``, and the same rule written out: q*L + (1-q)*N checked as a
+    Correlation, then the same scenario and a largest deviation <= ATOL."""
+    d = model.decomposition
+    mixture = Correlation(d.scenario, d.local_weight * d.local.table + (1.0 - d.local_weight) * d.nonlocal_part.table)
+    verdict = mixture.scenario == observed.scenario and bool(np.abs(mixture.table - observed.table).max() <= ATOL)
+    assert d.mixture().allclose(observed, atol=ATOL) == verdict
+    return verdict
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_bound_verdict_is_the_mixtures_allclose_at_the_edge(seed):
+    # the observed table moved by ATOL * (1 +- 2**-k) on one block, so its
+    # largest deviation from the mixture lands on both sides of ATOL and,
+    # for large k, where rounding decides
+    rng = np.random.default_rng(seed)
+    verdicts = []
+    for k in range(1, 25):
+        for sign in (1.0, -1.0):
+            theta, v = float(rng.uniform(0.1, 1.4)), float(rng.uniform(0.0, 1.0))
+            model = atk.chsh_attack(theta, v, "auto" if k % 2 else 1.0)
+            table = model.decomposition.mixture().table.copy()
+            x, y = int(rng.integers(2)), int(rng.integers(3))
+            block = table[:, :, x, y]
+            low, high = np.unravel_index(block.argmin(), (2, 2)), np.unravel_index(block.argmax(), (2, 2))
+            deviation = ATOL * (1.0 + sign * 2.0**-k)
+            block[low] += deviation
+            block[high] -= deviation
+            observed = Correlation(model.decomposition.scenario, table)
+            expected = mixture_reproduces(observed, model)
+            verdicts.append(expected)
+            if expected:
+                assert atk.keyrate_bound(observed, model) == atk.keyrate_bound(chsh_protocol_correlation(theta, v), model)
+            else:
+                with pytest.raises(atk.AttackError, match="^attack decomposition does not reproduce the observed correlation$"):
+                    atk.keyrate_bound(observed, model)
+    assert 0 < sum(verdicts) < len(verdicts)
+
+
+def test_bound_accepts_a_deviation_of_exactly_atol():
+    # at v = 1 the mixture is the v = 1 table, whose (0, 2) block is
+    # diag(1/2, 1/2): 0 + ATOL deviates by exactly ATOL, the diagonal by half
+    model = atk.chsh_attack(PI4, 1.0)
+    table = model.decomposition.mixture().table.copy()
+    table[0, 1, 0, 2] += ATOL
+    table[0, 0, 0, 2] -= ATOL / 2
+    table[1, 1, 0, 2] -= ATOL / 2
+    observed = Correlation(model.decomposition.scenario, table)
+    assert np.abs(observed.table - model.decomposition.mixture().table).max() == ATOL
+    assert mixture_reproduces(observed, model)
+    assert atk.keyrate_bound(observed, model) == atk.keyrate_bound(chsh_protocol_correlation(PI4, 1.0), model)
+
+
+@pytest.mark.parametrize(
+    "observed",
+    [werner_correlation(0.9, chsh_arrangement(PI4, fourth_bob_setting=True)),
+     werner_correlation(0.9, MeasurementArrangement(((0.0, 0.0, 1.0),), ((0.0, 0.0, 1.0),)))],
+    ids=["2x4", "1x1"],
+)
+def test_bound_refuses_an_observed_correlation_on_another_scenario(observed):
+    model = atk.chsh_attack(PI4, 0.9)
+    assert not mixture_reproduces(observed, model)
+    with pytest.raises(atk.AttackError, match="^attack decomposition does not reproduce the observed correlation$"):
+        atk.keyrate_bound(observed, model)
+
+
+def test_pipeline_bits_on_a_grid_are_pinned():
+    # the float64 bytes of the whole pipeline on a 10 x 20 grid, so that a
+    # change to it keeps its bits, not only the 1e-9 of the closed-form check
+    values = np.array([
+        [atk.keyrate_bound(chsh_protocol_correlation(theta, v), atk.chsh_attack(theta, v, 1.0))
+         for v in np.linspace(0.0, 1.0, 20).tolist()]
+        for theta in np.linspace(0.05, 1.5, 10).tolist()
+    ])
+    assert hashlib.sha256(values.tobytes()).hexdigest() == "3408efde504c84294905c37c54f560293f47a18188e54608b418b41329dbff19"
 
 
 def test_bound_decreases_toward_solved_fraction():

@@ -87,6 +87,80 @@ def test_unit_vectors_are_read_only_copies_of_the_callers_array():
     assert all(v[2] == 1.0 for v in stored)
 
 
+def test_each_side_is_one_read_only_array_copied_from_the_callers():
+    alice = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0]])
+    arrangement = MeasurementArrangement(alice, ((0.0, 1.0, 0.0),))
+    for side, given in ((arrangement.alice, alice.tolist()), (arrangement.bob, [[0.0, 1.0, 0.0]])):
+        assert type(side) is np.ndarray and side.dtype == np.float64 and not side.flags.writeable
+        assert side.tolist() == given
+    assert alice.flags.writeable and not np.shares_memory(alice, arrangement.alice)
+    alice[0, 2] = -1.0
+    assert arrangement.alice[0, 2] == 1.0
+    # indexing, len, iteration and np.dot work as on a tuple of vectors
+    assert len(arrangement.alice) == 2 and len(arrangement.bob) == 1
+    assert arrangement.alice[1].tolist() == [1.0, 0.0, 0.0]
+    assert [float(np.dot(a, b)) for a in arrangement.alice for b in arrangement.bob] == [0.0, 0.0]
+
+
+_Z = ((0.0, 0.0, 1.0),)
+
+
+@pytest.mark.parametrize(
+    "alice, bob, message",
+    [
+        pytest.param(((0, 0, 1), (0, 1)), _Z, "Bloch vector must have 3 components, got shape (2,)", id="ragged-side"),
+        pytest.param((0.0, 0.0, 1.0), _Z, "Bloch vector must have 3 components, got shape ()", id="bare-vector-as-side"),
+        pytest.param(((0.0, 1.0),), _Z, "Bloch vector must have 3 components, got shape (2,)", id="two-components"),
+        pytest.param((((0.0, 0.0, 1.0),),), _Z, "Bloch vector must have 3 components, got shape (1, 3)", id="1x3-vector"),
+        pytest.param(np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0]]), _Z, "Bloch vector must be unit norm, got |v| = 2.0",
+                     id="second-row-of-an-array"),
+        pytest.param(_Z, ((1, 0, 0), (0, 3, 0), (0, 1)), "Bloch vector must be unit norm, got |v| = 3.0",
+                     id="first-bad-vector-of-a-side"),
+        # both sides' vectors are checked before either side's count
+        pytest.param((), ((0.0, 1.0),), "Bloch vector must have 3 components, got shape (2,)", id="empty-then-bad-side"),
+        pytest.param(((2, 0, 0),), (), "Bloch vector must be unit norm, got |v| = 2.0", id="bad-then-empty-side"),
+        pytest.param(_Z, np.zeros((0, 3)), "arrangement needs at least one setting per side", id="empty-array-side"),
+        pytest.param(np.array([[True, False, False]]), _Z, "Bloch vector components must be real numbers, got True",
+                     id="bool-array-side"),
+        pytest.param(_Z, (1.0 for _ in range(1)), "Bloch vector must have 3 components, got shape ()",
+                     id="generator-of-numbers"),
+    ],
+)
+def test_a_bad_side_raises_the_message_of_its_first_bad_vector(alice, bob, message):
+    with pytest.raises(CorrelationError, match=f"^{re.escape(message)}$"):
+        MeasurementArrangement(alice, bob)
+
+
+@pytest.mark.parametrize(
+    "vector",
+    [(True, False, False), ("1", "0", "0"), ("a", "b", "c"), (0.0, 0.0, True), (np.True_, 0.0, 0.0), (1j, 0, 0),
+     (None, 0.0, 1.0), np.array([True, False, False])],
+    ids=repr,
+)
+def test_a_bloch_component_that_is_not_a_real_number_is_refused(vector):
+    for build in (
+        lambda: unit_vector(vector),
+        lambda: MeasurementArrangement((vector,), _Z),
+        lambda: MeasurementArrangement(_Z, (_Z[0], vector)),
+        lambda: MeasurementArrangement(np.array([vector], dtype=object), _Z),
+    ):
+        with pytest.raises(CorrelationError, match="^Bloch vector components must be real numbers, got ") as info:
+            build()
+        assert "\n" not in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "side",
+    [((0, 0, 1),), ((np.float64(1.0), 0, 0),), ((np.int64(0), np.float32(0.0), 1),), np.array([[0, 1, 0]]),
+     np.array([[0.0, 0.0, 1.0]], dtype=np.float32), [np.array([1, 0, 0])]],
+    ids=repr,
+)
+def test_integer_and_numpy_float_components_are_accepted(side):
+    arrangement = MeasurementArrangement(side, side)
+    assert arrangement.alice.dtype == np.float64
+    assert arrangement.alice.tolist() == arrangement.bob.tolist() == np.asarray(side, dtype=float).tolist()
+
+
 def test_correlation_rejects_bad_tables():
     scenario = Scenario(1, 1, 2, 2)
     with pytest.raises(CorrelationError):
