@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import kernels
-from ._jsondoc import ATOL, FrozenDict, is_index, is_real
-from .correlations import Correlation, MeasurementArrangement, _mixed_table, _table_close, _werner_correlations, chsh_arrangement
+from ._jsondoc import ATOL, FrozenDict, is_real
+from .correlations import Correlation, MeasurementArrangement, _table_close, _werner_correlations, chsh_arrangement
 from .infotheory import JointDistribution, StochasticMap
 from .localset import local_visibility
 
@@ -46,7 +46,7 @@ class CCDecomposition:
     nonlocal_part: Correlation
 
     def __post_init__(self):
-        if not 0.0 <= self.local_weight <= 1.0:
+        if not (is_real(self.local_weight) and 0.0 <= self.local_weight <= 1.0):
             raise AttackError(f"local weight must lie in [0, 1], got {self.local_weight!r}")
         if self.local.scenario != self.nonlocal_part.scenario:
             raise AttackError("decomposition components live on different scenarios")
@@ -55,23 +55,6 @@ class CCDecomposition:
     def scenario(self):
         return self.local.scenario
 
-    def mixture(self) -> Correlation:
-        return self.local.mix(self.nonlocal_part, self.local_weight)
-
-
-def _check_settings(scenario, setting_weights: dict, maps=()) -> None:
-    """Raise AttackError unless every setting pair (x, y), weighted or
-    mapped, is two ``is_index`` integers that index the scenario's settings
-    and every weight is a real number (not a bool), finite and >= 0."""
-    for x, y in [*setting_weights, *maps]:
-        if not (is_index(x) and is_index(y)):
-            raise AttackError(f"setting pair {(x, y)} must hold two integer indices")
-        if not (0 <= x < scenario.n_a and 0 <= y < scenario.n_b):
-            raise AttackError(f"setting pair {(x, y)} is outside the {scenario.n_a}x{scenario.n_b} settings")
-    for pair, weight in setting_weights.items():
-        if not (is_real(weight) and math.isfinite(weight) and weight >= 0.0):
-            raise AttackError(f"setting weight for {pair} must be a finite real number >= 0, got {weight!r}")
-
 
 @dataclass(frozen=True, eq=False)
 class AttackModel:
@@ -79,7 +62,9 @@ class AttackModel:
     and the unknown fractions the maps were built with (if recorded).
 
     The three mappings are stored as read-only copies, so the checks below
-    hold for the model's lifetime.
+    hold for the model's lifetime.  A weighted or mapped setting pair that
+    does not index the settings raises ``Correlation.block``'s
+    CorrelationError; every other inconsistency raises AttackError.
     """
 
     decomposition: CCDecomposition
@@ -90,7 +75,11 @@ class AttackModel:
     def __post_init__(self):
         for name in ("maps", "setting_weights", "unknown_fractions"):
             object.__setattr__(self, name, FrozenDict(getattr(self, name)))
-        _check_settings(self.decomposition.scenario, self.setting_weights, self.maps)
+        for pair in [*self.setting_weights, *self.maps]:
+            self.decomposition.local.block(*pair)
+        for pair, weight in self.setting_weights.items():
+            if not (is_real(weight) and math.isfinite(weight) and weight >= 0.0):
+                raise AttackError(f"setting weight for {pair} must be a finite real number >= 0, got {weight!r}")
         total = sum(self.setting_weights.values())
         if abs(total - 1.0) > ATOL:
             raise AttackError(f"setting weights sum to {total!r}, expected 1")
@@ -99,6 +88,8 @@ class AttackModel:
                 raise AttackError(f"no relabelling map supplied for weighted setting {pair}")
         symbols = self.decomposition.scenario.k_a * self.decomposition.scenario.k_b + 1
         for pair, m in self.maps.items():
+            if not isinstance(m, StochasticMap):
+                raise AttackError(f"map for setting {pair} must be a StochasticMap, got {type(m).__name__}")
             if m.rows.shape[0] != symbols:
                 raise AttackError(f"map for setting {pair} takes {m.rows.shape[0]} symbols, expected {symbols}")
 
@@ -145,7 +136,6 @@ def tripartite(decomposition: CCDecomposition, x: int, y: int) -> JointDistribut
     k_b*a + b); on nonlocal rounds it is the unknown symbol k_a*k_b, the last
     of the k_a*k_b + 1 symbols.
     """
-    _check_settings(decomposition.scenario, {}, [(x, y)])
     k_a, k_b = decomposition.scenario.k_a, decomposition.scenario.k_b
     q = decomposition.local_weight
     pairs = np.arange(k_a * k_b)
@@ -231,14 +221,15 @@ def keyrate_bound(observed: Correlation, attack: AttackModel) -> float:
     """Upper bound on the two-way key rate: the setting-weighted conditional
     mutual information after the eavesdropper's relabelling.
 
-    The attack's mixture must reproduce the observed correlation entrywise:
-    ``decomposition.mixture().allclose(observed)``, with the mixture's table
-    compared as it is computed.  It is not checked as a Correlation: both
-    parts are checked tables and 0 <= q <= 1, so its entries are >= 0 and its
-    block sums within ATOL of 1 up to rounding.
+    The attack's mixture q*L + (1 - q)*N must reproduce the observed
+    correlation: the same scenario, and no entry of the observed table more
+    than ATOL from the mixture's.  The mixture is not checked as a
+    Correlation: both parts are checked tables and 0 <= q <= 1, so its
+    entries are >= 0 and its block sums within ATOL of 1 up to rounding.
     """
     d = attack.decomposition
-    mixture = _mixed_table(d.local_weight, d.local.table, d.nonlocal_part.table)
+    q = d.local_weight
+    mixture = q * d.local.table + (1.0 - q) * d.nonlocal_part.table
     if not _table_close(d.scenario, mixture, observed, ATOL):
         raise AttackError("attack decomposition does not reproduce the observed correlation")
     information = setting_information(attack)
@@ -264,9 +255,9 @@ def chsh_attack(
         raise AttackError(f"unknown_fraction must be 'auto' or a real number in [0, 1], got {unknown_fraction!r}")
     if settings is None:
         settings = {(0, 2): 1.0}
-    decomposition = cc_chsh(theta, visibility)
-    _check_settings(decomposition.scenario, settings)
+    arrangement = chsh_arrangement(theta)
     v_l = local_visibility(theta)
+    decomposition = cc_werner(visibility, arrangement, v_l)
     maps, fractions = {}, {}
     for pair in settings:
         # probability of equal outcomes in the nonlocal (visibility 1) part

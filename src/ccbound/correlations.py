@@ -145,14 +145,6 @@ class Correlation:
         b_dev = np.abs(b_marg - b_marg.mean(axis=1, keepdims=True)).max()
         return bool(a_dev <= atol and b_dev <= atol)
 
-    def mix(self, other: "Correlation", weight: float) -> "Correlation":
-        """Convex combination weight*self + (1-weight)*other."""
-        if other.scenario != self.scenario:
-            raise CorrelationError("cannot mix correlations on different scenarios")
-        if not 0.0 <= weight <= 1.0:
-            raise CorrelationError(f"mixing weight must lie in [0,1], got {weight!r}")
-        return Correlation(self.scenario, _mixed_table(weight, self.table, other.table))
-
     def allclose(self, other: "Correlation", atol: float = ATOL) -> bool:
         return _table_close(self.scenario, self.table, other, atol)
 
@@ -179,11 +171,6 @@ class Correlation:
                 f"table shape {nested.shape} inconsistent with scenario fields"
             )
         return cls(scenario, np.transpose(nested, (2, 3, 0, 1)))
-
-
-def _mixed_table(weight: float, table: np.ndarray, other_table: np.ndarray) -> np.ndarray:
-    """weight*table + (1-weight)*other_table, the table of :meth:`Correlation.mix`."""
-    return weight * table + (1.0 - weight) * other_table
 
 
 def _table_close(scenario: Scenario, table: np.ndarray, other: Correlation, atol: float) -> bool:

@@ -14,6 +14,7 @@ from ccbound import kernels
 from ccbound._jsondoc import ATOL
 from ccbound.correlations import (
     Correlation,
+    CorrelationError,
     MeasurementArrangement,
     Scenario,
     chsh_arrangement,
@@ -35,6 +36,12 @@ def relabelled(joint, m):
 
 def relabelled_information(joint, m):
     return kernels.conditional_mutual_information_bits(relabelled(joint, m))
+
+
+def mixture_table(decomposition):
+    """The table q*L + (1-q)*N of a decomposition's mixture."""
+    q = decomposition.local_weight
+    return q * decomposition.local.table + (1.0 - q) * decomposition.nonlocal_part.table
 
 
 # ---------------------------------------------------------------- constants
@@ -100,6 +107,17 @@ _ONE_SETTING = werner_correlation(0.8, MeasurementArrangement(((0.0, 0.0, 1.0),)
     [
         pytest.param(lambda: atk.CCDecomposition(1.5, _WERNER, _WERNER),
                      "local weight must lie in [0, 1], got 1.5", id="decomposition-weight"),
+        # a bool must not be stored as the weight 1, nor a string escape as the
+        # comparison's bare TypeError
+        pytest.param(lambda: atk.CCDecomposition(True, _WERNER, _WERNER),
+                     "local weight must lie in [0, 1], got True", id="decomposition-weight-bool"),
+        pytest.param(lambda: atk.CCDecomposition(np.True_, _WERNER, _WERNER),
+                     "local weight must lie in [0, 1], got np.True_", id="decomposition-weight-numpy-bool"),
+        pytest.param(lambda: atk.CCDecomposition("0.5", _WERNER, _WERNER),
+                     "local weight must lie in [0, 1], got '0.5'", id="decomposition-weight-string"),
+        # a bare array must not escape as an AttributeError on .rows
+        pytest.param(lambda: atk.AttackModel(atk.cc_chsh(PI4, 0.9), {(0, 2): np.eye(5)}, {(0, 2): 1.0}),
+                     "map for setting (0, 2) must be a StochasticMap, got ndarray", id="attack-model-map-array"),
         pytest.param(lambda: atk.CCDecomposition(0.5, _WERNER, _ONE_SETTING),
                      "decomposition components live on different scenarios", id="decomposition-scenarios"),
         pytest.param(lambda: atk.local_weight(0.8, 1.0),
@@ -125,9 +143,14 @@ def test_cc_decomposition_reproduces_observation():
     arr = chsh_arrangement(PI4)
     for v in (0.72, 0.85, 1.0):
         dec = atk.cc_chsh(PI4, v)
-        assert dec.mixture().allclose(chsh_protocol_correlation(PI4, v), atol=1e-12)
+        assert np.abs(mixture_table(dec) - chsh_protocol_correlation(PI4, v).table).max() <= 1e-12
         assert dec.local_weight == pytest.approx((1 - v) / (1 - local_visibility(PI4)), abs=1e-12)
         assert dec.nonlocal_part.allclose(werner_correlation(1.0, arr), atol=1e-15)
+
+
+def test_a_numpy_float_local_weight_is_accepted():
+    dec = atk.cc_chsh(PI4, 0.8)
+    assert atk.CCDecomposition(np.float64(0.5), dec.local, dec.nonlocal_part).local_weight == 0.5
 
 
 def test_cc_decomposition_below_threshold_degenerates():
@@ -187,32 +210,31 @@ def test_tripartite_marginal_and_unknown_mass():
     dec = atk.cc_chsh(PI4, 0.8)
     for (x, y) in [(0, 2), (1, 1), (0, 0)]:
         joint = atk.tripartite(dec, x, y)
-        assert np.abs(joint.p.sum(axis=2) - dec.mixture().block(x, y)).max() < 1e-15
+        assert np.abs(joint.p.sum(axis=2) - mixture_table(dec)[:, :, x, y]).max() < 1e-15
         assert joint.p[:, :, 4].sum() == pytest.approx(1 - dec.local_weight, abs=1e-12)
     # frozen value: the agreeing unknown-branch mass at the key pair
     joint = atk.tripartite(dec, 0, 2)
     assert joint.p[0, 0, 4] == pytest.approx(0.15857864376269065, abs=1e-12)
 
 
-@pytest.mark.parametrize("pair", [(-1, 0), (2, 0), (0, 3)])
+@pytest.mark.parametrize("pair", [(-1, 0), (2, 0), (0, 3), (True, 2), (0.5, 2)])
 def test_setting_pairs_outside_the_protocol_are_rejected_by_name(pair):
-    # a negative index must not wrap round to the last setting
-    pattern = re.escape(f"setting pair {pair} is outside the 2x3 settings")
-    with pytest.raises(atk.AttackError, match=pattern):
-        atk.tripartite(atk.cc_chsh(PI4, 0.8), *pair)
-    with pytest.raises(atk.AttackError, match=pattern):
-        atk.chsh_attack(PI4, 0.8, "auto", {pair: 1.0})
-
-
-@pytest.mark.parametrize("pair", [(True, 2), (0.5, 2)])
-def test_setting_indices_that_are_not_integers_are_rejected_by_name(pair):
-    # numpy reads a bool index as a mask, which adds an axis, and refuses a
-    # float one with its own IndexError
-    pattern = re.escape(f"setting pair {pair} must hold two integer indices")
-    with pytest.raises(atk.AttackError, match=pattern):
-        atk.tripartite(atk.cc_chsh(0.5, 0.9), *pair)
-    with pytest.raises(atk.AttackError, match=pattern):
-        atk.chsh_attack(0.5, 0.9, settings={pair: 1.0})
+    # every entry point raises Correlation.block's one message: a negative
+    # index must not wrap round to the last setting, and numpy would read a
+    # bool index as a mask and refuse a float one with its own IndexError
+    model = atk.chsh_attack(PI4, 0.8)
+    dec, rows = model.decomposition, model.maps[(0, 2)]
+    calls = [
+        lambda: dec.local.block(*pair),
+        lambda: atk.tripartite(dec, *pair),
+        lambda: atk.chsh_attack(PI4, 0.8, "auto", {pair: 1.0}),
+        lambda: atk.AttackModel(dec, {(0, 2): rows}, {pair: 1.0}),  # a weight key
+        lambda: atk.AttackModel(dec, {(0, 2): rows, pair: rows}, {(0, 2): 1.0}),  # a map key
+    ]
+    message = f"setting pair {pair} is not an index pair of the 2x3 settings"
+    for call in calls:
+        with pytest.raises(CorrelationError, match=f"^{re.escape(message)}$"):
+            call()
 
 
 def test_numpy_integer_setting_indices_are_accepted():
@@ -449,14 +471,11 @@ def test_bound_rejects_inconsistent_decomposition():
 
 
 def mixture_reproduces(observed, model):
-    """The verdict keyrate_bound keeps, ``mixture().allclose(observed,
-    atol=ATOL)``, and the same rule written out: q*L + (1-q)*N checked as a
-    Correlation, then the same scenario and a largest deviation <= ATOL."""
+    """The verdict keyrate_bound keeps, written out: q*L + (1-q)*N checked as
+    a Correlation, then the same scenario and a largest deviation <= ATOL."""
     d = model.decomposition
-    mixture = Correlation(d.scenario, d.local_weight * d.local.table + (1.0 - d.local_weight) * d.nonlocal_part.table)
-    verdict = mixture.scenario == observed.scenario and bool(np.abs(mixture.table - observed.table).max() <= ATOL)
-    assert d.mixture().allclose(observed, atol=ATOL) == verdict
-    return verdict
+    mixture = Correlation(d.scenario, mixture_table(d))
+    return mixture.scenario == observed.scenario and bool(np.abs(mixture.table - observed.table).max() <= ATOL)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -470,7 +489,7 @@ def test_bound_verdict_is_the_mixtures_allclose_at_the_edge(seed):
         for sign in (1.0, -1.0):
             theta, v = float(rng.uniform(0.1, 1.4)), float(rng.uniform(0.0, 1.0))
             model = atk.chsh_attack(theta, v, "auto" if k % 2 else 1.0)
-            table = model.decomposition.mixture().table.copy()
+            table = mixture_table(model.decomposition)
             x, y = int(rng.integers(2)), int(rng.integers(3))
             block = table[:, :, x, y]
             low, high = np.unravel_index(block.argmin(), (2, 2)), np.unravel_index(block.argmax(), (2, 2))
@@ -492,12 +511,12 @@ def test_bound_accepts_a_deviation_of_exactly_atol():
     # at v = 1 the mixture is the v = 1 table, whose (0, 2) block is
     # diag(1/2, 1/2): 0 + ATOL deviates by exactly ATOL, the diagonal by half
     model = atk.chsh_attack(PI4, 1.0)
-    table = model.decomposition.mixture().table.copy()
+    table = mixture_table(model.decomposition)
     table[0, 1, 0, 2] += ATOL
     table[0, 0, 0, 2] -= ATOL / 2
     table[1, 1, 0, 2] -= ATOL / 2
     observed = Correlation(model.decomposition.scenario, table)
-    assert np.abs(observed.table - model.decomposition.mixture().table).max() == ATOL
+    assert np.abs(observed.table - mixture_table(model.decomposition)).max() == ATOL
     assert mixture_reproduces(observed, model)
     assert atk.keyrate_bound(observed, model) == atk.keyrate_bound(chsh_protocol_correlation(PI4, 1.0), model)
 
@@ -546,6 +565,18 @@ def test_attack_model_validates_weights():
         atk.AttackModel(dec, {}, {(0, 2): 0.5})  # weights don't sum to 1
     with pytest.raises(atk.AttackError):
         atk.AttackModel(dec, {}, {(0, 2): 1.0})  # weighted setting without a map
+
+
+def test_attack_model_rejects_out_of_range_pairs_and_nan_weights():
+    # a bad pair is refused by Correlation.block, a NaN weight by the model
+    model = atk.chsh_attack(PI4, 0.8)
+    dec, rows = model.decomposition, model.maps[(0, 2)]
+    with pytest.raises(CorrelationError):
+        atk.AttackModel(dec, {(-1, 2): rows}, {(-1, 2): 1.0})
+    with pytest.raises(CorrelationError):
+        atk.AttackModel(dec, {(0, 2): rows, (0, 3): rows}, {(0, 2): 1.0})  # map at a bad pair
+    with pytest.raises(atk.AttackError):
+        atk.AttackModel(dec, {(0, 2): rows}, {(0, 2): math.nan})
 
 
 def test_attack_model_rejects_a_map_of_the_wrong_alphabet():
@@ -653,10 +684,10 @@ def test_a_negative_zero_fraction_is_stored_as_zero():
 @pytest.mark.parametrize(
     "settings",
     [
-        {(5, 5): 1.0},
-        {(2, 0): 1.0},
-        {(0, 3): 1.0},
-        {(-1, 2): 1.0},
+        {},
+        {(0, 2): 0.5},
+        {(0, 2): 0.5, (1, 2): 0.25},
+        {(0, 2): -math.inf},
         {(0, 2): math.nan},
         {(0, 2): math.inf},
         {(0, 2): 2.0, (1, 2): -1.0},
@@ -666,17 +697,6 @@ def test_a_negative_zero_fraction_is_stored_as_zero():
 def test_chsh_attack_rejects_bad_settings(settings):
     with pytest.raises(atk.AttackError):
         atk.chsh_attack(PI4, 0.8, "auto", settings)
-
-
-def test_attack_model_rejects_out_of_range_pairs_and_nan_weights():
-    model = atk.chsh_attack(PI4, 0.8)
-    dec, rows = model.decomposition, model.maps[(0, 2)]
-    with pytest.raises(atk.AttackError):
-        atk.AttackModel(dec, {(-1, 2): rows}, {(-1, 2): 1.0})
-    with pytest.raises(atk.AttackError):
-        atk.AttackModel(dec, {(0, 2): rows, (0, 3): rows}, {(0, 2): 1.0})  # map at a bad pair
-    with pytest.raises(atk.AttackError):
-        atk.AttackModel(dec, {(0, 2): rows}, {(0, 2): math.nan})
 
 
 @pytest.mark.parametrize("weight", [True, np.True_, "1", 1j])

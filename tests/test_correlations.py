@@ -436,19 +436,11 @@ def test_json_table_entries_must_be_numbers(entry, message):
         Correlation.from_json_dict(doc)
 
 
-_WERNER = werner_correlation(0.8, chsh_arrangement(math.pi / 4))
-_ONE_SETTING = werner_correlation(0.8, MeasurementArrangement(((0.0, 0.0, 1.0),), ((0.0, 0.0, 1.0),)))
-
-
 @pytest.mark.parametrize(
     "call, message",
     [
         pytest.param(lambda: MeasurementArrangement((), ((0.0, 0.0, 1.0),)),
                      "arrangement needs at least one setting per side", id="arrangement-without-settings"),
-        pytest.param(lambda: _WERNER.mix(_ONE_SETTING, 0.5),
-                     "cannot mix correlations on different scenarios", id="mix-scenarios"),
-        pytest.param(lambda: _WERNER.mix(_WERNER, 1.5),
-                     "mixing weight must lie in [0,1], got 1.5", id="mix-weight"),
     ],
 )
 def test_correlation_input_checks(call, message):

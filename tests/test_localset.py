@@ -494,7 +494,8 @@ def test_segment_weight_matches_highs():
         target = _jittered_werner(rng, scenario.n_b, rng.uniform(0.85, 1.0))
         kind = ("segment", "unrelated", "noisy")[i % 3]
         if kind == "segment":
-            corr = _random_local(rng, scenario).mix(target, float(rng.uniform(0.02, 0.4)))
+            local, weight = _random_local(rng, scenario), float(rng.uniform(0.02, 0.4))
+            corr = Correlation(scenario, weight * local.table + (1.0 - weight) * target.table)
         else:
             corr = _jittered_werner(rng, scenario.n_b, rng.uniform(0.8, 1.0) if kind == "unrelated" else 0.5)
         result = max_local_weight_along(corr, target)
