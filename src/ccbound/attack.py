@@ -19,7 +19,7 @@ import numpy as np
 
 from . import kernels
 from ._jsondoc import ATOL, FrozenDict, is_real
-from .correlations import Correlation, MeasurementArrangement, _table_close, _werner_correlations, chsh_arrangement
+from .correlations import Correlation, MeasurementArrangement, _setting_pair_error, _table_close, _werner_correlations, chsh_arrangement
 from .infotheory import JointDistribution, StochasticMap
 from .localset import local_visibility
 
@@ -76,7 +76,7 @@ class AttackModel:
         for name in ("maps", "setting_weights", "unknown_fractions"):
             object.__setattr__(self, name, FrozenDict(getattr(self, name)))
         for pair in [*self.setting_weights, *self.maps]:
-            self.decomposition.local.block(*pair)
+            _pair_block(self.decomposition.local, pair)
         for pair, weight in self.setting_weights.items():
             if not (is_real(weight) and math.isfinite(weight) and weight >= 0.0):
                 raise AttackError(f"setting weight for {pair} must be a finite real number >= 0, got {weight!r}")
@@ -92,6 +92,14 @@ class AttackModel:
                 raise AttackError(f"map for setting {pair} must be a StochasticMap, got {type(m).__name__}")
             if m.rows.shape[0] != symbols:
                 raise AttackError(f"map for setting {pair} takes {m.rows.shape[0]} symbols, expected {symbols}")
+
+
+def _pair_block(correlation: Correlation, pair) -> np.ndarray:
+    """``correlation.block(*pair)`` of a setting key; a key that is not a
+    tuple of two raises block's error."""
+    if not (isinstance(pair, tuple) and len(pair) == 2):
+        raise _setting_pair_error(correlation.scenario, pair)
+    return correlation.block(*pair)
 
 
 def local_weight(visibility: float, local_visibility_value: float) -> float:
@@ -184,6 +192,12 @@ def zero_key_visibility(agreement: float, local_visibility_value: float) -> floa
     return (v_l * (2.0 * agreement - 1.0) + 1.0) / (v_l * (1.0 - 2.0 * agreement) + 4.0 * agreement - 1.0)
 
 
+# Critical visibility of the noisy-singlet family under arbitrary projective
+# measurements: below it no setting-announcing protocol can extract a key,
+# although the correlations are nonlocal above ~0.6964.
+WERNER_CRITICAL_VISIBILITY = zero_key_visibility(1.0, WERNER_LOCAL_VISIBILITY)
+
+
 def solve_unknown_fraction(
     visibility: float, local_visibility_value: float, agreement: float
 ) -> float:
@@ -261,7 +275,7 @@ def chsh_attack(
     maps, fractions = {}, {}
     for pair in settings:
         # probability of equal outcomes in the nonlocal (visibility 1) part
-        ideal = decomposition.nonlocal_part.block(*pair)
+        ideal = _pair_block(decomposition.nonlocal_part, pair)
         agreement = float(ideal[0, 0] + ideal[1, 1])
         if auto:
             fraction = solve_unknown_fraction(visibility, v_l, agreement)
@@ -304,13 +318,6 @@ def chsh_keyrate_bound(theta: float, visibility):
 def _log2(x: np.ndarray) -> np.ndarray:
     """``math.log2`` of each value of x."""
     return np.fromiter(map(math.log2, x.tolist()), float, len(x))
-
-
-def critical_visibility_werner() -> float:
-    """Critical visibility of the noisy-singlet family under arbitrary
-    projective measurements: below it no setting-announcing protocol can
-    extract a key, although the correlations are nonlocal above ~0.6964."""
-    return zero_key_visibility(1.0, WERNER_LOCAL_VISIBILITY)
 
 
 def critical_visibility(theta: float) -> float:

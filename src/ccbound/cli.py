@@ -72,7 +72,7 @@ def cmd_constants(parser, args) -> int:
     values = {
         "werner_local_visibility": atk.WERNER_LOCAL_VISIBILITY,
         "werner_nonlocal_visibility": atk.WERNER_NONLOCAL_VISIBILITY,
-        "werner_critical_visibility": atk.critical_visibility_werner(),
+        "werner_critical_visibility": atk.WERNER_CRITICAL_VISIBILITY,
         "theta": theta,
         "protocol_local_visibility": local_visibility(theta),
         "protocol_critical_visibility": atk.critical_visibility(theta),

@@ -21,10 +21,6 @@ class CorrelationError(ValueError):
     """A probability table or its construction inputs are invalid."""
 
 
-class OutsideQuantumDiscError(CorrelationError):
-    """A slice point (s, t) lies outside the quantum disc s^2 + t^2 <= 1."""
-
-
 @dataclass(frozen=True)
 class Scenario:
     """Input/output counts of a bipartite measurement scenario, stored as
@@ -135,7 +131,7 @@ class Correlation:
         the settings (numpy would read a bool as a mask and wrap a negative)."""
         s = self.scenario
         if not (is_index(x) and is_index(y) and 0 <= x < s.n_a and 0 <= y < s.n_b):
-            raise CorrelationError(f"setting pair {(x, y)} is not an index pair of the {s.n_a}x{s.n_b} settings")
+            raise _setting_pair_error(s, (x, y))
         return self.table[:, :, x, y]
 
     def is_nonsignaling(self, atol: float = ATOL) -> bool:
@@ -171,6 +167,12 @@ class Correlation:
                 f"table shape {nested.shape} inconsistent with scenario fields"
             )
         return cls(scenario, np.transpose(nested, (2, 3, 0, 1)))
+
+
+def _setting_pair_error(scenario: Scenario, pair) -> CorrelationError:
+    """The error for a setting pair, or a setting key that is not a tuple of
+    two, that is not an index pair of the scenario's settings."""
+    return CorrelationError(f"setting pair {pair!r} is not an index pair of the {scenario.n_a}x{scenario.n_b} settings")
 
 
 def _table_close(scenario: Scenario, table: np.ndarray, other: Correlation, atol: float) -> bool:
@@ -254,9 +256,7 @@ def slice_correlation(s: float, t: float) -> Correlation:
     """
     radius_sq = s * s + t * t
     if not radius_sq <= 1.0 + ATOL:
-        raise OutsideQuantumDiscError(
-            f"(s, t) = ({s}, {t}) has s^2 + t^2 = {radius_sq}, not <= 1"
-        )
+        raise CorrelationError(f"(s, t) = ({s}, {t}) has s^2 + t^2 = {radius_sq}, not <= 1")
     v = math.sqrt(min(radius_sq, 1.0))
     correlators = np.array([[s, t, v], [t, -s, 0.0]])
     table = np.empty((2, 2, 2, 3))

@@ -38,10 +38,6 @@ class LPError(RuntimeError):
     """The LP solver failed numerically (distinct from a 'nonlocal' verdict)."""
 
 
-class VertexGuardError(ValueError):
-    """The vertex matrix of a scenario exceeds the enumeration guard."""
-
-
 def _strategy_tables(n: int, k: int) -> np.ndarray:
     """(k^n, n, k) one-hot output tables of one party's strategies, in lexicographic order."""
     outputs = np.arange(k**n)[:, None] // k ** np.arange(n - 1, -1, -1) % k
@@ -57,12 +53,12 @@ def vertex_matrix(scenario: Scenario) -> np.ndarray:
     output tuples a(x) in the outer loop and Bob's b(y) in the inner loop,
     each in lexicographic order: the broadcast product of the parties'
     one-hot output tables.  Above VERTEX_GUARD entries it raises
-    VertexGuardError before allocating anything.
+    ValueError before allocating anything.
     """
     rows = math.prod(scenario.table_shape)
     count = scenario.k_a**scenario.n_a * scenario.k_b**scenario.n_b
     if rows * count > VERTEX_GUARD:
-        raise VertexGuardError(f"{rows} x {count} vertex matrix entries exceed the guard of {VERTEX_GUARD}")
+        raise ValueError(f"{rows} x {count} vertex matrix entries exceed the guard of {VERTEX_GUARD}")
     alice = _strategy_tables(scenario.n_a, scenario.k_a)
     bob = _strategy_tables(scenario.n_b, scenario.k_b)
     mat = np.einsum("sxa,tyb->abxyst", alice, bob, order="C").reshape(rows, count)

@@ -5,7 +5,6 @@ from __future__ import annotations
 
 import math
 import operator
-from enum import Enum
 
 import numpy as np
 
@@ -20,18 +19,8 @@ from .kernels import LP_SLACK
 BLOCK_POINTS = 1 << 14
 
 
-class RegionLabel(str, Enum):
-    LOCAL = "LOCAL"
-    RED_ZERO_KEY = "RED_ZERO_KEY"
-    BLUE_POSITIVE_BOUND = "BLUE_POSITIVE_BOUND"
-    OUTSIDE_QUANTUM = "OUTSIDE_QUANTUM"
-
-    def __str__(self):
-        return self.value
-
-
 # label codes returned by classify_arrays index this tuple
-LABELS = tuple(RegionLabel)
+LABELS = ("LOCAL", "RED_ZERO_KEY", "BLUE_POSITIVE_BOUND", "OUTSIDE_QUANTUM")
 _LOCAL, _RED, _BLUE, _OUTSIDE = range(len(LABELS))
 
 
@@ -187,13 +176,13 @@ def fixed6_words(x) -> np.ndarray:
 # a label field: the label and its newline, NUL-padded to the longest one;
 # a row of label k is the first _ROW_WIDTHS[k] bytes of its record, so the
 # padding is never written
-_LABEL_WIDTH = max(len(label.value) for label in LABELS) + 1
-_LABEL_ROWS = np.array([f"{label.value}\n".encode("ascii") for label in LABELS], dtype=f"V{_LABEL_WIDTH}")
+_LABEL_WIDTH = max(map(len, LABELS)) + 1
+_LABEL_ROWS = np.array([f"{label}\n".encode("ascii") for label in LABELS], dtype=f"V{_LABEL_WIDTH}")
 # a CSV row as a record: four "d.dddddd" fields held as fixed6_words, each
 # followed by a comma, then the label field
 _ROW = np.dtype({"names": ["s", "t", "v", "theta", "label"], "formats": ["u8"] * 4 + [_LABEL_ROWS.dtype],
                  "offsets": [0, 9, 18, 27, 36], "itemsize": 36 + _LABEL_WIDTH})
-_ROW_WIDTHS = [36 + len(label.value) + 1 for label in LABELS]
+_ROW_WIDTHS = [36 + len(label) + 1 for label in LABELS]
 
 
 def stream_region_csv(resolution: int, stream) -> None:

@@ -18,7 +18,7 @@ from ccbound.correlations import (
 )
 from ccbound.infotheory import JointDistribution, minimize_intrinsic, mutual_information
 from ccbound.localset import is_local_lp, local_visibility, max_local_weight_along
-from ccbound.regions import LABELS, RegionLabel, classify_arrays
+from ccbound.regions import LABELS, classify_arrays
 
 PI4 = math.pi / 4
 
@@ -47,7 +47,7 @@ def test_criterion_1_constant_reproduction():
     assert atk.WERNER_LOCAL_VISIBILITY == v_l
     assert abs(v_l - 0.6829) < 5e-5
     v_crit = (v_l + 1) / (3 - v_l)
-    assert atk.critical_visibility_werner() == v_crit
+    assert atk.WERNER_CRITICAL_VISIBILITY == v_crit
     assert abs(v_crit - 0.7263) < 5e-5
     assert v_crit > atk.WERNER_NONLOCAL_VISIBILITY == 0.6964
     report(1, f"locality constant {v_l:.6f}, critical visibility {v_crit:.6f} > 0.6964")
@@ -148,8 +148,8 @@ def test_criterion_8_region_reproduction():
     assert len(codes) == 201 * 201
     s, t, visibility, theta = s.tolist(), t.tolist(), visibility.tolist(), theta.tolist()
     labels = [LABELS[c] for c in codes.tolist()]
-    red = [i for i, label in enumerate(labels) if label == RegionLabel.RED_ZERO_KEY]
-    blue = [i for i, label in enumerate(labels) if label == RegionLabel.BLUE_POSITIVE_BOUND]
+    red = [i for i, label in enumerate(labels) if label == "RED_ZERO_KEY"]
+    blue = [i for i, label in enumerate(labels) if label == "BLUE_POSITIVE_BOUND"]
     assert red
     for i in red:
         assert abs(s[i]) + abs(t[i]) > 1.0
@@ -169,7 +169,7 @@ def test_criterion_8_region_reproduction():
 def test_criterion_9_zero_key_visibility_properties():
     assert atk.zero_key_visibility(0.5, atk.WERNER_LOCAL_VISIBILITY) == 1.0
     assert atk.zero_key_visibility(0.5, 0.71) == 1.0
-    assert atk.zero_key_visibility(1.0, atk.WERNER_LOCAL_VISIBILITY) == atk.critical_visibility_werner()
+    assert atk.zero_key_visibility(1.0, atk.WERNER_LOCAL_VISIBILITY) == atk.WERNER_CRITICAL_VISIBILITY
     rng = np.random.default_rng(9)
     ss = np.sort(rng.uniform(0.5, 1.0, size=100))
     values = [atk.zero_key_visibility(float(s), atk.WERNER_LOCAL_VISIBILITY) for s in ss]

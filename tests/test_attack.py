@@ -57,7 +57,7 @@ def test_werner_locality_constant():
 
 
 def test_werner_critical_visibility():
-    value = atk.critical_visibility_werner()
+    value = atk.WERNER_CRITICAL_VISIBILITY
     assert value == pytest.approx(0.7262914510582498, abs=1e-12)
     assert abs(value - 0.7263) < 1e-4
     assert value > atk.WERNER_NONLOCAL_VISIBILITY == 0.6964
@@ -232,6 +232,23 @@ def test_setting_pairs_outside_the_protocol_are_rejected_by_name(pair):
         lambda: atk.AttackModel(dec, {(0, 2): rows, pair: rows}, {(0, 2): 1.0}),  # a map key
     ]
     message = f"setting pair {pair} is not an index pair of the 2x3 settings"
+    for call in calls:
+        with pytest.raises(CorrelationError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+@pytest.mark.parametrize("key", [5, (0, 1, 2), "02"])
+def test_setting_keys_that_are_not_pairs_are_rejected_by_name(key):
+    # a key that is not a tuple of two raises block's message, not the
+    # TypeError of unpacking it into block(x, y)
+    model = atk.chsh_attack(PI4, 0.8)
+    dec, rows = model.decomposition, model.maps[(0, 2)]
+    calls = [
+        lambda: atk.chsh_attack(PI4, 0.8, "auto", {key: 1.0}),
+        lambda: atk.AttackModel(dec, {(0, 2): rows}, {key: 1.0}),  # a weight key
+        lambda: atk.AttackModel(dec, {(0, 2): rows, key: rows}, {(0, 2): 1.0}),  # a map key
+    ]
+    message = f"setting pair {key!r} is not an index pair of the 2x3 settings"
     for call in calls:
         with pytest.raises(CorrelationError, match=f"^{re.escape(message)}$"):
             call()
@@ -418,7 +435,7 @@ def test_fraction_mirror_branch_zeroes_too():
 def test_zero_key_visibility_endpoints():
     assert atk.zero_key_visibility(0.5, 0.3) == 1.0
     v_l = atk.WERNER_LOCAL_VISIBILITY
-    assert atk.zero_key_visibility(1.0, v_l) == atk.critical_visibility_werner()
+    assert atk.zero_key_visibility(1.0, v_l) == atk.WERNER_CRITICAL_VISIBILITY
     assert atk.zero_key_visibility(0.9, 1 / math.sqrt(2)) == pytest.approx(
         0.7696378151890152, abs=1e-12
     )

@@ -12,7 +12,6 @@ from ccbound.correlations import (
     Correlation,
     CorrelationError,
     MeasurementArrangement,
-    OutsideQuantumDiscError,
     Scenario,
     chsh_arrangement,
     chsh_protocol_correlation,
@@ -360,7 +359,7 @@ def test_slice_table_is_the_correlator_formula_bit_for_bit():
 
 
 def test_slice_rejects_points_outside_disc():
-    with pytest.raises(OutsideQuantumDiscError):
+    with pytest.raises(CorrelationError, match=r"^\(s, t\) = \(1\.0, 0\.5\) has s\^2 \+ t\^2 = 1\.25, not <= 1$"):
         slice_correlation(1.0, 0.5)
 
 
@@ -370,7 +369,7 @@ def test_slice_rejects_points_outside_disc():
     [
         (lambda: MeasurementArrangement(((math.nan, 0.0, 0.0),), ((0.0, 0.0, 1.0),)), CorrelationError, "unit norm"),
         (lambda: werner_correlation(math.nan, chsh_arrangement(0.3)), CorrelationError, "got nan"),
-        (lambda: slice_correlation(math.nan, 0.5), OutsideQuantumDiscError, "= nan, not <= 1"),
+        (lambda: slice_correlation(math.nan, 0.5), CorrelationError, "= nan, not <= 1"),
     ],
     ids=["unit_vector", "werner_visibility", "slice_correlation"],
 )

@@ -17,7 +17,7 @@ import pytest
 from ccbound.attack import chsh_keyrate_bound, critical_visibility, zero_key_visibility
 from ccbound.correlations import chsh_protocol_correlation
 from ccbound.localset import is_local_lp, local_visibility
-from ccbound.regions import LABELS, RegionLabel, classify_arrays
+from ccbound.regions import LABELS, classify_arrays
 
 # (a, b, c) with the exact local and critical visibilities
 ANCHORS = [
@@ -65,7 +65,14 @@ def test_slice_point_on_the_critical_curve_is_zero_key():
     assert math.hypot(s, t) == 0.75 and critical_visibility(theta) == 0.7500000000000001
     # within 1e-12 of the bulk estimate r/(|s| + |t|), so the label takes the scalar critical visibility
     assert abs(0.75 - zero_key_visibility(1.0, 0.75 / (s + t))) <= 1e-12
-    assert LABELS[classify_arrays([s], [t])[2][0]] == RegionLabel.RED_ZERO_KEY
+    assert LABELS[classify_arrays([s], [t])[2][0]] == "RED_ZERO_KEY"
+
+
+def test_labels_are_the_four_label_strings_in_code_order():
+    assert type(LABELS) is tuple and [type(label) for label in LABELS] == [str] * 4
+    assert LABELS == ("LOCAL", "RED_ZERO_KEY", "BLUE_POSITIVE_BOUND", "OUTSIDE_QUANTUM")
+    # a local, a zero-key, a positive-bound and a non-quantum point
+    assert classify_arrays([0.5, 0.45, 0.6, 1.0], [0.4, 0.6, 0.6, 0.5])[2].tolist() == [0, 1, 2, 3]
 
 
 def _exact_protocol_table(a, b, c, v):

@@ -20,7 +20,6 @@ from ccbound.correlations import (
 )
 from ccbound.localset import (
     LPError,
-    VertexGuardError,
     is_local_lp,
     local_visibility,
     max_local_weight_along,
@@ -92,7 +91,7 @@ def test_vertices_are_deterministic_products():
 
 
 def test_vertex_guard():
-    with pytest.raises(VertexGuardError, match=r"^1600 x 1099511627776 vertex matrix entries exceed the guard of 10000000$"):
+    with pytest.raises(ValueError, match=r"^1600 x 1099511627776 vertex matrix entries exceed the guard of 10000000$"):
         vertex_matrix(Scenario(10, 10, 4, 4))
     # 5 settings a side, 100 x 1,024 entries, is inside the guard
     assert vertex_matrix(Scenario(5, 5, 2, 2)).shape == (100, 1024)
